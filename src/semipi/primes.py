@@ -35,6 +35,10 @@ MAX_QUOTIENT_ROOT = 2**25
 #: Dense sieves are processed in blocks of this many entries.
 SIEVE_SEGMENT = 2**20
 
+#: The p > n^(1/3) band of build_quotient_pi is scattered in blocks of
+#: at most this many (p, d) pairs.
+BAND_BLOCK = 2**16
+
 
 def isqrt(n: int) -> int:
     """Exact integer square root: the r with r*r <= n < (r+1)*(r+1).
@@ -213,6 +217,26 @@ class QuotientPiTable:
         return cls(n=n, root=r, smalls=smalls, larges=larges, root_primes=root_primes)
 
 
+def _pair_blocks(lo: np.ndarray, hi: np.ndarray):
+    """Yield (i, d) arrays covering d = lo[i]..hi[i] for every i.
+
+    The pairs are listed i by i and cut into blocks of at most
+    BAND_BLOCK pairs; a block boundary may fall inside one i's range.
+    """
+    counts = np.maximum(hi - lo + 1, 0)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    total = int(ends[-1]) if len(ends) else 0
+    for j0 in range(0, total, BAND_BLOCK):
+        j1 = min(j0 + BAND_BLOCK, total)
+        i0 = int(np.searchsorted(ends, j0, side="right"))
+        i1 = int(np.searchsorted(ends, j1 - 1, side="right")) + 1
+        took = np.minimum(ends[i0:i1], j1) - np.maximum(starts[i0:i1], j0)
+        # Pair j of the whole list is d = lo[i] + (j - starts[i]).
+        shift = np.repeat(starts[i0:i1] - lo[i0:i1], took)
+        yield np.repeat(np.arange(i0, i1), took), np.arange(j0, j1) - shift
+
+
 def build_quotient_pi(
     n: int,
     *,
@@ -230,6 +254,18 @@ def build_quotient_pi(
     After the last prime, S(v) = pi(v) exactly.  Only the ~2*sqrt(n)
     quotient points are tracked, which is what keeps the cost at
     O(n^(3/4)) arithmetic operations and O(sqrt(n)) memory.
+
+    The primes fall into three bands by what their step touches:
+
+    * p <= n^(1/4) (p^2 <= sqrt(n)): updates both larges and smalls.
+    * n^(1/4) < p <= n^(1/3): updates larges only, one prime at a time.
+    * p > n^(1/3) (p^3 > n): updates only larges[d] with
+      d <= n // p^2 < n^(1/3), and reads only larges[d*p] at indices
+      >= p > n^(1/3), or smalls, which no step with p^2 > sqrt(n)
+      changes.  Every value this band reads is therefore final when the
+      band starts, so its updates commute and are applied together as
+      one scatter over all (p, d) pairs, in blocks of at most
+      BAND_BLOCK pairs to keep memory flat.
 
     n beyond max_n (default 10**11) is rejected with RangeError rather
     than silently degrading; the cap can be overridden by callers that
@@ -249,34 +285,42 @@ def build_quotient_pi(
         )
 
     # smalls[v] tracks S(v) for v <= r; larges[d] tracks S(n // d).
+    # quot[d - 1] = n // d, so S(n // (d*p)) at d*p > r is
+    # smalls[quot[d - 1] // p], a division by a scalar.
+    quot = n // np.arange(1, r + 1, dtype=np.int64)
     smalls = np.arange(r + 1, dtype=np.int64) - 1
-    d = np.arange(r + 2, dtype=np.int64)
     larges = np.zeros(r + 2, dtype=np.int64)
-    if r >= 1:
-        larges[1 : r + 1] = n // d[1 : r + 1] - 1
+    larges[1 : r + 1] = quot - 1
 
     root_mask = _sieve_mask(r) if r >= 2 else np.zeros(r + 1, dtype=bool)
     root_primes = np.flatnonzero(root_mask).astype(np.int64)
+    # p^3 <= n exactly when p^2 <= n // p: these primes step one by one.
+    cut = int(np.count_nonzero(root_primes * root_primes <= n // root_primes))
 
-    for p in root_primes.tolist():
+    for p in root_primes[:cut].tolist():
         sp = int(smalls[p - 1])  # pi(p - 1): final, since p - 1 < p^2
         p2 = p * p
         dmax = min(r, n // p2)
-        if dmax >= 1:
-            dp = d[1 : dmax + 1] * p
-            # S(n // (d*p)) lives in larges when d*p <= r, else in smalls
-            # at n // (d*p) <= r.  Gather everything before writing so the
-            # recurrence sees pre-update values throughout.
-            inner = n // dp
-            vals = np.where(
-                dp <= r,
-                larges[np.minimum(dp, r)],
-                smalls[np.minimum(inner, r)],
-            )
-            larges[1 : dmax + 1] -= vals - sp
+        # Each right-hand side is gathered before its write, so the
+        # recurrence sees pre-update values throughout.
+        k = min(dmax, r // p)
+        larges[1 : k + 1] -= larges[p : k * p + 1 : p] - sp
+        larges[k + 1 : dmax + 1] -= smalls[quot[k:dmax] // p] - sp
         if p2 <= r:
-            src = smalls[np.arange(p2, r + 1, dtype=np.int64) // p]
+            # smalls[v // p] for v = p^2..r: each of smalls[p..r//p] p times.
+            src = np.repeat(smalls[p : r // p + 1], p)[: r + 1 - p2]
             smalls[p2:] -= src - sp
+
+    # The p > n^(1/3) band in one scatter.  For each p it covers
+    # d = 1..n // p^2, reading larges[d*p] up to d = r // p and
+    # smalls[n // (d*p)] above.
+    band = root_primes[cut:]
+    sp = smalls[band - 1]
+    near = r // band
+    for i, d in _pair_blocks(np.ones_like(band), near):
+        np.subtract.at(larges, d, larges[d * band[i]] - sp[i])
+    for i, d in _pair_blocks(near + 1, n // (band * band)):
+        np.subtract.at(larges, d, smalls[n // (d * band[i])] - sp[i])
 
     smalls[0] = 0
     larges[r + 1] = smalls[n // (r + 1)] if r + 1 <= n else 0
@@ -285,3 +329,4 @@ def build_quotient_pi(
     return QuotientPiTable(
         n=n, root=r, smalls=smalls, larges=larges, root_primes=root_primes
     )
+

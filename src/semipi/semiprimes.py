@@ -73,8 +73,11 @@ def _require_match(n: int, qpi: QuotientPiTable) -> None:
 def _head_sum(qpi: QuotientPiTable) -> int:
     """Sum of pi(n // p) over primes p <= isqrt(n).
 
-    int64 is safe through the supported range: each of the <= pi(sqrt(n))
-    terms is <= pi(n/2), so the total stays below 2**47 for n <= 10**11.
+    int64 cannot overflow: the sum counts ordered prime pairs (p, q) with
+    p <= sqrt(n) and p*q <= n.  All such pairs number at most n (two per
+    semiprime, and at most ceil(n/2) semiprimes are <= n), and
+    MAX_QUOTIENT_ROOT = 2**25 keeps n below 2**50 even under a max_n
+    override.
     """
     if len(qpi.root_primes) == 0:
         return 0
@@ -89,8 +92,9 @@ def _tail_sum(qpi: QuotientPiTable) -> tuple[int, int]:
     weight pi(v) by the number of primes in (n//(v+1), n//v], all read
     from the quotient table.  Returns (tail, blocks evaluated).
 
-    Nonnegative int64 partial sums are bounded by pi(sqrt(n)) * pi(n/2)
-    < 2**47 for n <= 10**11, so the dot product cannot overflow.
+    The int64 dot product cannot overflow: its terms are nonnegative and
+    its partial sums count ordered prime pairs (p, q) with p*q <= n, which
+    number at most n (see _head_sum), below 2**50.
     """
     n, r = qpi.n, qpi.root
     last = n // (r + 1)

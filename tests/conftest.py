@@ -9,5 +9,5 @@ def dense_10k():
 
 
 @pytest.fixture(scope="session")
-def dense_100k():
-    return build_prime_table(10**5)
+def dense_10m():
+    return build_prime_table(10**7)

@@ -31,6 +31,23 @@ from semipi import (
 
 SWEEP_LIMIT = 10**5
 
+#: pi(10^k) (OEIS A006880) and pi2(10^k), the semiprimes <= 10^k (OEIS
+#: A072000), for k = 1..12.
+OEIS_GOLDEN = {
+    1: (4, 4),
+    2: (25, 34),
+    3: (168, 299),
+    4: (1229, 2625),
+    5: (9592, 23378),
+    6: (78498, 210035),
+    7: (664579, 1904324),
+    8: (5761455, 17427258),
+    9: (50847534, 160788536),
+    10: (455052511, 1493776443),
+    11: (4118054813, 13959990342),
+    12: (37607912018, 131126017178),
+}
+
 
 def _report(criterion: str, body) -> None:
     t0 = time.perf_counter()
@@ -211,3 +228,19 @@ def test_criterion_8_step_property(sweep):
         assert np.array_equal(step_positions, semiprime_positions)
 
     _report("8 (count steps by 1 exactly at two-factor n)", body)
+
+
+def test_criterion_9_oeis_golden_powers_of_ten():
+    def body():
+        for k, (pi_golden, pi2_golden) in OEIS_GOLDEN.items():
+            n = 10**k
+            # 10^12 is past SUPPORTED_MAX_N and needs the override.
+            qpi = build_quotient_pi(n, max_n=n)
+            got = (
+                qpi.pi(n),
+                count_semiprimes_eq1(n, qpi).count,
+                count_semiprimes_eq3(n, qpi, "grouped").count,
+            )
+            assert got == (pi_golden, pi2_golden, pi2_golden), f"n=10^{k}: {got}"
+
+    _report("9 (pi and pi2 at 10^k, k = 1..12, match OEIS)", body)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -212,11 +213,23 @@ def test_quotient_table_nondecreasing_and_zero_at_one():
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
-def test_from_dense_is_bit_identical_to_recurrence(dense_100k):
+def test_from_dense_is_bit_identical_to_recurrence(dense_10m):
+    limit = dense_10m.limit
     rng = random.Random(11)
-    for n in [1, 2, 3, 4, 25, 10**5] + [rng.randrange(1, 10**5) for _ in range(50)]:
+    ns = [1, 2, 3, 4, 25, 10**5, limit]
+    ns += [rng.randrange(1, 10**5) for _ in range(50)]
+    ns += [rng.randrange(1, limit + 1) for _ in range(200)]
+    # Edges of the recurrence: at n = p^2 p joins the root primes, at
+    # n = p^3 it leaves the batched band for the per-prime loop; plus
+    # roots that are multiples of p.
+    for p in trial_primes(math.isqrt(limit)):
+        if p**3 <= limit:
+            ns += [p * p - 1, p * p, p**3 - 1, p**3, p**3 + 1]
+        m = math.isqrt(limit) // p * p  # largest multiple of p with m^2 <= limit
+        ns += [m * m, min((m + 1) ** 2 - 1, limit)]
+    for n in ns:
         a = build_quotient_pi(n)
-        b = QuotientPiTable.from_dense(n, dense_100k)
+        b = QuotientPiTable.from_dense(n, dense_10m)
         assert a.n == b.n and a.root == b.root
         assert np.array_equal(a.smalls, b.smalls)
         assert np.array_equal(a.larges, b.larges)
