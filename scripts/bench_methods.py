@@ -13,30 +13,8 @@ import statistics
 import sys
 import time
 
-from semipi import (
-    NAIVE_MAX_N,
-    ORACLE_MAX_N,
-    build_quotient_pi,
-    count_semiprimes_eq1,
-    count_semiprimes_eq3,
-    count_semiprimes_oracle,
-)
-
-METHOD_CAPS = {
-    "eq1": None,
-    "eq3_naive": NAIVE_MAX_N,
-    "eq3_grouped": None,
-    "oracle": ORACLE_MAX_N,
-}
-
-
-def run_once(method: str, n: int) -> int:
-    if method == "oracle":
-        return count_semiprimes_oracle(n).count
-    qpi = build_quotient_pi(n)
-    if method == "eq1":
-        return count_semiprimes_eq1(n, qpi).count
-    return count_semiprimes_eq3(n, qpi, method.removeprefix("eq3_")).count
+from semipi import METHOD_CAPS
+from semipi.cli import method_count
 
 
 def main() -> int:
@@ -52,15 +30,14 @@ def main() -> int:
     for exp in range(args.min_exp, args.max_exp + 1):
         n = 10**exp
         cells, counts = [], set()
-        for m in methods:
-            cap = METHOD_CAPS[m]
+        for m, cap in METHOD_CAPS.items():
             if cap is not None and n > cap:
                 cells.append("")
                 continue
             timings = []
             for _ in range(args.reps):
                 t0 = time.perf_counter()
-                counts.add(run_once(m, n))
+                counts.add(method_count(n, m).count)
                 timings.append(time.perf_counter() - t0)
             cells.append(f"{1e3 * statistics.median(timings):.1f}")
         if len(counts) != 1:

@@ -32,6 +32,7 @@ from .primes import (
     pi_floor,
 )
 from .semiprimes import (
+    METHOD_CAPS,
     METHODS,
     NAIVE_MAX_N,
     ORACLE_MAX_N,
@@ -64,6 +65,7 @@ __all__ = [
     "pi_floor",
     "nth_prime",
     "METHODS",
+    "METHOD_CAPS",
     "NAIVE_MAX_N",
     "ORACLE_MAX_N",
     "SemiprimeCount",

@@ -8,6 +8,11 @@ sweep     per-n counts over a range, optionally across worker processes
 bench     wall-time comparison of the counting methods
 selftest  built-in golden checks (known values at n = 25 and friends)
 
+Methods are chosen in one place: `semiprimes.METHOD_CAPS` holds their caps
+and `method_count` maps a name to its function.  `sweep` and `identity
+--range` share one range path, run in-process or on a pool capped at the
+CPU count.
+
 Exit codes: 0 success (and all methods agree), 1 usage or range error,
 2 mathematical disagreement between methods (a differential-test hit).
 Machine-readable rows go to stdout; diagnostics go to stderr.
@@ -23,14 +28,14 @@ import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
 from .errors import InternalConsistencyError, RangeError, ResourceLimitError
-from .identity import check_identity
+from .identity import IdentityReport, check_identity
 from .primes import (
     QuotientPiTable,
     SUPPORTED_MAX_N,
@@ -38,9 +43,8 @@ from .primes import (
     build_quotient_pi,
 )
 from .semiprimes import (
+    METHOD_CAPS,
     METHODS,
-    NAIVE_MAX_N,
-    ORACLE_MAX_N,
     count_semiprimes_eq1,
     count_semiprimes_eq3,
     count_semiprimes_oracle,
@@ -57,7 +61,7 @@ DENSE_SWEEP_LIMIT = 10**7
 FORMATS = ("table", "csv", "json")
 
 COUNT_COLUMNS = ("n", "method", "count", "terms", "elapsed_ns")
-IDENTITY_COLUMNS = ("n", "head_sum", "tail_sum", "lhs", "rhs", "residual")
+IDENTITY_COLUMNS = tuple(f.name for f in fields(IdentityReport))
 
 
 @dataclass(frozen=True)
@@ -73,18 +77,30 @@ class SweepConfig:
     max_n: int = SUPPORTED_MAX_N
 
     def __post_init__(self):
-        if self.start < 1:
-            raise ValueError(f"range start must be >= 1, got {self.start}")
-        if self.start > self.end:
-            raise ValueError(f"range start {self.start} > end {self.end}")
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
+        _check_range(self.start, self.end, self.stride)
         if not self.methods:
             raise ValueError("at least one method is required")
         if self.output_format not in FORMATS:
             raise ValueError(f"unknown format {self.output_format!r}")
         if self.parallelism < 1:
             raise ValueError(f"workers must be >= 1, got {self.parallelism}")
+
+
+def _check_range(start: int, end: int, stride: int) -> None:
+    if start < 1:
+        raise ValueError(f"range start must be >= 1, got {start}")
+    if start > end:
+        raise ValueError(f"range start {start} > end {end}")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+
+
+def _range_ns(start: int, end: int, stride: int, max_n: int) -> list[int]:
+    """Every n of a validated range, refused when it ends past max_n."""
+    _check_range(start, end, stride)
+    if end > max_n:
+        raise ValueError(f"range end {end} exceeds max n {max_n}")
+    return list(range(start, end + 1, stride))
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +165,10 @@ def _resolve_workers(value: str | None) -> int:
     return workers
 
 
-def _cap_error(methods: tuple[str, ...], biggest_n: int) -> str | None:
-    if "oracle" in methods and biggest_n > ORACLE_MAX_N:
-        return f"oracle method supports n <= {ORACLE_MAX_N}, got {biggest_n}"
-    if "eq3_naive" in methods and biggest_n > NAIVE_MAX_N:
-        return f"eq3_naive method supports n <= {NAIVE_MAX_N}, got {biggest_n}"
-    return None
+def _check_caps(methods: tuple[str, ...], biggest_n: int) -> None:
+    for m, cap in METHOD_CAPS.items():
+        if m in methods and cap is not None and biggest_n > cap:
+            raise ValueError(f"{m} method supports n <= {cap}, got {biggest_n}")
 
 
 # ---------------------------------------------------------------------------
@@ -190,21 +204,44 @@ def emit_rows(rows: list[dict], columns: tuple[str, ...], fmt: str, out) -> None
             out.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
 
 
+def _count_row(rec, elapsed_ns: int) -> dict:
+    """A COUNT_COLUMNS row for one SemiprimeCount and its reported time."""
+    values = (rec.n, rec.method, rec.count, rec.term_count, elapsed_ns)
+    return dict(zip(COUNT_COLUMNS, values))
+
+
+def _report_disagreement(n: int, counts: dict[str, int]) -> None:
+    detail = ", ".join(f"{m}={c}" for m, c in counts.items())
+    print(f"DISAGREEMENT at n={n}: {detail}", file=sys.stderr)
+
+
 # ---------------------------------------------------------------------------
-# per-n computation shared by count / sweep / bench
+# per-n computation shared by count / sweep / bench / selftest
 
 
-def _method_count(n: int, method: str, qpi: QuotientPiTable | None, dense_table=None):
-    """One (n, method) evaluation; returns the SemiprimeCount record."""
-    if method == "eq1":
-        return count_semiprimes_eq1(n, qpi)
-    if method == "eq3_naive":
-        return count_semiprimes_eq3(n, qpi, "naive", table=dense_table)
-    if method == "eq3_grouped":
-        return count_semiprimes_eq3(n, qpi, "grouped")
+def method_count(
+    n: int,
+    method: str,
+    qpi: QuotientPiTable | None = None,
+    *,
+    dense_table=None,
+    max_n: int = SUPPORTED_MAX_N,
+):
+    """One (n, method) evaluation; returns the SemiprimeCount record.
+
+    Every method but the oracle reads a quotient table, built under max_n
+    when qpi is None.  The counting functions are read from this module's
+    globals at each call, so a replacement installed here is used.
+    """
     if method == "oracle":
         return count_semiprimes_oracle(n)
-    raise ValueError(f"unknown method {method!r}")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if qpi is None:
+        qpi = build_quotient_pi(n, max_n=max_n)
+    if method == "eq1":
+        return count_semiprimes_eq1(n, qpi)
+    return count_semiprimes_eq3(n, qpi, method.removeprefix("eq3_"), table=dense_table)
 
 
 def _needs_qpi(methods: tuple[str, ...]) -> bool:
@@ -212,89 +249,71 @@ def _needs_qpi(methods: tuple[str, ...]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# sweep worker machinery (module-level so it pickles under process pools)
+# range machinery for sweep / identity (module-level so it pickles under
+# process pools)
 
 _WORKER_CTX: dict | None = None
 
 
-def _sweep_init(end: int, methods: tuple[str, ...], max_n: int) -> None:
+def _range_init(row_fn, end: int, methods: tuple[str, ...], max_n: int, dense: bool):
     """Build the shared read-only tables once per worker process."""
     global _WORKER_CTX
-    table = None
-    if _needs_qpi(methods) and end <= DENSE_SWEEP_LIMIT:
-        table = build_prime_table(end)
-    oracle_cum = oracle_count_table(end) if "oracle" in methods else None
     _WORKER_CTX = {
-        "end": end,
+        "row": row_fn,
         "methods": methods,
         "max_n": max_n,
-        "table": table,
-        "oracle": oracle_cum,
+        "table": build_prime_table(end) if dense and end <= DENSE_SWEEP_LIMIT else None,
+        "oracle": oracle_count_table(end) if "oracle" in methods else None,
     }
 
 
-def _sweep_chunk(ns: list[int]) -> list[dict]:
+def _range_chunk(ns: list[int]) -> list[dict]:
     ctx = _WORKER_CTX
-    methods = ctx["methods"]
-    rows = []
-    for n in ns:
-        qpi = None
-        if _needs_qpi(methods):
-            if ctx["table"] is not None:
-                qpi = QuotientPiTable.from_dense(n, ctx["table"])
-            else:
-                qpi = build_quotient_pi(n, max_n=ctx["max_n"])
-        row: dict = {"n": n}
-        for m in methods:
-            if m == "oracle" and ctx["oracle"] is not None:
-                row[m] = int(ctx["oracle"][n])
-            else:
-                row[m] = _method_count(n, m, qpi, dense_table=ctx["table"]).count
-        row["agree"] = len({row[m] for m in methods}) == 1
-        rows.append(row)
-    return rows
+    return [ctx["row"](n, ctx) for n in ns]
 
 
-def _identity_init(end: int, max_n: int) -> None:
-    global _WORKER_CTX
-    table = build_prime_table(end) if end <= DENSE_SWEEP_LIMIT else None
-    _WORKER_CTX = {"table": table, "max_n": max_n}
+def _sweep_row(n: int, ctx: dict) -> dict:
+    methods, table = ctx["methods"], ctx["table"]
+    qpi = None
+    if _needs_qpi(methods):
+        if table is not None:
+            qpi = QuotientPiTable.from_dense(n, table)
+        else:
+            qpi = build_quotient_pi(n, max_n=ctx["max_n"])
+    row: dict = {"n": n}
+    for m in methods:
+        if m == "oracle":
+            row[m] = int(ctx["oracle"][n])
+        else:
+            row[m] = method_count(n, m, qpi, dense_table=table).count
+    row["agree"] = len({row[m] for m in methods}) == 1
+    return row
 
 
-def _identity_chunk(ns: list[int]) -> list[dict]:
-    ctx = _WORKER_CTX
-    rows = []
-    for n in ns:
-        rep = check_identity(n, table=ctx["table"], max_n=ctx["max_n"])
-        rows.append(
-            {
-                "n": rep.n,
-                "head_sum": rep.head_sum,
-                "tail_sum": rep.tail_sum,
-                "lhs": rep.lhs,
-                "rhs": rep.rhs,
-                "residual": rep.residual,
-            }
-        )
-    return rows
+def _identity_row(n: int, ctx: dict) -> dict:
+    return asdict(check_identity(n, table=ctx["table"], max_n=ctx["max_n"]))
 
 
-def _run_chunked(chunk_fn, init_fn, init_args, ns: list[int], workers: int) -> list[dict]:
-    """Map chunk_fn over contiguous chunks of ns, preserving order.
+def _run_chunked(init_args: tuple, ns: list[int], workers: int) -> list[dict]:
+    """Map _range_chunk over contiguous chunks of ns, preserving order.
 
-    workers=1 runs in-process through the exact same code path, so the
+    The pool never exceeds the CPU count or the number of chunks.  One
+    worker runs in-process through the exact same code path, so the
     output is byte-identical regardless of parallelism.
     """
+    workers = min(workers, os.cpu_count() or 1)
     chunk_size = max(1, min(5000, (len(ns) + workers * 4 - 1) // (workers * 4)))
     chunks = [ns[i : i + chunk_size] for i in range(0, len(ns), chunk_size)]
     if workers == 1 or len(chunks) <= 1:
-        init_fn(*init_args)
-        parts = [chunk_fn(c) for c in chunks]
+        _range_init(*init_args)
+        parts = [_range_chunk(c) for c in chunks]
     else:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=init_fn, initargs=init_args
+            max_workers=min(workers, len(chunks)),
+            initializer=_range_init,
+            initargs=init_args,
         ) as pool:
-            parts = list(pool.map(chunk_fn, chunks))
+            parts = list(pool.map(_range_chunk, chunks))
     return [row for part in parts for row in part]
 
 
@@ -307,22 +326,12 @@ def cmd_count(args) -> int:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     methods = parse_methods(args.methods)
-    cap = _cap_error(methods, n)
-    if cap:
-        raise ValueError(cap)
+    _check_caps(methods, n)
     qpi = build_quotient_pi(n, max_n=args.max_n) if _needs_qpi(methods) else None
     rows = []
     for m in methods:
-        rec = _method_count(n, m, qpi)
-        rows.append(
-            {
-                "n": n,
-                "method": m,
-                "count": rec.count,
-                "terms": rec.term_count,
-                "elapsed_ns": rec.elapsed_ns,
-            }
-        )
+        rec = method_count(n, m, qpi)
+        rows.append(_count_row(rec, rec.elapsed_ns))
     emit_rows(rows, COUNT_COLUMNS, args.format, sys.stdout)
     counts = {row["method"]: row["count"] for row in rows}
     if len(set(counts.values())) == 1:
@@ -331,8 +340,7 @@ def cmd_count(args) -> int:
             file=sys.stderr,
         )
         return EXIT_OK
-    detail = ", ".join(f"{m}={c}" for m, c in counts.items())
-    print(f"DISAGREEMENT at n={n}: {detail}", file=sys.stderr)
+    _report_disagreement(n, counts)
     return EXIT_DISAGREE
 
 
@@ -341,28 +349,11 @@ def cmd_identity(args) -> int:
         raise ValueError("provide exactly one of: a single n, or --range a:b[:s]")
     if args.range is not None:
         start, end, stride = parse_range(args.range)
-        if start < 1 or start > end or stride < 1:
-            raise ValueError(f"bad range {args.range!r}")
-        if end > args.max_n:
-            raise ValueError(f"range end {end} exceeds max n {args.max_n}")
-        ns = list(range(start, end + 1, stride))
-        workers = _resolve_workers(args.workers)
-        rows = _run_chunked(
-            _identity_chunk, _identity_init, (end, args.max_n), ns, workers
-        )
+        ns = _range_ns(start, end, stride, args.max_n)
+        init_args = (_identity_row, end, (), args.max_n, True)
+        rows = _run_chunked(init_args, ns, _resolve_workers(args.workers))
     else:
-        n = parse_number(args.n)
-        rep = check_identity(n, max_n=args.max_n)
-        rows = [
-            {
-                "n": rep.n,
-                "head_sum": rep.head_sum,
-                "tail_sum": rep.tail_sum,
-                "lhs": rep.lhs,
-                "rhs": rep.rhs,
-                "residual": rep.residual,
-            }
-        ]
+        rows = [asdict(check_identity(parse_number(args.n), max_n=args.max_n))]
     emit_rows(rows, IDENTITY_COLUMNS, args.format, sys.stdout)
     bad = [row for row in rows if row["residual"] != 0]
     if bad:
@@ -380,26 +371,17 @@ def cmd_identity(args) -> int:
 def run_sweep(config: SweepConfig, out=None) -> int:
     """Execute a sweep and stream rows in ascending n; returns exit code."""
     out = out if out is not None else sys.stdout
-    cap = _cap_error(config.methods, config.end)
-    if cap:
-        raise ValueError(cap)
-    if config.end > config.max_n:
-        raise ValueError(f"range end {config.end} exceeds max n {config.max_n}")
-    ns = list(range(config.start, config.end + 1, config.stride))
-    rows = _run_chunked(
-        _sweep_chunk,
-        _sweep_init,
-        (config.end, config.methods, config.max_n),
-        ns,
-        config.parallelism,
-    )
+    _check_caps(config.methods, config.end)
+    ns = _range_ns(config.start, config.end, config.stride, config.max_n)
+    dense = _needs_qpi(config.methods)
+    init_args = (_sweep_row, config.end, config.methods, config.max_n, dense)
+    rows = _run_chunked(init_args, ns, config.parallelism)
     columns = ("n", *config.methods, "agree")
     emit_rows(rows, columns, config.output_format, out)
     disagreeing = [row for row in rows if not row["agree"]]
     if disagreeing:
         first = disagreeing[0]
-        detail = ", ".join(f"{m}={first[m]}" for m in config.methods)
-        print(f"DISAGREEMENT at n={first['n']}: {detail}", file=sys.stderr)
+        _report_disagreement(first["n"], {m: first[m] for m in config.methods})
         return EXIT_DISAGREE
     return EXIT_OK
 
@@ -427,9 +409,7 @@ def cmd_bench(args) -> int:
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     for n in ns:
-        cap = _cap_error(methods, n)
-        if cap:
-            raise ValueError(cap)
+        _check_caps(methods, n)
         if n > args.max_n and _needs_qpi(methods):
             raise ValueError(f"n={n} exceeds max n {args.max_n}")
     print(
@@ -444,32 +424,17 @@ def cmd_bench(args) -> int:
         seen: dict[str, int] = {}
         for m in methods:
             timings = []
-            count = terms = None
             for _ in range(reps):
                 t0 = time.perf_counter_ns()
-                qpi = (
-                    build_quotient_pi(n, max_n=args.max_n) if m != "oracle" else None
-                )
-                rec = _method_count(n, m, qpi)
+                rec = method_count(n, m, max_n=args.max_n)
                 timings.append(time.perf_counter_ns() - t0)
-                if count is not None and count != rec.count:
+                if seen.setdefault(m, rec.count) != rec.count:
                     raise InternalConsistencyError(
-                        f"{m} at n={n} is nondeterministic: {count} vs {rec.count}"
+                        f"{m} at n={n} is nondeterministic: {seen[m]} vs {rec.count}"
                     )
-                count, terms = rec.count, rec.term_count
-            seen[m] = count
-            rows.append(
-                {
-                    "n": n,
-                    "method": m,
-                    "count": count,
-                    "terms": terms,
-                    "elapsed_ns": int(statistics.median(timings)),
-                }
-            )
+            rows.append(_count_row(rec, int(statistics.median(timings))))
         if len(set(seen.values())) != 1:
-            detail = ", ".join(f"{m}={c}" for m, c in seen.items())
-            print(f"DISAGREEMENT at n={n}: {detail}", file=sys.stderr)
+            _report_disagreement(n, seen)
             exit_code = EXIT_DISAGREE
     emit_rows(rows, COUNT_COLUMNS, args.format, sys.stdout)
     return exit_code
@@ -490,14 +455,7 @@ def cmd_selftest(args) -> int:
     qpi = build_quotient_pi(25)
     check("pi at quotients of 25", [qpi.pi(v) for v in (12, 8, 5, 3, 2)], [5, 4, 3, 2, 1])
     for m in METHODS:
-        mode = {"eq3_naive": "naive", "eq3_grouped": "grouped"}.get(m)
-        if m == "oracle":
-            rec = count_semiprimes_oracle(25)
-        elif m == "eq1":
-            rec = count_semiprimes_eq1(25, qpi)
-        else:
-            rec = count_semiprimes_eq3(25, qpi, mode)
-        check(f"pi2(25) via {m}", rec.count, 9)
+        check(f"pi2(25) via {m}", method_count(25, m, qpi).count, 9)
     check("eq1 term count at 25", count_semiprimes_eq1(25, qpi).term_count, 3)
 
     from .semiprimes import pair_sum_grouped, pair_sum_naive
@@ -514,10 +472,8 @@ def cmd_selftest(args) -> int:
     )
 
     small = {1: 0, 3: 0, 4: 1, 10: 4, 30: 10, 100: 34}
-    got = {n: count_semiprimes_oracle(n).count for n in small}
-    check("oracle small counts", got, small)
-    got = {n: count_semiprimes_eq3(n, build_quotient_pi(n), "grouped").count for n in small}
-    check("eq3_grouped small counts", got, small)
+    for m in ("oracle", "eq3_grouped"):
+        check(f"{m} small counts", {n: method_count(n, m).count for n in small}, small)
 
     residuals = [check_identity(n).residual for n in range(1, 2001)]
     check("identity residuals 1..2000", sum(1 for r in residuals if r != 0), 0)
@@ -570,7 +526,8 @@ def _add_common(sub, *, methods_default=None, workers=False):
             "--workers",
             default=None,
             metavar="K",
-            help="worker processes (default: $SEMIPI_WORKERS or 1)",
+            help="worker processes, at most the CPU count "
+            "(default: $SEMIPI_WORKERS or 1)",
         )
 
 
@@ -590,13 +547,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("identity", help="check lhs = rhs of the pi identity")
     p.add_argument("n", nargs="?", default=None, help="single n to check")
     p.add_argument("--range", default=None, metavar="A:B[:S]", help="check every n in a range")
-    _add_common(p)
-    p.add_argument(
-        "--workers",
-        default=None,
-        metavar="K",
-        help="worker processes for range mode (default: $SEMIPI_WORKERS or 1)",
-    )
+    _add_common(p, workers=True)
     p.set_defaults(func=cmd_identity)
 
     p = subs.add_parser("sweep", help="per-n counts over a range")

@@ -24,7 +24,7 @@ from .primes import (
     isqrt,
     SUPPORTED_MAX_N,
 )
-from .semiprimes import _head_sum, _tail_sum, square_root_prime_count
+from .semiprimes import _head_sum, _require_match, _tail_sum, square_root_prime_count
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,7 @@ def identity_lhs(n: int, qpi: QuotientPiTable) -> tuple[int, int, int]:
     the left side scales to n = 10**9 and beyond at desk scale.
     head_sum + tail_sum always equals the full ordered pair sum.
     """
-    if n < 1:
-        raise RangeError(f"n must be >= 1, got {n}")
-    if qpi.n != n:
-        raise RangeError(f"quotient table was built for {qpi.n}, not {n}")
+    _require_match(n, qpi)
     head = _head_sum(qpi)
     tail, _ = _tail_sum(qpi)
     return head, tail, head - tail

@@ -27,14 +27,23 @@ import numpy as np
 from .errors import InternalConsistencyError, RangeError
 from .primes import PrimeTable, QuotientPiTable, _sieve_mask
 
-#: Methods accepted throughout the package, in canonical order.
-METHODS = ("eq1", "eq3_naive", "eq3_grouped", "oracle")
-
 #: eq3_naive enumerates every prime <= n/2; refuse beyond this.
 NAIVE_MAX_N = 10**7
 
 #: The oracle factors every integer <= n; refuse beyond this.
 ORACLE_MAX_N = 10**7
+
+#: Every method with its largest accepted n, in canonical order.  None
+#: means the method is bounded only by the quotient table's max_n guard.
+METHOD_CAPS = {
+    "eq1": None,
+    "eq3_naive": NAIVE_MAX_N,
+    "eq3_grouped": None,
+    "oracle": ORACLE_MAX_N,
+}
+
+#: Methods accepted throughout the package, in canonical order.
+METHODS = tuple(METHOD_CAPS)
 
 
 @dataclass(frozen=True)

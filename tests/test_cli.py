@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import multiprocessing
+import os
 
 import pytest
 from hypothesis import given
@@ -17,6 +19,9 @@ from semipi.cli import (
     parse_number,
     parse_range,
 )
+from semipi.semiprimes import METHOD_CAPS
+
+CAPPED = {m: cap for m, cap in METHOD_CAPS.items() if cap is not None}
 
 
 def run(capsys, *argv):
@@ -121,6 +126,10 @@ def test_count_oracle_cap_is_usage_error(capsys):
     code, _, err = run(capsys, "count", "10^8", "--methods", "oracle")
     assert code == EXIT_USAGE
     assert "oracle" in err
+    for method, cap in CAPPED.items():
+        code, _, err = run(capsys, "count", str(cap + 1), "--methods", method)
+        assert code == EXIT_USAGE
+        assert f"{method} method supports n <= {cap}" in err
 
 
 def test_count_max_n_guard_override(capsys):
@@ -337,6 +346,38 @@ def test_sweep_env_workers(capsys, monkeypatch):
     assert len(json.loads(out)) == 60
 
 
+def test_sweep_workers_capped_at_cpu_count(capsys, monkeypatch):
+    # A recording stand-in for the process pool: it runs the initializer and
+    # the chunks in this process, so no worker process is ever started.
+    requested = []
+
+    class FakePool:
+        def __init__(self, max_workers, initializer, initargs):
+            requested.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    argv = ("sweep", "1:100", "--methods", "eq1,oracle", "--format", "csv")
+    code, out_big, _ = run(capsys, *argv, "--workers", "100000")
+    assert code == EXIT_OK
+    assert requested == [3]
+    assert not multiprocessing.active_children()
+    code, out_one, _ = run(capsys, *argv, "--workers", "1")
+    assert code == EXIT_OK
+    assert requested == [3]  # one worker never asks for a pool
+    assert out_big == out_one
+
+
 def test_resolve_workers_env(monkeypatch):
     monkeypatch.setenv("SEMIPI_WORKERS", "4")
     assert cli._resolve_workers(None) == 4
@@ -392,6 +433,10 @@ def test_bench_multiple_n_and_methods(capsys):
 def test_bench_usage_errors(capsys):
     assert run(capsys, "bench", "25", "--reps", "0")[0] == EXIT_USAGE
     assert run(capsys, "bench", "10^8", "--methods", "oracle")[0] == EXIT_USAGE
+    for method, cap in CAPPED.items():
+        code, _, err = run(capsys, "bench", f"25,{cap + 1}", "--methods", method)
+        assert code == EXIT_USAGE
+        assert f"{method} method supports n <= {cap}" in err
 
 
 def test_bench_grouped_comparable_to_eq1(capsys):
