@@ -28,8 +28,6 @@ from .primes import (
     build_prime_table,
     build_quotient_pi,
     isqrt,
-    nth_prime,
-    pi_floor,
 )
 from .semiprimes import (
     METHOD_CAPS,
@@ -45,7 +43,6 @@ from .semiprimes import (
     oracle_count_table,
     pair_sum_grouped,
     pair_sum_naive,
-    square_root_prime_count,
 )
 
 __version__ = "0.1.0"
@@ -62,8 +59,6 @@ __all__ = [
     "isqrt",
     "build_prime_table",
     "build_quotient_pi",
-    "pi_floor",
-    "nth_prime",
     "METHODS",
     "METHOD_CAPS",
     "NAIVE_MAX_N",
@@ -75,7 +70,6 @@ __all__ = [
     "count_semiprimes_oracle",
     "pair_sum_naive",
     "pair_sum_grouped",
-    "square_root_prime_count",
     "omega_table",
     "oracle_count_table",
     "IdentityReport",

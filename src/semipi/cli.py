@@ -80,6 +80,11 @@ class SweepConfig:
         _check_range(self.start, self.end, self.stride)
         if not self.methods:
             raise ValueError("at least one method is required")
+        for m in self.methods:
+            if m not in METHODS:
+                raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"methods must be distinct, got {self.methods}")
         if self.output_format not in FORMATS:
             raise ValueError(f"unknown format {self.output_format!r}")
         if self.parallelism < 1:
@@ -95,12 +100,18 @@ def _check_range(start: int, end: int, stride: int) -> None:
         raise ValueError(f"stride must be >= 1, got {stride}")
 
 
-def _range_ns(start: int, end: int, stride: int, max_n: int) -> list[int]:
-    """Every n of a validated range, refused when it ends past max_n."""
+def _range_ns(start: int, end: int, stride: int, methods: tuple, max_n: int) -> range:
+    """Every n of a validated range, refused when its last n is past a cap.
+
+    The last n, not the nominal end, is what the method caps and max_n
+    are checked against and what the range's shared tables must cover.
+    """
     _check_range(start, end, stride)
-    if end > max_n:
-        raise ValueError(f"range end {end} exceeds max n {max_n}")
-    return list(range(start, end + 1, stride))
+    ns = range(start, end + 1, stride)
+    _check_caps(methods, ns[-1])
+    if ns[-1] > max_n:
+        raise ValueError(f"range end {ns[-1]} exceeds max n {max_n}")
+    return ns
 
 
 # ---------------------------------------------------------------------------
@@ -255,19 +266,19 @@ def _needs_qpi(methods: tuple[str, ...]) -> bool:
 _WORKER_CTX: dict | None = None
 
 
-def _range_init(row_fn, end: int, methods: tuple[str, ...], max_n: int, dense: bool):
-    """Build the shared read-only tables once per worker process."""
+def _range_init(row_fn, last: int, methods: tuple[str, ...], max_n: int, dense: bool):
+    """Build the shared read-only tables, up to the last n, once per worker."""
     global _WORKER_CTX
     _WORKER_CTX = {
         "row": row_fn,
         "methods": methods,
         "max_n": max_n,
-        "table": build_prime_table(end) if dense and end <= DENSE_SWEEP_LIMIT else None,
-        "oracle": oracle_count_table(end) if "oracle" in methods else None,
+        "table": build_prime_table(last) if dense and last <= DENSE_SWEEP_LIMIT else None,
+        "oracle": oracle_count_table(last) if "oracle" in methods else None,
     }
 
 
-def _range_chunk(ns: list[int]) -> list[dict]:
+def _range_chunk(ns: range) -> list[dict]:
     ctx = _WORKER_CTX
     return [ctx["row"](n, ctx) for n in ns]
 
@@ -294,7 +305,7 @@ def _identity_row(n: int, ctx: dict) -> dict:
     return asdict(check_identity(n, table=ctx["table"], max_n=ctx["max_n"]))
 
 
-def _run_chunked(init_args: tuple, ns: list[int], workers: int) -> list[dict]:
+def _run_chunked(init_args: tuple, ns: range, workers: int) -> list[dict]:
     """Map _range_chunk over contiguous chunks of ns, preserving order.
 
     The pool never exceeds the CPU count or the number of chunks.  One
@@ -330,8 +341,9 @@ def cmd_count(args) -> int:
     qpi = build_quotient_pi(n, max_n=args.max_n) if _needs_qpi(methods) else None
     rows = []
     for m in methods:
+        t0 = time.perf_counter_ns()
         rec = method_count(n, m, qpi)
-        rows.append(_count_row(rec, rec.elapsed_ns))
+        rows.append(_count_row(rec, time.perf_counter_ns() - t0))
     emit_rows(rows, COUNT_COLUMNS, args.format, sys.stdout)
     counts = {row["method"]: row["count"] for row in rows}
     if len(set(counts.values())) == 1:
@@ -348,9 +360,8 @@ def cmd_identity(args) -> int:
     if (args.n is None) == (args.range is None):
         raise ValueError("provide exactly one of: a single n, or --range a:b[:s]")
     if args.range is not None:
-        start, end, stride = parse_range(args.range)
-        ns = _range_ns(start, end, stride, args.max_n)
-        init_args = (_identity_row, end, (), args.max_n, True)
+        ns = _range_ns(*parse_range(args.range), (), args.max_n)
+        init_args = (_identity_row, ns[-1], (), args.max_n, True)
         rows = _run_chunked(init_args, ns, _resolve_workers(args.workers))
     else:
         rows = [asdict(check_identity(parse_number(args.n), max_n=args.max_n))]
@@ -371,10 +382,9 @@ def cmd_identity(args) -> int:
 def run_sweep(config: SweepConfig, out=None) -> int:
     """Execute a sweep and stream rows in ascending n; returns exit code."""
     out = out if out is not None else sys.stdout
-    _check_caps(config.methods, config.end)
-    ns = _range_ns(config.start, config.end, config.stride, config.max_n)
+    ns = _range_ns(config.start, config.end, config.stride, config.methods, config.max_n)
     dense = _needs_qpi(config.methods)
-    init_args = (_sweep_row, config.end, config.methods, config.max_n, dense)
+    init_args = (_sweep_row, ns[-1], config.methods, config.max_n, dense)
     rows = _run_chunked(init_args, ns, config.parallelism)
     columns = ("n", *config.methods, "agree")
     emit_rows(rows, columns, config.output_format, out)
@@ -558,7 +568,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("bench", help="time the methods at one or more n")
     p.add_argument("n_list", metavar="N[,N...]", help="comma-separated n values")
     _add_common(p, methods_default="eq1,eq3_grouped")
-    p.add_argument("--reps", type=int, default=3, help="repetitions per method (default 3)")
+    p.add_argument(
+        "--reps", type=parse_number, default=3, help="repetitions per method (default 3)"
+    )
     p.set_defaults(func=cmd_bench)
 
     p = subs.add_parser("selftest", help="run built-in golden checks")

@@ -24,7 +24,7 @@ from .primes import (
     isqrt,
     SUPPORTED_MAX_N,
 )
-from .semiprimes import _head_sum, _require_match, _tail_sum, square_root_prime_count
+from .semiprimes import _head_sum, _require_match, _tail_sum
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,10 @@ def identity_lhs(n: int, qpi: QuotientPiTable) -> tuple[int, int, int]:
 
 
 def identity_rhs(n: int, table: PrimeTable) -> int:
-    """pi(isqrt(n)) squared."""
-    return square_root_prime_count(n, table) ** 2
+    """pi(isqrt(n)) squared, read from a dense table covering isqrt(n)."""
+    if n < 1:
+        raise RangeError(f"n must be >= 1, got {n}")
+    return table.pi(isqrt(n)) ** 2
 
 
 def check_identity(

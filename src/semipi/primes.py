@@ -26,10 +26,10 @@ from .errors import RangeError, ResourceLimitError
 #: Largest n accepted by build_quotient_pi without an explicit override.
 SUPPORTED_MAX_N = 10**11
 
-#: Default budget for dense tables (index range of pi_dense).
+#: Budget for dense tables (index range of pi_dense).
 MAX_DENSE_LIMIT = 2**31
 
-#: Default budget for sqrt(n) when building a quotient table (~0.5 GB).
+#: Budget for sqrt(n) when building a quotient table (~0.5 GB).
 MAX_QUOTIENT_ROOT = 2**25
 
 #: Dense sieves are processed in blocks of this many entries.
@@ -92,17 +92,17 @@ class PrimeTable:
         return int(self.pi_dense[x])
 
 
-def build_prime_table(limit: int, *, max_limit: int = MAX_DENSE_LIMIT) -> PrimeTable:
+def build_prime_table(limit: int) -> PrimeTable:
     """Sieve all primes <= limit and the dense pi array.
 
-    Deterministic for a given limit.  Raises ResourceLimitError if the
-    limit exceeds the dense-table budget (default 2**31 indices).
+    Deterministic for a given limit.  Raises ResourceLimitError, before
+    allocating, if the limit exceeds MAX_DENSE_LIMIT.
     """
     if limit < 1:
         raise RangeError(f"limit must be >= 1, got {limit}")
-    if limit > max_limit:
+    if limit > MAX_DENSE_LIMIT:
         raise ResourceLimitError(
-            f"limit {limit} exceeds dense table budget {max_limit}"
+            f"limit {limit} exceeds dense table budget {MAX_DENSE_LIMIT}"
         )
     mask = _sieve_mask(limit)
     primes = np.flatnonzero(mask).astype(np.int64)
@@ -110,33 +110,6 @@ def build_prime_table(limit: int, *, max_limit: int = MAX_DENSE_LIMIT) -> PrimeT
     primes.setflags(write=False)
     pi_dense.setflags(write=False)
     return PrimeTable(limit=limit, primes=primes, pi_dense=pi_dense)
-
-
-def pi_floor(table: PrimeTable, numerator: int, denominator: int) -> int:
-    """pi(numerator/denominator), evaluating at the floor of the quotient.
-
-    Prime counts at rational arguments are taken as pi(floor(x)); e.g.
-    pi(25/2) = pi(12).  The quotient must not exceed the table limit.
-    """
-    if denominator < 1:
-        raise RangeError(f"denominator must be >= 1, got {denominator}")
-    if numerator < 1:
-        raise RangeError(f"numerator must be >= 1, got {numerator}")
-    q = numerator // denominator
-    if q > table.limit:
-        raise RangeError(
-            f"floor({numerator}/{denominator}) = {q} exceeds table limit {table.limit}"
-        )
-    return int(table.pi_dense[q])
-
-
-def nth_prime(table: PrimeTable, k: int) -> int:
-    """The k-th prime, 1-indexed: nth_prime(t, 1) == 2."""
-    if not 1 <= k <= len(table.primes):
-        raise IndexError(
-            f"k={k} out of range; table holds {len(table.primes)} primes"
-        )
-    return int(table.primes[k - 1])
 
 
 @dataclass(frozen=True)
@@ -184,15 +157,6 @@ class QuotientPiTable:
             self.larges[np.minimum(ds, self.root + 1)],
         )
 
-    def quotients(self) -> np.ndarray:
-        """All distinct floor(n/d) values, ascending."""
-        d = np.arange(1, self.root + 1, dtype=np.int64)
-        return np.unique(np.concatenate([d, self.n // d]))
-
-    def pi_at_map(self) -> dict[int, int]:
-        """Quotient -> pi(quotient) as a plain dict (small-n introspection)."""
-        return {int(v): self.pi(int(v)) for v in self.quotients()}
-
     @classmethod
     def from_dense(cls, n: int, table: PrimeTable) -> "QuotientPiTable":
         """Fast-path construction by direct lookup in a covering dense table.
@@ -237,12 +201,7 @@ def _pair_blocks(lo: np.ndarray, hi: np.ndarray):
         yield np.repeat(np.arange(i0, i1), took), np.arange(j0, j1) - shift
 
 
-def build_quotient_pi(
-    n: int,
-    *,
-    max_n: int = SUPPORTED_MAX_N,
-    max_root: int = MAX_QUOTIENT_ROOT,
-) -> QuotientPiTable:
+def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTable:
     """Compute pi at all quotient points of n in O(n^(3/4)) time.
 
     Starts from S(v) = v - 1 (every integer in [2, v] a prime candidate)
@@ -269,7 +228,8 @@ def build_quotient_pi(
 
     n beyond max_n (default 10**11) is rejected with RangeError rather
     than silently degrading; the cap can be overridden by callers that
-    accept the cost.
+    accept the cost.  isqrt(n) beyond MAX_QUOTIENT_ROOT raises
+    ResourceLimitError before anything is allocated.
     """
     if n < 1:
         raise RangeError(f"n must be >= 1, got {n}")
@@ -279,9 +239,9 @@ def build_quotient_pi(
             "pass a larger max_n to override"
         )
     r = math.isqrt(n)
-    if r > max_root:
+    if r > MAX_QUOTIENT_ROOT:
         raise ResourceLimitError(
-            f"isqrt(n)={r} exceeds quotient-table budget {max_root}"
+            f"isqrt(n)={r} exceeds quotient-table budget {MAX_QUOTIENT_ROOT}"
         )
 
     # smalls[v] tracks S(v) for v <= r; larges[d] tracks S(n // d).

@@ -18,8 +18,6 @@ disagreement as a bug signal.
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,13 +46,15 @@ METHODS = tuple(METHOD_CAPS)
 
 @dataclass(frozen=True)
 class SemiprimeCount:
-    """Result of one counting run: the count plus work diagnostics."""
+    """Result of one counting run: the count plus work diagnostics.
+
+    Callers that report a time measure the call themselves.
+    """
 
     n: int
     method: str
     count: int
     term_count: int
-    elapsed_ns: int
 
 
 @dataclass(frozen=True)
@@ -123,17 +123,10 @@ def count_semiprimes_eq1(n: int, qpi: QuotientPiTable) -> SemiprimeCount:
     The k-th term counts pairs (p_k, q) with q >= p_k, so each unordered
     pair is counted once.  Empty sum (n < 4) gives 0.
     """
-    t0 = time.perf_counter_ns()
     _require_match(n, qpi)
     k = len(qpi.root_primes)
     count = _head_sum(qpi) - k * (k - 1) // 2
-    return SemiprimeCount(
-        n=n,
-        method="eq1",
-        count=count,
-        term_count=k,
-        elapsed_ns=time.perf_counter_ns() - t0,
-    )
+    return SemiprimeCount(n=n, method="eq1", count=count, term_count=k)
 
 
 def pair_sum_naive(
@@ -187,16 +180,6 @@ def pair_sum_grouped(n: int, qpi: QuotientPiTable) -> PairSum:
     )
 
 
-def square_root_prime_count(n: int, table: PrimeTable) -> int:
-    """Number of primes p with p*p <= n, i.e. pi(isqrt(n))."""
-    if n < 1:
-        raise RangeError(f"n must be >= 1, got {n}")
-    r = math.isqrt(n)
-    if r > table.limit:
-        raise RangeError(f"isqrt({n}) = {r} exceeds table limit {table.limit}")
-    return int(table.pi_dense[r])
-
-
 def count_semiprimes_eq3(
     n: int,
     qpi: QuotientPiTable,
@@ -212,7 +195,6 @@ def count_semiprimes_eq3(
     sum or the pi tables and raises InternalConsistencyError.  `table`
     is forwarded to pair_sum_naive in naive mode to skip its sieve.
     """
-    t0 = time.perf_counter_ns()
     _require_match(n, qpi)
     if mode == "naive":
         pair = pair_sum_naive(n, qpi, table=table)
@@ -232,7 +214,6 @@ def count_semiprimes_eq3(
         method=f"eq3_{mode}",
         count=dividend // 2,
         term_count=pair.term_count + 1,
-        elapsed_ns=time.perf_counter_ns() - t0,
     )
 
 
@@ -267,16 +248,9 @@ def count_semiprimes_oracle(n: int) -> SemiprimeCount:
     Fully independent of the pi tables and the counting formulas; used
     for differential testing.  Capped at ORACLE_MAX_N.
     """
-    t0 = time.perf_counter_ns()
     if n < 1:
         raise RangeError(f"n must be >= 1, got {n}")
     if n > ORACLE_MAX_N:
         raise RangeError(f"n={n} exceeds the oracle cap {ORACLE_MAX_N}")
     count = int(oracle_count_table(n)[n])
-    return SemiprimeCount(
-        n=n,
-        method="oracle",
-        count=count,
-        term_count=n,
-        elapsed_ns=time.perf_counter_ns() - t0,
-    )
+    return SemiprimeCount(n=n, method="oracle", count=count, term_count=n)

@@ -22,11 +22,11 @@ from semipi import (
     count_semiprimes_eq1,
     count_semiprimes_eq3,
     count_semiprimes_oracle,
+    isqrt,
     omega_table,
     oracle_count_table,
     pair_sum_grouped,
     pair_sum_naive,
-    square_root_prime_count,
 )
 
 SWEEP_LIMIT = 10**5
@@ -77,7 +77,7 @@ def sweep():
         qpi = QuotientPiTable.from_dense(n, table)
         eq1[n] = count_semiprimes_eq1(n, qpi).count
         eq3g[n] = count_semiprimes_eq3(n, qpi, "grouped").count
-        dividend = pair_sum_grouped(n, qpi).value + square_root_prime_count(n, table)
+        dividend = pair_sum_grouped(n, qpi).value + table.pi(isqrt(n))
         parity_even &= dividend % 2 == 0
     return {
         "table": table,

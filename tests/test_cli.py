@@ -85,6 +85,10 @@ def test_sweep_config_validation():
         SweepConfig(1, 5, 1, (), "table", 1)
     with pytest.raises(ValueError):
         SweepConfig(1, 5, 1, ("eq1",), "table", 0)
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        SweepConfig(1, 5, 1, ("bogus",), "csv", 1)
+    with pytest.raises(ValueError, match="distinct"):
+        SweepConfig(1, 5, 1, ("eq1", "eq1"), "csv", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +134,16 @@ def test_count_oracle_cap_is_usage_error(capsys):
         code, _, err = run(capsys, "count", str(cap + 1), "--methods", method)
         assert code == EXIT_USAGE
         assert f"{method} method supports n <= {cap}" in err
+
+
+def test_count_rows_carry_measured_time(capsys):
+    code, out, _ = run(
+        capsys, "count", "10^5", "--methods", "eq1,eq3_grouped,oracle", "--format", "json"
+    )
+    assert code == EXIT_OK
+    rows = json.loads(out)
+    assert [r["method"] for r in rows] == ["eq1", "eq3_grouped", "oracle"]
+    assert all(type(r["elapsed_ns"]) is int and r["elapsed_ns"] > 0 for r in rows)
 
 
 def test_count_max_n_guard_override(capsys):
@@ -310,6 +324,28 @@ def test_sweep_caps_rejected_before_work(capsys):
     assert code == EXIT_USAGE
 
 
+def test_strided_range_checked_at_last_n(capsys, monkeypatch):
+    # The range holds only n = 5, well inside the oracle cap.
+    code, out, _ = run(
+        capsys, "sweep", "5:10000003:10000000", "--methods", "oracle", "--format", "csv"
+    )
+    assert code == EXIT_OK
+    assert out.splitlines() == ["n,oracle,agree", "5,1,true"]
+    # The --max-n guard reads the last n (15), not the nominal end (20).
+    code, out, _ = run(
+        capsys, "identity", "--range", "5:20:10", "--max-n", "18", "--format", "json"
+    )
+    assert code == EXIT_OK
+    assert [r["n"] for r in json.loads(out)] == [5, 15]
+    # The shared tables are sized to the last n.
+    sizes = []
+    for name in ("build_prime_table", "oracle_count_table"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda limit, real=real: sizes.append(limit) or real(limit))
+    assert run(capsys, "sweep", "1:100:7", "--methods", "eq1,oracle")[0] == EXIT_OK
+    assert sizes == [99, 99]
+
+
 def test_sweep_bad_range(capsys):
     assert run(capsys, "sweep", "50:10:1")[0] == EXIT_USAGE
     assert run(capsys, "sweep", "0:10:1")[0] == EXIT_USAGE
@@ -403,7 +439,7 @@ def test_bench_golden(capsys):
 
 def test_bench_oracle_method(capsys):
     code, out, _ = run(
-        capsys, "bench", "1000", "--methods", "oracle", "--reps", "2", "--format", "json"
+        capsys, "bench", "1000", "--methods", "oracle", "--reps", "2^1", "--format", "json"
     )
     assert code == EXIT_OK
     assert json.loads(out)[0]["count"] == 299

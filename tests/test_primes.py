@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 
@@ -15,8 +16,6 @@ from semipi import (
     build_prime_table,
     build_quotient_pi,
     isqrt,
-    nth_prime,
-    pi_floor,
 )
 
 
@@ -99,74 +98,79 @@ def test_prime_table_is_immutable(dense_10k):
 
 
 def test_build_prime_table_budget_errors():
-    with pytest.raises(ResourceLimitError, match="budget"):
+    # The guard raises before the sieve allocates, so the real budget is testable.
+    with pytest.raises(ResourceLimitError, match=f"budget {2**31}"):
         build_prime_table(2**31 + 1)
-    with pytest.raises(ResourceLimitError, match="50"):
-        build_prime_table(100, max_limit=50)
     with pytest.raises(RangeError):
         build_prime_table(0)
 
 
 # ---------------------------------------------------------------------------
-# pi_floor
+# pi at a rational argument: pi(a/b) = pi(a // b)
 
 
 @pytest.mark.parametrize("num,den,expected", [(25, 2, 5), (25, 3, 4), (25, 11, 1)])
 def test_pi_floor_quarter_values(dense_10k, num, den, expected):
-    assert pi_floor(dense_10k, num, den) == expected
+    assert dense_10k.pi(num // den) == expected
 
 
 def test_pi_floor_exhaustive_small(dense_10k):
-    pd = dense_10k.pi_dense
+    primes = trial_primes(1024)
     for a in range(1, 1025):
         for b in range(1, a + 1):
-            assert pi_floor(dense_10k, a, b) == pd[a // b]
+            assert dense_10k.pi(a // b) == bisect.bisect_right(primes, a // b)
 
 
 @given(st.integers(min_value=1, max_value=10**4), st.data())
 def test_pi_floor_matches_dense(dense_10k, a, data):
     b = data.draw(st.integers(min_value=1, max_value=a))
-    assert pi_floor(dense_10k, a, b) == int(dense_10k.pi_dense[a // b])
+    assert dense_10k.pi(a // b) == int(dense_10k.pi_dense[a // b])
 
 
 def test_pi_floor_errors(dense_10k):
     with pytest.raises(RangeError):
-        pi_floor(dense_10k, 10**5, 1)  # quotient beyond table limit
+        dense_10k.pi(10**5 // 1)  # quotient beyond table limit
     with pytest.raises(RangeError):
-        pi_floor(dense_10k, 25, 0)
+        dense_10k.pi(-1)
 
 
 # ---------------------------------------------------------------------------
-# nth_prime
+# the k-th prime: primes[k - 1]
 
 
 @pytest.mark.parametrize("k,expected", [(1, 2), (2, 3), (3, 5), (25, 97)])
 def test_nth_prime_values(dense_10k, k, expected):
-    assert nth_prime(dense_10k, k) == expected
+    assert dense_10k.primes[k - 1] == expected
 
 
 def test_nth_prime_out_of_range(dense_10k):
+    # k runs over 1..pi(limit); the last k holds the largest prime <= limit
+    assert len(dense_10k.primes) == dense_10k.pi(dense_10k.limit) == 1229
+    assert dense_10k.primes[-1] == 9973
     with pytest.raises(IndexError):
-        nth_prime(dense_10k, 0)
-    with pytest.raises(IndexError):
-        nth_prime(dense_10k, len(dense_10k.primes) + 1)
+        dense_10k.primes[len(dense_10k.primes)]
 
 
 # ---------------------------------------------------------------------------
 # QuotientPiTable
 
 
+def quotient_set(n: int) -> list[int]:
+    """Every distinct floor(n/d), d = 1..n, ascending."""
+    return sorted({n // d for d in range(1, n + 1)})
+
+
 def test_quotient_table_n25_golden():
     q = build_quotient_pi(25)
-    assert q.quotients().tolist() == [1, 2, 3, 4, 5, 6, 8, 12, 25]
-    m = q.pi_at_map()
+    assert quotient_set(25) == [1, 2, 3, 4, 5, 6, 8, 12, 25]
+    m = {v: q.pi(v) for v in quotient_set(25)}
     assert m[12] == 5 and m[8] == 4 and m[5] == 3 and m[3] == 2 and m[2] == 1
     assert m[1] == 0
 
 
 def test_quotient_table_n1():
     q = build_quotient_pi(1)
-    assert q.pi_at_map() == {1: 0}
+    assert {v: q.pi(v) for v in quotient_set(1)} == {1: 0}
 
 
 def test_quotient_table_pi_of_n_at_1e6():
@@ -175,13 +179,11 @@ def test_quotient_table_pi_of_n_at_1e6():
     assert q.pi(10**6) == int(build_prime_table(10**6).pi_dense[-1]) == 78498
 
 
-def test_quotient_table_every_quotient_is_covered():
+def test_quotient_table_every_quotient_is_covered(dense_10k):
     for n in (1, 2, 3, 4, 30, 100, 9973):
         q = build_quotient_pi(n)
-        keys = set(q.quotients().tolist())
         for d in range(1, n + 1):
-            assert n // d in keys
-            q.pi(n // d)  # must not raise
+            assert q.pi(n // d) == dense_10k.pi(n // d)  # must not raise
 
 
 def test_quotient_table_rejects_non_quotient_points():
@@ -208,7 +210,7 @@ def test_quotient_table_matches_dense_for_all_small_n(dense_10k):
 def test_quotient_table_nondecreasing_and_zero_at_one():
     for n in (1, 7, 360, 10**5 + 7):
         q = build_quotient_pi(n)
-        vals = [q.pi(int(v)) for v in q.quotients()]
+        vals = [q.pi(v) for v in quotient_set(n)]
         assert vals[0] == q.pi(1) == 0
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
@@ -251,9 +253,11 @@ def test_build_quotient_pi_range_guard():
         build_quotient_pi(0)
     with pytest.raises(RangeError, match="max_n"):
         build_quotient_pi(SUPPORTED_MAX_N + 1)
-    # override lets larger n through the guard (but not the memory budget)
-    with pytest.raises(ResourceLimitError):
-        build_quotient_pi(10**9, max_n=10**18, max_root=100)
+    # override lets larger n through the guard, but not the memory budget,
+    # which raises before anything is allocated
+    n = (2**25 + 1) ** 2
+    with pytest.raises(ResourceLimitError, match=f"budget {2**25}"):
+        build_quotient_pi(n, max_n=n)
 
 
 def test_quotient_table_immutable():
@@ -268,5 +272,5 @@ def test_quotient_table_immutable():
 @given(st.integers(min_value=1, max_value=3000))
 def test_quotient_pi_agrees_with_dense_hypothesis(dense_10k, n):
     q = build_quotient_pi(n)
-    for v in q.quotients().tolist():
-        assert q.pi(int(v)) == int(dense_10k.pi_dense[v])
+    for v in quotient_set(n):
+        assert q.pi(v) == int(dense_10k.pi_dense[v])

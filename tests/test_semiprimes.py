@@ -18,11 +18,12 @@ from semipi import (
     count_semiprimes_eq1,
     count_semiprimes_eq3,
     count_semiprimes_oracle,
+    identity_rhs,
+    isqrt,
     omega_table,
     oracle_count_table,
     pair_sum_grouped,
     pair_sum_naive,
-    square_root_prime_count,
 )
 
 
@@ -120,23 +121,26 @@ def test_pair_sum_naive_table_must_cover(dense_10k):
 def test_pair_parity_property(dense_10k):
     for n in range(1, 2001):
         q = QuotientPiTable.from_dense(n, dense_10k)
-        sq = square_root_prime_count(n, dense_10k)
+        sq = dense_10k.pi(isqrt(n))
         assert (pair_sum_grouped(n, q).value + sq) % 2 == 0, n
 
 
 # ---------------------------------------------------------------------------
-# square_root_prime_count
+# pi(isqrt(n)), the number of primes p with p*p <= n
 
 
 @pytest.mark.parametrize("n,expected", [(25, 3), (3, 0), (4, 1), (10**4, 25)])
 def test_square_root_prime_count(dense_10k, n, expected):
-    assert square_root_prime_count(n, dense_10k) == expected
+    assert dense_10k.pi(isqrt(n)) == expected
+    assert identity_rhs(n, dense_10k) == expected**2
 
 
 def test_square_root_prime_count_out_of_range():
     t = build_prime_table(10)
     with pytest.raises(RangeError):
-        square_root_prime_count(200, t)  # isqrt(200) = 14 > 10
+        identity_rhs(200, t)  # isqrt(200) = 14 > 10
+    with pytest.raises(RangeError):
+        identity_rhs(0, t)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +271,8 @@ def test_step_property_small(dense_10k):
 def test_count_records_carry_diagnostics(qpi25):
     rec = count_semiprimes_eq3(25, qpi25, "grouped")
     assert rec.n == 25
+    assert rec.method == "eq3_grouped"
     assert rec.term_count > 0
-    assert rec.elapsed_ns >= 0
 
 
 def test_shared_table_concurrent_reads():
