@@ -63,6 +63,37 @@ FORMATS = ("table", "csv", "json")
 COUNT_COLUMNS = ("n", "method", "count", "terms", "elapsed_ns")
 IDENTITY_COLUMNS = tuple(f.name for f in fields(IdentityReport))
 
+#: Independently known values, checked by `selftest` and the acceptance
+#: suite.  "n25" holds the worked example at n = 25: pi at the quotients
+#: 25 // d, pi2(25), eq1's term count, the ordered pair sum with its upper
+#: index pi(25 // 2), and the identity's (head_sum, tail_sum, lhs, rhs,
+#: residual).  "oeis" maps k to pi(10^k) (OEIS A006880) and pi2(10^k)
+#: (OEIS A072000) for k = 1..12.
+GOLDEN = {
+    "n25": {
+        "pi_at_quotients": {12: 5, 8: 4, 5: 3, 3: 2, 2: 1},
+        "pi2": 9,
+        "eq1_terms": 3,
+        "pair_sum": 15,
+        "pair_sum_upper_index": 5,
+        "identity": (12, 3, 9, 9, 0),
+    },
+    "oeis": {
+        1: (4, 4),
+        2: (25, 34),
+        3: (168, 299),
+        4: (1229, 2625),
+        5: (9592, 23378),
+        6: (78498, 210035),
+        7: (664579, 1904324),
+        8: (5761455, 17427258),
+        9: (50847534, 160788536),
+        10: (455052511, 1493776443),
+        11: (4118054813, 13959990342),
+        12: (37607912018, 131126017178),
+    },
+}
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -215,12 +246,6 @@ def emit_rows(rows: list[dict], columns: tuple[str, ...], fmt: str, out) -> None
             out.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
 
 
-def _count_row(rec, elapsed_ns: int) -> dict:
-    """A COUNT_COLUMNS row for one SemiprimeCount and its reported time."""
-    values = (rec.n, rec.method, rec.count, rec.term_count, elapsed_ns)
-    return dict(zip(COUNT_COLUMNS, values))
-
-
 def _report_disagreement(n: int, counts: dict[str, int]) -> None:
     detail = ", ".join(f"{m}={c}" for m, c in counts.items())
     print(f"DISAGREEMENT at n={n}: {detail}", file=sys.stderr)
@@ -230,26 +255,18 @@ def _report_disagreement(n: int, counts: dict[str, int]) -> None:
 # per-n computation shared by count / sweep / bench / selftest
 
 
-def method_count(
-    n: int,
-    method: str,
-    qpi: QuotientPiTable | None = None,
-    *,
-    dense_table=None,
-    max_n: int = SUPPORTED_MAX_N,
-):
+def method_count(n: int, method: str, qpi: QuotientPiTable | None, *, dense_table=None):
     """One (n, method) evaluation; returns the SemiprimeCount record.
 
-    Every method but the oracle reads a quotient table, built under max_n
-    when qpi is None.  The counting functions are read from this module's
-    globals at each call, so a replacement installed here is used.
+    Every method but the oracle reads qpi, the quotient table for n; the
+    oracle reads no table and may be passed None.  The counting functions
+    are read from this module's globals at each call, so a replacement
+    installed here is used.
     """
     if method == "oracle":
         return count_semiprimes_oracle(n)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if qpi is None:
-        qpi = build_quotient_pi(n, max_n=max_n)
     if method == "eq1":
         return count_semiprimes_eq1(n, qpi)
     return count_semiprimes_eq3(n, qpi, method.removeprefix("eq3_"), table=dense_table)
@@ -257,6 +274,29 @@ def method_count(
 
 def _needs_qpi(methods: tuple[str, ...]) -> bool:
     return any(m != "oracle" for m in methods)
+
+
+def _timed_counts(n: int, methods: tuple[str, ...], max_n: int) -> list[dict]:
+    """One COUNT_COLUMNS row per method at n, each timed from n alone.
+
+    The quotient table is built once, and only if a method reads it.  Its
+    build time is added to the formula time of every method that reads
+    it, so elapsed_ns is the wall time of that count from n alone; the
+    oracle reads no table and is charged its own call only.
+    """
+    qpi, build_ns = None, 0
+    if _needs_qpi(methods):
+        t0 = time.perf_counter_ns()
+        qpi = build_quotient_pi(n, max_n=max_n)
+        build_ns = time.perf_counter_ns() - t0
+    rows = []
+    for m in methods:
+        t0 = time.perf_counter_ns()
+        rec = method_count(n, m, qpi)
+        elapsed = time.perf_counter_ns() - t0 + (build_ns if m != "oracle" else 0)
+        values = (rec.n, rec.method, rec.count, rec.term_count, elapsed)
+        rows.append(dict(zip(COUNT_COLUMNS, values)))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -338,12 +378,7 @@ def cmd_count(args) -> int:
         raise ValueError(f"n must be >= 1, got {n}")
     methods = parse_methods(args.methods)
     _check_caps(methods, n)
-    qpi = build_quotient_pi(n, max_n=args.max_n) if _needs_qpi(methods) else None
-    rows = []
-    for m in methods:
-        t0 = time.perf_counter_ns()
-        rec = method_count(n, m, qpi)
-        rows.append(_count_row(rec, time.perf_counter_ns() - t0))
+    rows = _timed_counts(n, methods, args.max_n)
     emit_rows(rows, COUNT_COLUMNS, args.format, sys.stdout)
     counts = {row["method"]: row["count"] for row in rows}
     if len(set(counts.values())) == 1:
@@ -359,10 +394,11 @@ def cmd_count(args) -> int:
 def cmd_identity(args) -> int:
     if (args.n is None) == (args.range is None):
         raise ValueError("provide exactly one of: a single n, or --range a:b[:s]")
+    workers = _resolve_workers(args.workers)  # checked for a single n too, as in sweep
     if args.range is not None:
         ns = _range_ns(*parse_range(args.range), (), args.max_n)
         init_args = (_identity_row, ns[-1], (), args.max_n, True)
-        rows = _run_chunked(init_args, ns, _resolve_workers(args.workers))
+        rows = _run_chunked(init_args, ns, workers)
     else:
         rows = [asdict(check_identity(parse_number(args.n), max_n=args.max_n))]
     emit_rows(rows, IDENTITY_COLUMNS, args.format, sys.stdout)
@@ -432,17 +468,17 @@ def cmd_bench(args) -> int:
     exit_code = EXIT_OK
     for n in ns:
         seen: dict[str, int] = {}
-        for m in methods:
-            timings = []
-            for _ in range(reps):
-                t0 = time.perf_counter_ns()
-                rec = method_count(n, m, max_n=args.max_n)
-                timings.append(time.perf_counter_ns() - t0)
-                if seen.setdefault(m, rec.count) != rec.count:
-                    raise InternalConsistencyError(
-                        f"{m} at n={n} is nondeterministic: {seen[m]} vs {rec.count}"
-                    )
-            rows.append(_count_row(rec, int(statistics.median(timings))))
+        runs = [_timed_counts(n, methods, args.max_n) for _ in range(reps)]
+        for per_rep in zip(*runs):
+            row = per_rep[0]
+            counts = sorted({r["count"] for r in per_rep})
+            if len(counts) > 1:
+                raise InternalConsistencyError(
+                    f"{row['method']} at n={n} is nondeterministic: {counts}"
+                )
+            seen[row["method"]] = row["count"]
+            median = statistics.median(r["elapsed_ns"] for r in per_rep)
+            rows.append(dict(row, elapsed_ns=int(median)))
         if len(set(seen.values())) != 1:
             _report_disagreement(n, seen)
             exit_code = EXIT_DISAGREE
@@ -462,31 +498,45 @@ def cmd_selftest(args) -> int:
             failures += 1
             print(f"FAIL {name}: got {got}, want {want}")
 
+    golden = GOLDEN["n25"]
     qpi = build_quotient_pi(25)
-    check("pi at quotients of 25", [qpi.pi(v) for v in (12, 8, 5, 3, 2)], [5, 4, 3, 2, 1])
+    pi_25 = golden["pi_at_quotients"]
+    check("pi at quotients of 25", [qpi.pi(v) for v in pi_25], list(pi_25.values()))
     for m in METHODS:
-        check(f"pi2(25) via {m}", method_count(25, m, qpi).count, 9)
-    check("eq1 term count at 25", count_semiprimes_eq1(25, qpi).term_count, 3)
+        check(f"pi2(25) via {m}", method_count(25, m, qpi).count, golden["pi2"])
+    eq1 = count_semiprimes_eq1(25, qpi)
+    check("eq1 term count at 25", eq1.term_count, golden["eq1_terms"])
 
     from .semiprimes import pair_sum_grouped, pair_sum_naive
 
-    check("pair sum 25 naive", pair_sum_naive(25, qpi).value, 15)
-    check("pair sum 25 grouped", pair_sum_grouped(25, qpi).value, 15)
-    check("pair sum 25 upper index", pair_sum_grouped(25, qpi).upper_index, 5)
+    pair = pair_sum_grouped(25, qpi)
+    check("pair sum 25 naive", pair_sum_naive(25, qpi).value, golden["pair_sum"])
+    check("pair sum 25 grouped", pair.value, golden["pair_sum"])
+    check("pair sum 25 upper index", pair.upper_index, golden["pair_sum_upper_index"])
 
     rep = check_identity(25)
     check(
         "identity at 25 (head, tail, lhs, rhs, residual)",
         (rep.head_sum, rep.tail_sum, rep.lhs, rep.rhs, rep.residual),
-        (12, 3, 9, 9, 0),
+        golden["identity"],
     )
 
     small = {1: 0, 3: 0, 4: 1, 10: 4, 30: 10, 100: 34}
     for m in ("oracle", "eq3_grouped"):
-        check(f"{m} small counts", {n: method_count(n, m).count for n in small}, small)
+        got = {n: method_count(n, m, build_quotient_pi(n)).count for n in small}
+        check(f"{m} small counts", got, small)
 
     residuals = [check_identity(n).residual for n in range(1, 2001)]
     check("identity residuals 1..2000", sum(1 for r in residuals if r != 0), 0)
+
+    for k, (pi_k, pi2_k) in GOLDEN["oeis"].items():
+        n = 10**k
+        if n > SUPPORTED_MAX_N:
+            continue
+        qpi = build_quotient_pi(n)
+        eq1, eq3 = (method_count(n, m, qpi).count for m in ("eq1", "eq3_grouped"))
+        got = (qpi.pi(n), eq1, eq3)
+        check(f"pi, eq1, eq3_grouped at 10^{k} (OEIS)", got, (pi_k, pi2_k, pi2_k))
 
     if failures:
         print(f"{failures} selftest check(s) FAILED", file=sys.stderr)

@@ -109,11 +109,11 @@ def _tail_sum(qpi: QuotientPiTable) -> tuple[int, int]:
     last = n // (r + 1)
     if last < 2:
         return 0, 0
-    vs = np.arange(2, last + 1, dtype=np.int64)
-    hi = qpi.larges[vs]  # pi(n // v)
+    # v runs over 2..last, and last <= r keeps larges[v + 1] in the table.
+    hi = qpi.larges[2 : last + 1]  # pi(n // v)
     # pi(max(n//(v+1), r)) == max(pi(n//(v+1)), pi(r)) by monotonicity.
-    lo = np.maximum(qpi.larges[vs + 1], qpi.smalls[r])
-    tail = int(np.dot(qpi.smalls[vs], hi - lo))
+    lo = np.maximum(qpi.larges[3 : last + 2], qpi.smalls[r])
+    tail = int(np.dot(qpi.smalls[2 : last + 1], hi - lo))
     return tail, last - 1
 
 

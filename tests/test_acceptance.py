@@ -28,25 +28,9 @@ from semipi import (
     pair_sum_grouped,
     pair_sum_naive,
 )
+from semipi.cli import GOLDEN
 
 SWEEP_LIMIT = 10**5
-
-#: pi(10^k) (OEIS A006880) and pi2(10^k), the semiprimes <= 10^k (OEIS
-#: A072000), for k = 1..12.
-OEIS_GOLDEN = {
-    1: (4, 4),
-    2: (25, 34),
-    3: (168, 299),
-    4: (1229, 2625),
-    5: (9592, 23378),
-    6: (78498, 210035),
-    7: (664579, 1904324),
-    8: (5761455, 17427258),
-    9: (50847534, 160788536),
-    10: (455052511, 1493776443),
-    11: (4118054813, 13959990342),
-    12: (37607912018, 131126017178),
-}
 
 
 def _report(criterion: str, body) -> None:
@@ -93,13 +77,15 @@ def test_criterion_1_golden_count_at_25():
     def body():
         t0 = time.perf_counter()
         qpi = build_quotient_pi(25)
-        assert [qpi.pi(v) for v in (12, 8, 5, 3, 2)] == [5, 4, 3, 2, 1]
-        assert pair_sum_naive(25, qpi).value == 15
-        assert pair_sum_grouped(25, qpi).value == 15
-        assert count_semiprimes_eq1(25, qpi).count == 9
-        assert count_semiprimes_eq3(25, qpi, "naive").count == 9
-        assert count_semiprimes_eq3(25, qpi, "grouped").count == 9
-        assert count_semiprimes_oracle(25).count == 9
+        golden = GOLDEN["n25"]
+        pi_25 = golden["pi_at_quotients"]
+        assert {v: qpi.pi(v) for v in pi_25} == pi_25
+        assert pair_sum_naive(25, qpi).value == golden["pair_sum"]
+        assert pair_sum_grouped(25, qpi).value == golden["pair_sum"]
+        assert count_semiprimes_eq1(25, qpi).count == golden["pi2"]
+        assert count_semiprimes_eq3(25, qpi, "naive").count == golden["pi2"]
+        assert count_semiprimes_eq3(25, qpi, "grouped").count == golden["pi2"]
+        assert count_semiprimes_oracle(25).count == golden["pi2"]
         assert time.perf_counter() - t0 < 1.0
 
     _report("1 (golden count at n=25)", body)
@@ -109,11 +95,8 @@ def test_criterion_2_golden_identity_at_25():
     def body():
         t0 = time.perf_counter()
         rep = check_identity(25)
-        assert rep.head_sum == 12
-        assert rep.tail_sum == 3
-        assert rep.lhs == 9
-        assert rep.rhs == 9
-        assert rep.residual == 0
+        got = (rep.head_sum, rep.tail_sum, rep.lhs, rep.rhs, rep.residual)
+        assert got == GOLDEN["n25"]["identity"]
         assert time.perf_counter() - t0 < 1.0
 
     _report("2 (golden identity at n=25)", body)
@@ -232,7 +215,7 @@ def test_criterion_8_step_property(sweep):
 
 def test_criterion_9_oeis_golden_powers_of_ten():
     def body():
-        for k, (pi_golden, pi2_golden) in OEIS_GOLDEN.items():
+        for k, (pi_golden, pi2_golden) in GOLDEN["oeis"].items():
             n = 10**k
             # 10^12 is past SUPPORTED_MAX_N and needs the override.
             qpi = build_quotient_pi(n, max_n=n)

@@ -3,6 +3,7 @@ import io
 import json
 import multiprocessing
 import os
+import time
 
 import pytest
 from hypothesis import given
@@ -19,7 +20,7 @@ from semipi.cli import (
     parse_number,
     parse_range,
 )
-from semipi.semiprimes import METHOD_CAPS
+from semipi.semiprimes import METHOD_CAPS, METHODS
 
 CAPPED = {m: cap for m, cap in METHOD_CAPS.items() if cap is not None}
 
@@ -28,6 +29,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def slow_builds(monkeypatch) -> list[int]:
+    """Make every cli.build_quotient_pi call take >= 50 ms; returns its n list."""
+    builds = []
+    real = cli.build_quotient_pi
+
+    def slow(n, **kwargs):
+        builds.append(n)
+        time.sleep(0.05)
+        return real(n, **kwargs)
+
+    monkeypatch.setattr(cli, "build_quotient_pi", slow)
+    return builds
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +161,20 @@ def test_count_rows_carry_measured_time(capsys):
     assert all(type(r["elapsed_ns"]) is int and r["elapsed_ns"] > 0 for r in rows)
 
 
+def test_count_builds_one_table_and_charges_it(capsys, monkeypatch):
+    builds = slow_builds(monkeypatch)
+    code, out, _ = run(
+        capsys, "count", "10^4", "--methods", "eq1,eq3_grouped,oracle", "--format", "json"
+    )
+    assert code == EXIT_OK
+    assert builds == [10**4]
+    elapsed = {r["method"]: r["elapsed_ns"] for r in json.loads(out)}
+    # eq1 and eq3_grouped read the table, so its build is part of their time
+    assert elapsed["eq1"] >= 5e7 and elapsed["eq3_grouped"] >= 5e7
+    # the oracle reads no table and is charged its own call only
+    assert elapsed["oracle"] < 5e7
+
+
 def test_count_max_n_guard_override(capsys):
     code, _, err = run(capsys, "count", "100", "--max-n", "50")
     assert code == EXIT_USAGE
@@ -223,6 +252,14 @@ def test_identity_range_parallel_output_identical(capsys):
 def test_identity_requires_n_xor_range(capsys):
     assert run(capsys, "identity")[0] == EXIT_USAGE
     assert run(capsys, "identity", "25", "--range", "1:10")[0] == EXIT_USAGE
+
+
+def test_identity_bad_workers(capsys):
+    for target in (("25",), ("--range", "1:10")):
+        for workers in ("0", "banana"):
+            code, _, err = run(capsys, "identity", *target, "--workers", workers)
+            assert code == EXIT_USAGE, (target, workers)
+            assert "workers" in err or "parse" in err
 
 
 def test_identity_range_guard(capsys):
@@ -464,6 +501,26 @@ def test_bench_multiple_n_and_methods(capsys):
     for r in rows:
         by_n.setdefault(r["n"], set()).add(r["count"])
     assert all(len(v) == 1 for v in by_n.values())
+    # every method at every decade, rows ordered by n and then by method
+    code, out, _ = run(
+        capsys, "bench", "10,100,1000", "--methods", ",".join(METHODS), "--reps", "1",
+        "--format", "json",
+    )
+    assert code == EXIT_OK
+    assert [(r["n"], r["method"], r["count"]) for r in json.loads(out)] == [
+        (n, m, count) for n, count in ((10, 4), (100, 34), (1000, 299)) for m in METHODS
+    ]
+
+
+def test_bench_builds_one_table_per_rep(capsys, monkeypatch):
+    builds = slow_builds(monkeypatch)
+    code, out, _ = run(
+        capsys, "bench", "10^4", "--methods", "eq1,eq3_grouped", "--reps", "3",
+        "--format", "json",
+    )
+    assert code == EXIT_OK
+    assert builds == [10**4] * 3
+    assert all(r["elapsed_ns"] >= 5e7 for r in json.loads(out))
 
 
 def test_bench_usage_errors(capsys):

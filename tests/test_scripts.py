@@ -1,6 +1,8 @@
-"""The experiment scripts under scripts/, each run once as a subprocess."""
+"""The experiment scripts under scripts/, each run once as a subprocess, and
+README's library example."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,20 +24,6 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_bench_methods_grid():
-    proc = run_script(
-        "bench_methods.py", "--min-exp", "1", "--max-exp", "3", "--reps", "1"
-    )
-    assert proc.returncode == 0, proc.stderr
-    rows = [
-        line.split("|") for line in proc.stdout.splitlines() if line.startswith("| 10^")
-    ]
-    assert [r[1].strip() for r in rows] == ["10^1", "10^2", "10^3"]
-    assert [r[2].strip() for r in rows] == ["4", "34", "299"]
-    # every method is within its cap up to 10^3, so no cell is blank
-    assert all(cell.strip() for r in rows for cell in r[3:-1])
-
-
 def test_identity_fuzz_holds():
     proc = run_script(
         "identity_fuzz.py", "--seed", "7", "--per-decade", "3", "--max-exp", "4"
@@ -43,3 +31,9 @@ def test_identity_fuzz_holds():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("all residuals 0") == 5
     assert "identity held at every draw" in proc.stdout
+
+
+def test_readme_library_block_runs():
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    exec(compile(block, "README.md", "exec"), {})
