@@ -2,16 +2,15 @@
 
 Subcommands
 -----------
-count     exact semiprime count at one n, by one or more methods
-identity  evaluate both sides of the pi identity, single n or a range
+count     timed semiprime counts at one or more n, by one or more methods
+identity  evaluate both sides of the pi identity at one n or over a range
 sweep     per-n counts over a range, optionally across worker processes
-bench     wall-time comparison of the counting methods
-selftest  built-in golden checks (known values at n = 25 and friends)
+selftest  the GOLDEN values (the n = 25 example and OEIS pi, pi2 at 10^k)
 
 Methods are chosen in one place: `semiprimes.METHOD_CAPS` holds their caps
-and `method_count` maps a name to its function.  `sweep` and `identity
---range` share one range path, run in-process or on a pool capped at the
-CPU count.
+and `method_count` maps a name to its function.  `sweep` and `identity`
+share one range path (one n is the range n:n), run in-process or on a
+pool capped at the CPU count.  Each setting is checked by one `_check_*`.
 
 Exit codes: 0 success (and all methods agree), 1 usage or range error,
 2 mathematical disagreement between methods (a differential-test hit).
@@ -37,6 +36,7 @@ from . import __version__
 from .errors import InternalConsistencyError, RangeError, ResourceLimitError
 from .identity import IdentityReport, check_identity
 from .primes import (
+    MAX_QUOTIENT_ROOT,
     QuotientPiTable,
     SUPPORTED_MAX_N,
     build_prime_table,
@@ -109,17 +109,10 @@ class SweepConfig:
 
     def __post_init__(self):
         _check_range(self.start, self.end, self.stride)
-        if not self.methods:
-            raise ValueError("at least one method is required")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
-        if len(set(self.methods)) < len(self.methods):
-            raise ValueError(f"methods must be distinct, got {self.methods}")
+        _check_methods(self.methods)
         if self.output_format not in FORMATS:
             raise ValueError(f"unknown format {self.output_format!r}")
-        if self.parallelism < 1:
-            raise ValueError(f"workers must be >= 1, got {self.parallelism}")
+        _check_workers(self.parallelism)
 
 
 def _check_range(start: int, end: int, stride: int) -> None:
@@ -139,9 +132,7 @@ def _range_ns(start: int, end: int, stride: int, methods: tuple, max_n: int) -> 
     """
     _check_range(start, end, stride)
     ns = range(start, end + 1, stride)
-    _check_caps(methods, ns[-1])
-    if ns[-1] > max_n:
-        raise ValueError(f"range end {ns[-1]} exceeds max n {max_n}")
+    _check_n(ns[-1], methods, max_n)
     return ns
 
 
@@ -184,33 +175,35 @@ def parse_range(text: str) -> tuple[int, int, int]:
 
 def parse_methods(text: str) -> tuple[str, ...]:
     """Comma-separated method list, validated, deduplicated, order kept."""
-    out: list[str] = []
-    for name in text.split(","):
-        name = name.strip()
-        if name not in METHODS:
-            raise ValueError(
-                f"unknown method {name!r}; choose from {', '.join(METHODS)}"
-            )
-        if name not in out:
-            out.append(name)
-    if not out:
+    methods = tuple(dict.fromkeys(name.strip() for name in text.split(",")))
+    _check_methods(methods)
+    return methods
+
+
+def _check_methods(methods: tuple[str, ...]) -> None:
+    if not methods:
         raise ValueError("at least one method is required")
-    return tuple(out)
+    for m in methods:
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
+    if len(set(methods)) < len(methods):
+        raise ValueError(f"methods must be distinct, got {methods}")
 
 
-def _resolve_workers(value: str | None) -> int:
-    if value is None:
-        value = os.environ.get("SEMIPI_WORKERS", "1")
-    workers = parse_number(value)
+def _check_workers(workers: int) -> None:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers
 
 
-def _check_caps(methods: tuple[str, ...], biggest_n: int) -> None:
+def _check_n(n: int, methods: tuple[str, ...], max_n: int) -> None:
+    """Refuse n below 1, past the cap of one of the methods, or past max_n."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     for m, cap in METHOD_CAPS.items():
-        if m in methods and cap is not None and biggest_n > cap:
-            raise ValueError(f"{m} method supports n <= {cap}, got {biggest_n}")
+        if m in methods and cap is not None and n > cap:
+            raise ValueError(f"{m} method supports n <= {cap}, got {n}")
+    if n > max_n:
+        raise ValueError(f"n={n} exceeds the supported range (max_n={max_n})")
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +245,7 @@ def _report_disagreement(n: int, counts: dict[str, int]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# per-n computation shared by count / sweep / bench / selftest
+# per-n computation shared by count / sweep / selftest
 
 
 def method_count(n: int, method: str, qpi: QuotientPiTable | None, *, dense_table=None):
@@ -352,6 +345,7 @@ def _run_chunked(init_args: tuple, ns: range, workers: int) -> list[dict]:
     worker runs in-process through the exact same code path, so the
     output is byte-identical regardless of parallelism.
     """
+    _check_workers(workers)
     workers = min(workers, os.cpu_count() or 1)
     chunk_size = max(1, min(5000, (len(ns) + workers * 4 - 1) // (workers * 4)))
     chunks = [ns[i : i + chunk_size] for i in range(0, len(ns), chunk_size)]
@@ -373,34 +367,49 @@ def _run_chunked(init_args: tuple, ns: range, workers: int) -> list[dict]:
 
 
 def cmd_count(args) -> int:
-    n = parse_number(args.n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    """Median time of --reps counts at every n; all n are checked before any work."""
+    ns = [parse_number(part) for part in args.n.split(",")]
     methods = parse_methods(args.methods)
-    _check_caps(methods, n)
-    rows = _timed_counts(n, methods, args.max_n)
+    if args.reps < 1:
+        raise ValueError(f"reps must be >= 1, got {args.reps}")
+    for n in ns:
+        _check_n(n, methods, args.max_n)
+    print(
+        f"# semipi {__version__} count  date={datetime.now(timezone.utc).isoformat()}  "
+        f"python={sys.version.split()[0]}  numpy={np.__version__}  "
+        f"cpus={os.cpu_count()}  reps={args.reps}",
+        file=sys.stderr,
+    )
+    rows = []
+    exit_code = EXIT_OK
+    for n in ns:
+        counts: dict[str, int] = {}
+        runs = [_timed_counts(n, methods, args.max_n) for _ in range(args.reps)]
+        for per_rep in zip(*runs):
+            row = per_rep[0]
+            seen = sorted({r["count"] for r in per_rep})
+            if len(seen) > 1:
+                raise InternalConsistencyError(
+                    f"{row['method']} at n={n} is nondeterministic: {seen}"
+                )
+            counts[row["method"]] = row["count"]
+            median = statistics.median(r["elapsed_ns"] for r in per_rep)
+            rows.append(dict(row, elapsed_ns=int(median)))
+        if len(set(counts.values())) == 1:
+            print(f"agree: pi2({n}) = {row['count']} by {', '.join(methods)}", file=sys.stderr)
+        else:
+            _report_disagreement(n, counts)
+            exit_code = EXIT_DISAGREE
     emit_rows(rows, COUNT_COLUMNS, args.format, sys.stdout)
-    counts = {row["method"]: row["count"] for row in rows}
-    if len(set(counts.values())) == 1:
-        print(
-            f"agree: pi2({n}) = {rows[0]['count']} across {len(methods)} method(s)",
-            file=sys.stderr,
-        )
-        return EXIT_OK
-    _report_disagreement(n, counts)
-    return EXIT_DISAGREE
+    return exit_code
 
 
 def cmd_identity(args) -> int:
-    if (args.n is None) == (args.range is None):
-        raise ValueError("provide exactly one of: a single n, or --range a:b[:s]")
-    workers = _resolve_workers(args.workers)  # checked for a single n too, as in sweep
-    if args.range is not None:
-        ns = _range_ns(*parse_range(args.range), (), args.max_n)
-        init_args = (_identity_row, ns[-1], (), args.max_n, True)
-        rows = _run_chunked(init_args, ns, workers)
-    else:
-        rows = [asdict(check_identity(parse_number(args.n), max_n=args.max_n))]
+    target = args.target if ":" in args.target else f"{args.target}:{args.target}"
+    ns = _range_ns(*parse_range(target), (), args.max_n)
+    # One n needs one quotient table and no dense sieve.
+    init_args = (_identity_row, ns[-1], (), args.max_n, len(ns) > 1)
+    rows = _run_chunked(init_args, ns, args.workers)
     emit_rows(rows, IDENTITY_COLUMNS, args.format, sys.stdout)
     bad = [row for row in rows if row["residual"] != 0]
     if bad:
@@ -440,54 +449,14 @@ def cmd_sweep(args) -> int:
         stride=stride,
         methods=parse_methods(args.methods),
         output_format=args.format,
-        parallelism=_resolve_workers(args.workers),
+        parallelism=args.workers,
         max_n=args.max_n,
     )
     return run_sweep(config)
 
 
-def cmd_bench(args) -> int:
-    ns = [parse_number(part) for part in args.n_list.split(",")]
-    if not ns or any(n < 1 for n in ns):
-        raise ValueError("n list must contain positive integers")
-    methods = parse_methods(args.methods)
-    reps = args.reps
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    for n in ns:
-        _check_caps(methods, n)
-        if n > args.max_n and _needs_qpi(methods):
-            raise ValueError(f"n={n} exceeds max n {args.max_n}")
-    print(
-        f"# semipi {__version__} bench  date={datetime.now(timezone.utc).isoformat()}  "
-        f"python={sys.version.split()[0]}  numpy={np.__version__}  "
-        f"cpus={os.cpu_count()}  workers=1  reps={reps}",
-        file=sys.stderr,
-    )
-    rows = []
-    exit_code = EXIT_OK
-    for n in ns:
-        seen: dict[str, int] = {}
-        runs = [_timed_counts(n, methods, args.max_n) for _ in range(reps)]
-        for per_rep in zip(*runs):
-            row = per_rep[0]
-            counts = sorted({r["count"] for r in per_rep})
-            if len(counts) > 1:
-                raise InternalConsistencyError(
-                    f"{row['method']} at n={n} is nondeterministic: {counts}"
-                )
-            seen[row["method"]] = row["count"]
-            median = statistics.median(r["elapsed_ns"] for r in per_rep)
-            rows.append(dict(row, elapsed_ns=int(median)))
-        if len(set(seen.values())) != 1:
-            _report_disagreement(n, seen)
-            exit_code = EXIT_DISAGREE
-    emit_rows(rows, COUNT_COLUMNS, args.format, sys.stdout)
-    return exit_code
-
-
 def cmd_selftest(args) -> int:
-    """Golden checks over small n with independently known values."""
+    """Check every value in GOLDEN."""
     failures = 0
 
     def check(name: str, got, want) -> None:
@@ -520,14 +489,6 @@ def cmd_selftest(args) -> int:
         (rep.head_sum, rep.tail_sum, rep.lhs, rep.rhs, rep.residual),
         golden["identity"],
     )
-
-    small = {1: 0, 3: 0, 4: 1, 10: 4, 30: 10, 100: 34}
-    for m in ("oracle", "eq3_grouped"):
-        got = {n: method_count(n, m, build_quotient_pi(n)).count for n in small}
-        check(f"{m} small counts", got, small)
-
-    residuals = [check_identity(n).residual for n in range(1, 2001)]
-    check("identity residuals 1..2000", sum(1 for r in residuals if r != 0), 0)
 
     for k, (pi_k, pi2_k) in GOLDEN["oeis"].items():
         n = 10**k
@@ -572,7 +533,9 @@ def _add_common(sub, *, methods_default=None, workers=False):
         type=parse_number,
         default=SUPPORTED_MAX_N,
         metavar="N",
-        help=f"override the supported-range guard (default {SUPPORTED_MAX_N})",
+        help=f"raise the supported-range guard (default {SUPPORTED_MAX_N}); "
+        f"the quotient table still refuses isqrt(n) > {MAX_QUOTIENT_ROOT}, "
+        "so n stays below about 2^50",
     )
     if methods_default is not None:
         sub.add_argument(
@@ -584,10 +547,10 @@ def _add_common(sub, *, methods_default=None, workers=False):
     if workers:
         sub.add_argument(
             "--workers",
-            default=None,
+            type=parse_number,
+            default=1,
             metavar="K",
-            help="worker processes, at most the CPU count "
-            "(default: $SEMIPI_WORKERS or 1)",
+            help="worker processes, at most the CPU count (default 1)",
         )
 
 
@@ -599,14 +562,16 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"semipi {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("count", help="count semiprimes <= n")
-    p.add_argument("n", help="positive integer (1_000_000 and 10^6 accepted)")
+    p = subs.add_parser("count", help="count semiprimes <= n, timed")
+    p.add_argument("n", metavar="N[,N...]", help="one or more n (10^6 and 1_000_000 accepted)")
     _add_common(p, methods_default="eq1,eq3_grouped")
+    p.add_argument(
+        "--reps", type=parse_number, default=1, help="runs per n; elapsed_ns is their median"
+    )
     p.set_defaults(func=cmd_count)
 
     p = subs.add_parser("identity", help="check lhs = rhs of the pi identity")
-    p.add_argument("n", nargs="?", default=None, help="single n to check")
-    p.add_argument("--range", default=None, metavar="A:B[:S]", help="check every n in a range")
+    p.add_argument("target", metavar="N|A:B[:S]", help="one n, or an inclusive range")
     _add_common(p, workers=True)
     p.set_defaults(func=cmd_identity)
 
@@ -614,14 +579,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("range", metavar="A:B[:S]", help="inclusive range with optional stride")
     _add_common(p, methods_default="eq1,eq3_grouped", workers=True)
     p.set_defaults(func=cmd_sweep)
-
-    p = subs.add_parser("bench", help="time the methods at one or more n")
-    p.add_argument("n_list", metavar="N[,N...]", help="comma-separated n values")
-    _add_common(p, methods_default="eq1,eq3_grouped")
-    p.add_argument(
-        "--reps", type=parse_number, default=3, help="repetitions per method (default 3)"
-    )
-    p.set_defaults(func=cmd_bench)
 
     p = subs.add_parser("selftest", help="run built-in golden checks")
     p.set_defaults(func=cmd_selftest)

@@ -5,10 +5,16 @@ in pi alone, with r = isqrt(n):
 
     sum_{p <= r} pi(n // p)  -  sum_{r < p <= n/2} pi(n // p)  =  pi(r)^2
 
-Both sides are computed by independent routes (quotient table vs a
-fresh dense sieve of isqrt(n)) and the residual reported; a nonzero
-residual always means an implementation bug, and the report carries the
-head/tail split so the offending side can be localized.
+The left side reads a quotient table, the right side a dense sieve of
+isqrt(n), and the residual is reported; a nonzero residual always means
+an implementation bug, and the report carries the head/tail split.
+
+The two routes are not independent.  The left side reads the same
+QuotientPiTable as eq1 and eq3_grouped, and with k = pi(isqrt(n)) the
+residual equals 2 * (eq1 - eq3_grouped) by algebra.  The right side's
+sieve is the same _sieve_mask that made the table's root_primes.  So a
+wrong `larges` entry can pass all three; only eq3_naive and the oracle
+(n <= 10**7) and the OEIS goldens at 10**k can catch it.
 """
 
 from __future__ import annotations
@@ -70,7 +76,8 @@ def check_identity(
 
     A dense table covering n may be supplied to accelerate sweeps; by
     default the left side uses a fresh quotient table and the right side
-    a fresh dense sieve up to isqrt(n), keeping the routes independent.
+    a fresh dense sieve up to isqrt(n), by the same _sieve_mask that made
+    the table's root primes (see the module docstring).
     """
     if n < 1:
         raise RangeError(f"n must be >= 1, got {n}")

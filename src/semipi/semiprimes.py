@@ -13,7 +13,11 @@ semiprimes <= n and r = isqrt(n), the package computes pi2 four ways:
                   exactly two prime factors (with multiplicity)
 
 All four must agree for every n; the CLI and the test suite treat any
-disagreement as a bug signal.
+disagreement as a bug signal.  Agreement proves less than four
+independent routes would: eq1 and eq3_grouped read one quotient table
+(eq3_naive reads it too, its tail through ``smalls``), and only the
+oracle reads none.  A wrong ``larges`` entry can pass eq1 = eq3_grouped;
+the oracle catches it and eq3_naive can, both up to their 10**7 caps.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import semipi.cli as cli
+from semipi import identity
 from semipi.cli import (
     EXIT_DISAGREE,
     EXIT_OK,
@@ -117,7 +118,8 @@ def test_count_golden_all_methods(capsys):
     assert code == EXIT_OK
     rows = json.loads(out)
     assert [r["count"] for r in rows] == [9, 9, 9]
-    assert "agree" in err
+    # the agree line names the methods it compared
+    assert "agree: pi2(25) = 9 by eq1, eq3_grouped, oracle" in err
 
 
 def test_count_trivial_one(capsys):
@@ -234,7 +236,7 @@ def test_identity_trivial(capsys):
 
 
 def test_identity_range(capsys):
-    code, out, _ = run(capsys, "identity", "--range", "1:500", "--format", "csv")
+    code, out, _ = run(capsys, "identity", "1:500", "--format", "csv")
     assert code == EXIT_OK
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 500
@@ -242,7 +244,7 @@ def test_identity_range(capsys):
 
 
 def test_identity_range_parallel_output_identical(capsys):
-    argv = ("identity", "--range", "1:400:2", "--format", "csv")
+    argv = ("identity", "1:400:2", "--format", "csv")
     code1, out1, _ = run(capsys, *argv, "--workers", "1")
     code2, out2, _ = run(capsys, *argv, "--workers", "3")
     assert code1 == code2 == EXIT_OK
@@ -250,12 +252,30 @@ def test_identity_range_parallel_output_identical(capsys):
 
 
 def test_identity_requires_n_xor_range(capsys):
+    # one target, an n or a range: none and two are both usage errors
     assert run(capsys, "identity")[0] == EXIT_USAGE
-    assert run(capsys, "identity", "25", "--range", "1:10")[0] == EXIT_USAGE
+    assert run(capsys, "identity", "25", "1:10")[0] == EXIT_USAGE
+
+
+def test_identity_one_n_builds_no_dense_sieve(capsys, monkeypatch):
+    # One n runs the range path as n:n, with one quotient table and no
+    # shared dense sieve; a range of two or more n shares one sieve.
+    tables, sieves = [], []
+    real_table, real_sieve = identity.build_quotient_pi, cli.build_prime_table
+    monkeypatch.setattr(
+        identity, "build_quotient_pi", lambda n, **kw: tables.append(n) or real_table(n, **kw)
+    )
+    monkeypatch.setattr(
+        cli, "build_prime_table", lambda limit: sieves.append(limit) or real_sieve(limit)
+    )
+    assert run(capsys, "identity", "10^6")[0] == EXIT_OK
+    assert (tables, sieves) == ([10**6], [])
+    assert run(capsys, "identity", "999999:1000000")[0] == EXIT_OK
+    assert (tables, sieves) == ([10**6], [10**6])  # both n read the one sieve
 
 
 def test_identity_bad_workers(capsys):
-    for target in (("25",), ("--range", "1:10")):
+    for target in (("25",), ("1:10",)):
         for workers in ("0", "banana"):
             code, _, err = run(capsys, "identity", *target, "--workers", workers)
             assert code == EXIT_USAGE, (target, workers)
@@ -263,7 +283,7 @@ def test_identity_bad_workers(capsys):
 
 
 def test_identity_range_guard(capsys):
-    code, _, err = run(capsys, "identity", "--range", "1:10^12")
+    code, _, err = run(capsys, "identity", "1:10^12")
     assert code == EXIT_USAGE
     assert "max" in err
 
@@ -370,7 +390,7 @@ def test_strided_range_checked_at_last_n(capsys, monkeypatch):
     assert out.splitlines() == ["n,oracle,agree", "5,1,true"]
     # The --max-n guard reads the last n (15), not the nominal end (20).
     code, out, _ = run(
-        capsys, "identity", "--range", "5:20:10", "--max-n", "18", "--format", "json"
+        capsys, "identity", "5:20:10", "--max-n", "18", "--format", "json"
     )
     assert code == EXIT_OK
     assert [r["n"] for r in json.loads(out)] == [5, 15]
@@ -412,13 +432,6 @@ def test_sweep_bad_workers(capsys):
     assert run(capsys, "sweep", "1:10:1", "--workers", "x")[0] == EXIT_USAGE
 
 
-def test_sweep_env_workers(capsys, monkeypatch):
-    monkeypatch.setenv("SEMIPI_WORKERS", "2")
-    code, out, _ = run(capsys, "sweep", "1:60:1", "--methods", "eq1", "--format", "json")
-    assert code == EXIT_OK
-    assert len(json.loads(out)) == 60
-
-
 def test_sweep_workers_capped_at_cpu_count(capsys, monkeypatch):
     # A recording stand-in for the process pool: it runs the initializer and
     # the chunks in this process, so no worker process is ever started.
@@ -451,21 +464,23 @@ def test_sweep_workers_capped_at_cpu_count(capsys, monkeypatch):
     assert out_big == out_one
 
 
-def test_resolve_workers_env(monkeypatch):
-    monkeypatch.setenv("SEMIPI_WORKERS", "4")
-    assert cli._resolve_workers(None) == 4
-    assert cli._resolve_workers("2") == 2
-    monkeypatch.delenv("SEMIPI_WORKERS")
-    assert cli._resolve_workers(None) == 1
+def test_max_n_override_stops_at_the_quotient_table_budget(capsys):
+    # isqrt(2^52) = 2^26 is past MAX_QUOTIENT_ROOT = 2^25: every command
+    # refuses it before allocating, whatever --max-n says.
+    for argv in (("count", "2^52"), ("identity", "2^52"), ("sweep", "2^52:2^52")):
+        code, _, err = run(capsys, *argv, "--max-n", "2^52")
+        assert code == EXIT_USAGE, argv
+        assert "quotient-table budget" in err, argv
 
 
 # ---------------------------------------------------------------------------
-# bench
+# count --reps: several n, each timed as the median of repeated runs
+# (the former `bench` subcommand)
 
 
 def test_bench_golden(capsys):
     code, out, err = run(
-        capsys, "bench", "25", "--methods", "eq1", "--reps", "3", "--format", "json"
+        capsys, "count", "25", "--methods", "eq1", "--reps", "3", "--format", "json"
     )
     assert code == EXIT_OK
     (row,) = json.loads(out)
@@ -476,7 +491,7 @@ def test_bench_golden(capsys):
 
 def test_bench_oracle_method(capsys):
     code, out, _ = run(
-        capsys, "bench", "1000", "--methods", "oracle", "--reps", "2^1", "--format", "json"
+        capsys, "count", "1000", "--methods", "oracle", "--reps", "2^1", "--format", "json"
     )
     assert code == EXIT_OK
     assert json.loads(out)[0]["count"] == 299
@@ -485,7 +500,7 @@ def test_bench_oracle_method(capsys):
 def test_bench_multiple_n_and_methods(capsys):
     code, out, _ = run(
         capsys,
-        "bench",
+        "count",
         "25,10^4",
         "--methods",
         "eq3_naive,eq3_grouped",
@@ -503,7 +518,7 @@ def test_bench_multiple_n_and_methods(capsys):
     assert all(len(v) == 1 for v in by_n.values())
     # every method at every decade, rows ordered by n and then by method
     code, out, _ = run(
-        capsys, "bench", "10,100,1000", "--methods", ",".join(METHODS), "--reps", "1",
+        capsys, "count", "10,100,1000", "--methods", ",".join(METHODS), "--reps", "1",
         "--format", "json",
     )
     assert code == EXIT_OK
@@ -515,7 +530,7 @@ def test_bench_multiple_n_and_methods(capsys):
 def test_bench_builds_one_table_per_rep(capsys, monkeypatch):
     builds = slow_builds(monkeypatch)
     code, out, _ = run(
-        capsys, "bench", "10^4", "--methods", "eq1,eq3_grouped", "--reps", "3",
+        capsys, "count", "10^4", "--methods", "eq1,eq3_grouped", "--reps", "3",
         "--format", "json",
     )
     assert code == EXIT_OK
@@ -524,10 +539,10 @@ def test_bench_builds_one_table_per_rep(capsys, monkeypatch):
 
 
 def test_bench_usage_errors(capsys):
-    assert run(capsys, "bench", "25", "--reps", "0")[0] == EXIT_USAGE
-    assert run(capsys, "bench", "10^8", "--methods", "oracle")[0] == EXIT_USAGE
+    assert run(capsys, "count", "25", "--reps", "0")[0] == EXIT_USAGE
+    assert run(capsys, "count", "10^8", "--methods", "oracle")[0] == EXIT_USAGE
     for method, cap in CAPPED.items():
-        code, _, err = run(capsys, "bench", f"25,{cap + 1}", "--methods", method)
+        code, _, err = run(capsys, "count", f"25,{cap + 1}", "--methods", method)
         assert code == EXIT_USAGE
         assert f"{method} method supports n <= {cap}" in err
 
@@ -535,7 +550,7 @@ def test_bench_usage_errors(capsys):
 def test_bench_grouped_comparable_to_eq1(capsys):
     code, out, _ = run(
         capsys,
-        "bench",
+        "count",
         "10^6",
         "--methods",
         "eq1,eq3_grouped",

@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import random
 
 import pytest
@@ -7,13 +8,17 @@ from hypothesis import strategies as st
 
 from reference_impls import trial_primes
 from semipi import (
+    InternalConsistencyError,
     QuotientPiTable,
     RangeError,
     build_prime_table,
     build_quotient_pi,
     check_identity,
+    count_semiprimes_eq1,
+    count_semiprimes_eq3,
     identity_lhs,
     identity_rhs,
+    isqrt,
     pair_sum_grouped,
 )
 
@@ -113,3 +118,41 @@ def test_check_identity_ignores_undersized_table():
     small = build_prime_table(10)
     rep = check_identity(10**4, table=small)
     assert rep.lhs == rep.rhs == 625
+
+
+def _with_larges_entry(qpi: QuotientPiTable, d: int, delta: int) -> QuotientPiTable:
+    larges = qpi.larges.copy()
+    larges[d] += delta
+    larges.setflags(write=False)
+    return dataclasses.replace(qpi, larges=larges)
+
+
+def test_residual_is_twice_the_eq1_eq3_gap_on_a_wrong_table():
+    # One wrong larges entry moves the identity's left side, eq1 and
+    # eq3_grouped together: eq3's parity guard fires exactly when the
+    # residual is odd, and otherwise residual == 2 * (eq1 - eq3_grouped).
+    # So the identity cannot see a table fault that eq1 = eq3_grouped
+    # misses.  smalls stays intact: eq3 reads smalls[isqrt(n)] as pi(r).
+    fired = held = 0
+    for n in (10**6 + 3, 10**8 + 7, 123456789):
+        qpi = build_quotient_pi(n)
+        rhs = identity_rhs(n, build_prime_table(isqrt(n)))
+        rng = random.Random(n)
+        # Random entries, plus every entry from n // (r+1) up, where the
+        # head and the tail read the table differently.
+        top = range(n // (qpi.root + 1), qpi.root + 2)
+        cases = [(rng.randint(1, qpi.root + 1), rng.choice((-2, -1, 1, 2))) for _ in range(200)]
+        cases += [(d, delta) for d in top for delta in (-2, -1, 1, 2)]
+        for d, delta in cases:
+            table = _with_larges_entry(qpi, d, delta)
+            residual = identity_lhs(n, table)[2] - rhs
+            eq1 = count_semiprimes_eq1(n, table).count
+            try:
+                eq3 = count_semiprimes_eq3(n, table).count
+            except InternalConsistencyError:
+                assert residual % 2 == 1, (n, d, delta)
+                fired += 1
+                continue
+            assert residual == 2 * (eq1 - eq3), (n, d, delta)
+            held += 1
+    assert fired and held  # both branches were taken

@@ -1,11 +1,14 @@
 """The experiment scripts under scripts/, each run once as a subprocess, and
-README's library example."""
+README's library and CLI examples."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+from semipi import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,3 +40,19 @@ def test_readme_library_block_runs():
     readme = (ROOT / "README.md").read_text()
     (block,) = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_cli_lines_parse():
+    # Every `semipi ...` line in README's sh blocks must parse under the
+    # current grammar; the commands themselves are not run.
+    readme = (ROOT / "README.md").read_text()
+    lines = [
+        line.split("#", 1)[0]
+        for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+        for line in block.splitlines()
+        if line.startswith("semipi ")
+    ]
+    assert len(lines) >= 8
+    parser = cli._build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])  # a usage error raises
