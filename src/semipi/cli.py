@@ -41,6 +41,7 @@ from .primes import (
     SUPPORTED_MAX_N,
     build_prime_table,
     build_quotient_pi,
+    isqrt,
 )
 from .semiprimes import (
     METHOD_CAPS,
@@ -196,7 +197,11 @@ def _check_workers(workers: int) -> None:
 
 
 def _check_n(n: int, methods: tuple[str, ...], max_n: int) -> None:
-    """Refuse n below 1, past the cap of one of the methods, or past max_n."""
+    """Refuse n below 1, past the cap of one of the methods, or past max_n.
+
+    When the work reads a quotient table, also refuse isqrt(n) past the
+    table budget, so that no command builds a table before it fails.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     for m, cap in METHOD_CAPS.items():
@@ -204,6 +209,10 @@ def _check_n(n: int, methods: tuple[str, ...], max_n: int) -> None:
             raise ValueError(f"{m} method supports n <= {cap}, got {n}")
     if n > max_n:
         raise ValueError(f"n={n} exceeds the supported range (max_n={max_n})")
+    if _needs_qpi(methods) and isqrt(n) > MAX_QUOTIENT_ROOT:
+        raise ResourceLimitError(
+            f"isqrt(n)={isqrt(n)} exceeds quotient-table budget {MAX_QUOTIENT_ROOT}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +275,9 @@ def method_count(n: int, method: str, qpi: QuotientPiTable | None, *, dense_tabl
 
 
 def _needs_qpi(methods: tuple[str, ...]) -> bool:
-    return any(m != "oracle" for m in methods)
+    """Whether the work reads a quotient table: every method but the
+    oracle does, and so does the identity, which passes no methods."""
+    return not methods or any(m != "oracle" for m in methods)
 
 
 def _timed_counts(n: int, methods: tuple[str, ...], max_n: int) -> list[dict]:

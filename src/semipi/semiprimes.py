@@ -10,7 +10,9 @@ semiprimes <= n and r = isqrt(n), the package computes pi2 four ways:
                   enumerated: they are grouped by the shared quotient
                   v = n // p, costing O(sqrt(n)) terms total
 * ``oracle``      factor every m <= n with a sieve and count those with
-                  exactly two prime factors (with multiplicity)
+                  exactly two prime factors (with multiplicity): the
+                  prime powers of the primes up to sqrt(n), plus at
+                  most one cofactor prime above sqrt(n) per m
 
 All four must agree for every n; the CLI and the test suite treat any
 disagreement as a bug signal.  Agreement proves less than four
@@ -18,6 +20,10 @@ independent routes would: eq1 and eq3_grouped read one quotient table
 (eq3_naive reads it too, its tail through ``smalls``), and only the
 oracle reads none.  A wrong ``larges`` entry can pass eq1 = eq3_grouped;
 the oracle catches it and eq3_naive can, both up to their 10**7 caps.
+The oracle shares only the base-prime sieve ``_sieve_mask`` with the
+quotient table.  It factors in blocks of at most SIEVE_SEGMENT integers,
+so a count holds one block at a time; ``oracle_count_table``, which the
+sweep's oracle column reads, still holds n + 1 int64 counts.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError, RangeError
-from .primes import PrimeTable, QuotientPiTable, _sieve_mask
+from .primes import SIEVE_SEGMENT, PrimeTable, QuotientPiTable, _sieve_mask, isqrt
 
 #: eq3_naive enumerates every prime <= n/2; refuse beyond this.
 NAIVE_MAX_N = 10**7
@@ -221,23 +227,49 @@ def count_semiprimes_eq3(
     )
 
 
+def _omega_blocks(lo: int, hi: int):
+    """Yield (start, omega) for consecutive blocks covering [lo, hi].
+
+    omega[i] is Omega(start + i), prime factors counted with
+    multiplicity, as uint8; each block holds at most SIEVE_SEGMENT
+    entries, and 0 and 1 get 0.  The base primes p <= isqrt(hi) are
+    sieved once.  In each block every prime power q = p^e below the
+    block's end adds 1 at its multiples and multiplies `part` there by
+    p, so `part` ends as the isqrt(hi)-smooth part of m.  An m with
+    part < m has a cofactor m // part whose prime factors all exceed
+    sqrt(hi) >= sqrt(m), so it is one prime: one more factor.  All of
+    it is exact int64 arithmetic (part <= m <= hi).
+    """
+    base = np.flatnonzero(_sieve_mask(isqrt(hi))).tolist()
+    for start in range(lo, hi + 1, SIEVE_SEGMENT):
+        end = min(start + SIEVE_SEGMENT, hi + 1)
+        omega = np.zeros(end - start, dtype=np.uint8)
+        part = np.ones(end - start, dtype=np.int64)
+        for p in base:
+            q = p
+            while q < end:
+                first = max(q, -(-start // q) * q) - start
+                omega[first::q] += 1
+                part[first::q] *= p
+                q *= p
+        omega += part < np.arange(start, end, dtype=np.int64)
+        yield start, omega
+
+
 def omega_table(limit: int) -> np.ndarray:
     """Omega(m) (prime factors with multiplicity) for every m <= limit.
 
-    Sieve-based: each prime power q = p^e <= limit contributes 1 to all
-    of its multiples, which totals the p-adic valuation per m.  uint8 is
-    ample (Omega(m) <= log2(m) < 64).
+    Assembled from the blocks of _omega_blocks(0, limit): prime powers
+    of the primes up to sqrt(limit), plus at most one cofactor prime per
+    m.  Of the quotient table's code it shares only the base-prime
+    _sieve_mask.  uint8 is ample (Omega(m) <= log2(m) < 64).  The table
+    holds limit + 1 bytes; the block being sieved adds a bounded amount.
     """
     if limit < 0:
         raise RangeError(f"limit must be >= 0, got {limit}")
-    omega = np.zeros(limit + 1, dtype=np.uint8)
-    if limit < 2:
-        return omega
-    for p in np.flatnonzero(_sieve_mask(limit)).tolist():
-        q = p
-        while q <= limit:
-            omega[q::q] += 1
-            q *= p
+    omega = np.empty(limit + 1, dtype=np.uint8)
+    for start, block in _omega_blocks(0, limit):
+        omega[start : start + len(block)] = block
     return omega
 
 
@@ -249,12 +281,13 @@ def oracle_count_table(limit: int) -> np.ndarray:
 def count_semiprimes_oracle(n: int) -> SemiprimeCount:
     """Count semiprimes <= n by factoring every integer up to n.
 
-    Fully independent of the pi tables and the counting formulas; used
-    for differential testing.  Capped at ORACLE_MAX_N.
+    Reads no pi table and none of the counting formulas; used for
+    differential testing.  It counts Omega == 2 block by block, so its
+    memory is bounded by one block, not by n.  Capped at ORACLE_MAX_N.
     """
     if n < 1:
         raise RangeError(f"n must be >= 1, got {n}")
     if n > ORACLE_MAX_N:
         raise RangeError(f"n={n} exceeds the oracle cap {ORACLE_MAX_N}")
-    count = int(oracle_count_table(n)[n])
+    count = sum(int(np.count_nonzero(omega == 2)) for _, omega in _omega_blocks(1, n))
     return SemiprimeCount(n=n, method="oracle", count=count, term_count=n)

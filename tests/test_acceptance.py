@@ -29,6 +29,7 @@ from semipi import (
     pair_sum_naive,
 )
 from semipi.cli import GOLDEN
+from semipi.semiprimes import _omega_blocks
 
 SWEEP_LIMIT = 10**5
 
@@ -227,3 +228,24 @@ def test_criterion_9_oeis_golden_powers_of_ten():
             assert got == (pi_golden, pi2_golden, pi2_golden), f"n=10^{k}: {got}"
 
     _report("9 (pi and pi2 at 10^k, k = 1..12, match OEIS)", body)
+
+
+def test_criterion_10_table_free_window_above_1e7():
+    """eq1(b) - eq1(a - 1) equals the Omega == 2 count of [a, b].
+
+    b = 10^k for k = 9, 10, 11 and a = b - 10^5 + 1.  The window is
+    factored by _omega_blocks, which reads no quotient table, so this
+    catches a fault that differs between the tables of a - 1 and b.  It
+    cannot catch a fault shared by both tables: that cancels in the
+    difference.
+    """
+
+    def body():
+        for k in (9, 10, 11):
+            b = 10**k
+            a = b - 10**5 + 1
+            pair = [count_semiprimes_eq1(n, build_quotient_pi(n)).count for n in (a - 1, b)]
+            window = sum(int(np.count_nonzero(om == 2)) for _, om in _omega_blocks(a, b))
+            assert pair[1] - pair[0] == window, f"b=10^{k}: {pair} vs {window}"
+
+    _report("10 (eq1(b) - eq1(a-1) = oracle window, b = 10^9..10^11)", body)

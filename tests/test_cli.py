@@ -473,6 +473,24 @@ def test_max_n_override_stops_at_the_quotient_table_budget(capsys):
         assert "quotient-table budget" in err, argv
 
 
+def test_quotient_table_budget_checked_before_any_table(capsys, monkeypatch):
+    # Work whose last n is past the table budget is refused before the
+    # earlier n build their tables: no row, no agree line, no build.
+    builds = []
+    for module in (cli, identity):
+        real = module.build_quotient_pi
+        monkeypatch.setattr(
+            module,
+            "build_quotient_pi",
+            lambda n, real=real, **kw: builds.append(n) or real(n, **kw),
+        )
+    two_n = f"10^10:2^52:{2**52 - 10**10}"  # the range 10^10, 2^52
+    for argv in (("count", "10^11,2^52"), ("identity", two_n), ("sweep", two_n)):
+        code, out, err = run(capsys, *argv, "--max-n", "2^52")
+        assert (code, out, builds) == (EXIT_USAGE, "", []), argv
+        assert "quotient-table budget" in err and "agree" not in err, argv
+
+
 # ---------------------------------------------------------------------------
 # count --reps: several n, each timed as the median of repeated runs
 # (the former `bench` subcommand)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,9 @@ from semipi import (
     pair_sum_grouped,
     pair_sum_naive,
 )
+from semipi.cli import GOLDEN
+from semipi.primes import SIEVE_SEGMENT
+from semipi.semiprimes import _omega_blocks
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +223,38 @@ def test_omega_table_matches_trial_factoring():
     omega = omega_table(500)
     for m in range(501):
         assert int(omega[m]) == trial_omega(m), m
+
+
+@pytest.mark.parametrize(
+    "limit",
+    [0, 1, 2, 3, SIEVE_SEGMENT - 1, SIEVE_SEGMENT, SIEVE_SEGMENT + 1, 2 * SIEVE_SEGMENT + 3],
+)
+def test_omega_table_at_block_edges(limit):
+    # Every m within 50 of a block boundary (a multiple of SIEVE_SEGMENT)
+    # or of the table's end, checked by trial division.
+    omega = omega_table(limit)
+    assert omega.dtype == np.uint8 and len(omega) == limit + 1
+    edges = [*range(0, limit + 1, SIEVE_SEGMENT), limit + 1]
+    near = {m for e in edges for m in range(e - 50, e + 51) if 0 <= m <= limit}
+    for m in sorted(near):
+        assert int(omega[m]) == trial_omega(m), m
+
+
+@pytest.mark.parametrize("edge", [2**21, 3**13])
+def test_omega_window_with_a_block_edge_on_a_prime_power(edge):
+    # A window starting above 1 whose second block starts at a prime power.
+    lo, hi = edge - SIEVE_SEGMENT, edge + 100
+    blocks = list(_omega_blocks(lo, hi))
+    assert [start for start, _ in blocks] == [lo, edge]
+    window = np.concatenate([omega for _, omega in blocks])
+    assert np.array_equal(window, omega_table(hi)[lo:])
+    for m in range(edge - 50, edge + 51):
+        assert int(window[m - lo]) == trial_omega(m), m
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_oracle_matches_oeis_at_powers_of_ten(k):
+    assert count_semiprimes_oracle(10**k).count == GOLDEN["oeis"][k][1]  # A072000
 
 
 def test_oracle_count_table_prefix():
