@@ -5,7 +5,7 @@ Public surface:
 * primes:       isqrt, dense PrimeTable, QuotientPiTable over quotient
                  points (the performance substrate)
 * semiprimes:   the counting formulas (eq1, eq3 naive/grouped) and the
-                 factoring-sieve oracle
+                 factoring-sieve oracle (oracle_counts: one block pass)
 * identity:     both sides of the pi identity with residual reports
 * cli:          `semipi` command-line front end
 
@@ -39,8 +39,7 @@ from .semiprimes import (
     count_semiprimes_eq1,
     count_semiprimes_eq3,
     count_semiprimes_oracle,
-    omega_table,
-    oracle_count_table,
+    oracle_counts,
     pair_sum_grouped,
     pair_sum_naive,
 )
@@ -70,8 +69,7 @@ __all__ = [
     "count_semiprimes_oracle",
     "pair_sum_naive",
     "pair_sum_grouped",
-    "omega_table",
-    "oracle_count_table",
+    "oracle_counts",
     "IdentityReport",
     "identity_lhs",
     "identity_rhs",

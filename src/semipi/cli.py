@@ -5,7 +5,7 @@ Subcommands
 count     timed semiprime counts at one or more n, by one or more methods
 identity  evaluate both sides of the pi identity at one n or over a range
 sweep     per-n counts over a range, optionally across worker processes
-selftest  the GOLDEN values (the n = 25 example and OEIS pi, pi2 at 10^k)
+selftest  the GOLDEN values (n = 25, OEIS pi and pi2 at 10^k), oracle windows
 
 Methods are chosen in one place: `semiprimes.METHOD_CAPS` holds their caps
 and `method_count` maps a name to its function.  `sweep` and `identity`
@@ -49,7 +49,7 @@ from .semiprimes import (
     count_semiprimes_eq1,
     count_semiprimes_eq3,
     count_semiprimes_oracle,
-    oracle_count_table,
+    oracle_counts,
 )
 
 EXIT_OK = 0
@@ -310,15 +310,17 @@ def _timed_counts(n: int, methods: tuple[str, ...], max_n: int) -> list[dict]:
 _WORKER_CTX: dict | None = None
 
 
-def _range_init(row_fn, last: int, methods: tuple[str, ...], max_n: int, dense: bool):
-    """Build the shared read-only tables, up to the last n, once per worker."""
+def _range_init(row_fn, ns: range, methods: tuple[str, ...], max_n: int):
+    """Build the shared read-only tables for the range ns, once per worker."""
     global _WORKER_CTX
+    dense = len(ns) > 1 and ns[-1] <= DENSE_SWEEP_LIMIT and _needs_qpi(methods)
     _WORKER_CTX = {
         "row": row_fn,
+        "ns": ns,
         "methods": methods,
         "max_n": max_n,
-        "table": build_prime_table(last) if dense and last <= DENSE_SWEEP_LIMIT else None,
-        "oracle": oracle_count_table(last) if "oracle" in methods else None,
+        "table": build_prime_table(ns[-1]) if dense else None,
+        "oracle": oracle_counts(1, ns) if "oracle" in methods else None,
     }
 
 
@@ -330,15 +332,14 @@ def _range_chunk(ns: range) -> list[dict]:
 def _sweep_row(n: int, ctx: dict) -> dict:
     methods, table = ctx["methods"], ctx["table"]
     qpi = None
-    if _needs_qpi(methods):
-        if table is not None:
-            qpi = QuotientPiTable.from_dense(n, table)
-        else:
-            qpi = build_quotient_pi(n, max_n=ctx["max_n"])
+    if table is not None:
+        qpi = QuotientPiTable.from_dense(n, table)
+    elif _needs_qpi(methods):
+        qpi = build_quotient_pi(n, max_n=ctx["max_n"])
     row: dict = {"n": n}
     for m in methods:
         if m == "oracle":
-            row[m] = int(ctx["oracle"][n])
+            row[m] = int(ctx["oracle"][ctx["ns"].index(n)])
         else:
             row[m] = method_count(n, m, qpi, dense_table=table).count
     row["agree"] = len({row[m] for m in methods}) == 1
@@ -349,7 +350,7 @@ def _identity_row(n: int, ctx: dict) -> dict:
     return asdict(check_identity(n, table=ctx["table"], max_n=ctx["max_n"]))
 
 
-def _run_chunked(init_args: tuple, ns: range, workers: int) -> list[dict]:
+def _run_chunked(row_fn, ns: range, methods: tuple, max_n: int, workers: int) -> list[dict]:
     """Map _range_chunk over contiguous chunks of ns, preserving order.
 
     The pool never exceeds the CPU count or the number of chunks.  One
@@ -357,6 +358,7 @@ def _run_chunked(init_args: tuple, ns: range, workers: int) -> list[dict]:
     output is byte-identical regardless of parallelism.
     """
     _check_workers(workers)
+    init_args = (row_fn, ns, methods, max_n)
     workers = min(workers, os.cpu_count() or 1)
     chunk_size = max(1, min(5000, (len(ns) + workers * 4 - 1) // (workers * 4)))
     chunks = [ns[i : i + chunk_size] for i in range(0, len(ns), chunk_size)]
@@ -418,9 +420,7 @@ def cmd_count(args) -> int:
 def cmd_identity(args) -> int:
     target = args.target if ":" in args.target else f"{args.target}:{args.target}"
     ns = _range_ns(*parse_range(target), (), args.max_n)
-    # One n needs one quotient table and no dense sieve.
-    init_args = (_identity_row, ns[-1], (), args.max_n, len(ns) > 1)
-    rows = _run_chunked(init_args, ns, args.workers)
+    rows = _run_chunked(_identity_row, ns, (), args.max_n, args.workers)
     emit_rows(rows, IDENTITY_COLUMNS, args.format, sys.stdout)
     bad = [row for row in rows if row["residual"] != 0]
     if bad:
@@ -439,9 +439,7 @@ def run_sweep(config: SweepConfig, out=None) -> int:
     """Execute a sweep and stream rows in ascending n; returns exit code."""
     out = out if out is not None else sys.stdout
     ns = _range_ns(config.start, config.end, config.stride, config.methods, config.max_n)
-    dense = _needs_qpi(config.methods)
-    init_args = (_sweep_row, ns[-1], config.methods, config.max_n, dense)
-    rows = _run_chunked(init_args, ns, config.parallelism)
+    rows = _run_chunked(_sweep_row, ns, config.methods, config.max_n, config.parallelism)
     columns = ("n", *config.methods, "agree")
     emit_rows(rows, columns, config.output_format, out)
     disagreeing = [row for row in rows if not row["agree"]]
@@ -467,7 +465,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    """Check every value in GOLDEN."""
+    """Check every value in GOLDEN and, from 10^9 up, the table-free oracle window."""
     failures = 0
 
     def check(name: str, got, want) -> None:
@@ -509,6 +507,11 @@ def cmd_selftest(args) -> int:
         eq1, eq3 = (method_count(n, m, qpi).count for m in ("eq1", "eq3_grouped"))
         got = (qpi.pi(n), eq1, eq3)
         check(f"pi, eq1, eq3_grouped at 10^{k} (OEIS)", got, (pi_k, pi2_k, pi2_k))
+        if k >= 9:  # table-free: shows a fault that differs between a - 1 and n
+            a = n - 10**5 + 1
+            below = count_semiprimes_eq1(a - 1, build_quotient_pi(a - 1)).count
+            window = int(oracle_counts(a, range(n, n + 1))[0])
+            check(f"eq1 - eq1(a - 1) = oracle count of [a, 10^{k}], a = {a}", eq1 - below, window)
 
     if failures:
         print(f"{failures} selftest check(s) FAILED", file=sys.stderr)

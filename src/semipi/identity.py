@@ -79,8 +79,6 @@ def check_identity(
     a fresh dense sieve up to isqrt(n), by the same _sieve_mask that made
     the table's root primes (see the module docstring).
     """
-    if n < 1:
-        raise RangeError(f"n must be >= 1, got {n}")
     if table is not None and table.limit >= n:
         qpi = QuotientPiTable.from_dense(n, table)
         rhs = identity_rhs(n, table)

@@ -22,12 +22,13 @@ oracle reads none.  A wrong ``larges`` entry can pass eq1 = eq3_grouped;
 the oracle catches it and eq3_naive can, both up to their 10**7 caps.
 The oracle shares only the base-prime sieve ``_sieve_mask`` with the
 quotient table.  It factors in blocks of at most SIEVE_SEGMENT integers,
-so a count holds one block at a time; ``oracle_count_table``, which the
-sweep's oracle column reads, still holds n + 1 int64 counts.
+and ``oracle_counts``, which the count, the sweep's oracle column and the
+window check all read, holds one block at a time plus one count per n.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,26 +257,27 @@ def _omega_blocks(lo: int, hi: int):
         yield start, omega
 
 
-def omega_table(limit: int) -> np.ndarray:
-    """Omega(m) (prime factors with multiplicity) for every m <= limit.
+def oracle_counts(lo: int, ns: range) -> np.ndarray:
+    """out[i] = #{lo <= m <= ns[i] : Omega(m) = 2} for an ascending range ns[0] >= lo >= 1.
 
-    Assembled from the blocks of _omega_blocks(0, limit): prime powers
-    of the primes up to sqrt(limit), plus at most one cofactor prime per
-    m.  Of the quotient table's code it shares only the base-prime
-    _sieve_mask.  uint8 is ample (Omega(m) <= log2(m) < 64).  The table
-    holds limit + 1 bytes; the block being sieved adds a bounded amount.
+    One pass of _omega_blocks(lo, ns[-1]) with a running count: it holds
+    one block and len(ns) counts, and locates semiprimes only in blocks
+    that hold some n.  Reads no quotient table and applies no cap.
     """
-    if limit < 0:
-        raise RangeError(f"limit must be >= 0, got {limit}")
-    omega = np.empty(limit + 1, dtype=np.uint8)
-    for start, block in _omega_blocks(0, limit):
-        omega[start : start + len(block)] = block
-    return omega
-
-
-def oracle_count_table(limit: int) -> np.ndarray:
-    """Cumulative semiprime counts: out[m] = #{k <= m : Omega(k) = 2}."""
-    return np.cumsum(omega_table(limit) == 2, dtype=np.int64)
+    if lo < 1 or len(ns) == 0 or ns.step < 1 or ns[0] < lo:
+        raise RangeError(f"need an ascending range of n >= lo >= 1, got lo={lo}, ns={ns}")
+    out = np.empty(len(ns), dtype=np.int64)
+    total = 0
+    for start, omega in _omega_blocks(lo, ns[-1]):
+        i, j = bisect_left(ns, start), bisect_left(ns, start + len(omega))
+        if i == j:
+            total += int(np.count_nonzero(omega == 2))
+            continue
+        hits = np.flatnonzero(omega == 2)
+        offsets = np.arange(ns[i], ns[j - 1] + 1, ns.step) - start
+        out[i:j] = total + np.searchsorted(hits, offsets, side="right")
+        total += len(hits)
+    return out
 
 
 def count_semiprimes_oracle(n: int) -> SemiprimeCount:
@@ -285,9 +287,7 @@ def count_semiprimes_oracle(n: int) -> SemiprimeCount:
     differential testing.  It counts Omega == 2 block by block, so its
     memory is bounded by one block, not by n.  Capped at ORACLE_MAX_N.
     """
-    if n < 1:
-        raise RangeError(f"n must be >= 1, got {n}")
     if n > ORACLE_MAX_N:
         raise RangeError(f"n={n} exceeds the oracle cap {ORACLE_MAX_N}")
-    count = sum(int(np.count_nonzero(omega == 2)) for _, omega in _omega_blocks(1, n))
+    count = int(oracle_counts(1, range(n, n + 1))[0])
     return SemiprimeCount(n=n, method="oracle", count=count, term_count=n)

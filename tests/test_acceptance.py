@@ -23,8 +23,7 @@ from semipi import (
     count_semiprimes_eq3,
     count_semiprimes_oracle,
     isqrt,
-    omega_table,
-    oracle_count_table,
+    oracle_counts,
     pair_sum_grouped,
     pair_sum_naive,
 )
@@ -54,7 +53,7 @@ def sweep():
     """
     t0 = time.perf_counter()
     table = build_prime_table(SWEEP_LIMIT)
-    oracle_cum = oracle_count_table(SWEEP_LIMIT)
+    oracle_cum = np.concatenate([[0], oracle_counts(1, range(1, SWEEP_LIMIT + 1))])
     eq1 = np.zeros(SWEEP_LIMIT + 1, dtype=np.int64)
     eq3g = np.zeros(SWEEP_LIMIT + 1, dtype=np.int64)
     parity_even = True
@@ -204,7 +203,7 @@ def test_criterion_7_scale_1e10():
 
 def test_criterion_8_step_property(sweep):
     def body():
-        omega = omega_table(SWEEP_LIMIT)
+        omega = np.concatenate([om for _, om in _omega_blocks(0, SWEEP_LIMIT)])
         steps = np.diff(sweep["eq3g"][: SWEEP_LIMIT + 1])  # steps at n = 1..limit
         assert set(np.unique(steps).tolist()) <= {0, 1}
         semiprime_positions = np.flatnonzero(omega == 2)
@@ -234,7 +233,7 @@ def test_criterion_10_table_free_window_above_1e7():
     """eq1(b) - eq1(a - 1) equals the Omega == 2 count of [a, b].
 
     b = 10^k for k = 9, 10, 11 and a = b - 10^5 + 1.  The window is
-    factored by _omega_blocks, which reads no quotient table, so this
+    counted by oracle_counts, which reads no quotient table, so this
     catches a fault that differs between the tables of a - 1 and b.  It
     cannot catch a fault shared by both tables: that cancels in the
     difference.
@@ -245,7 +244,7 @@ def test_criterion_10_table_free_window_above_1e7():
             b = 10**k
             a = b - 10**5 + 1
             pair = [count_semiprimes_eq1(n, build_quotient_pi(n)).count for n in (a - 1, b)]
-            window = sum(int(np.count_nonzero(om == 2)) for _, om in _omega_blocks(a, b))
+            window = int(oracle_counts(a, range(b, b + 1))[0])
             assert pair[1] - pair[0] == window, f"b=10^{k}: {pair} vs {window}"
 
     _report("10 (eq1(b) - eq1(a-1) = oracle window, b = 10^9..10^11)", body)

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -274,6 +275,20 @@ def test_identity_one_n_builds_no_dense_sieve(capsys, monkeypatch):
     assert (tables, sieves) == ([10**6], [10**6])  # both n read the one sieve
 
 
+def test_sweep_one_n_builds_no_dense_sieve(capsys, monkeypatch):
+    # As for identity: one n builds its own quotient table, and a range of
+    # two or more n shares one dense sieve.
+    sieves = []
+    real_sieve = cli.build_prime_table
+    monkeypatch.setattr(
+        cli, "build_prime_table", lambda limit: sieves.append(limit) or real_sieve(limit)
+    )
+    assert run(capsys, "sweep", "10^6:10^6")[0] == EXIT_OK
+    assert sieves == []
+    assert run(capsys, "sweep", "999999:10^6")[0] == EXIT_OK
+    assert sieves == [10**6]
+
+
 def test_identity_bad_workers(capsys):
     for target in (("25",), ("1:10",)):
         for workers in ("0", "banana"):
@@ -396,11 +411,31 @@ def test_strided_range_checked_at_last_n(capsys, monkeypatch):
     assert [r["n"] for r in json.loads(out)] == [5, 15]
     # The shared tables are sized to the last n.
     sizes = []
-    for name in ("build_prime_table", "oracle_count_table"):
-        real = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda limit, real=real: sizes.append(limit) or real(limit))
+    real_sieve, real_counts = cli.build_prime_table, cli.oracle_counts
+    monkeypatch.setattr(
+        cli, "build_prime_table", lambda limit: sizes.append(limit) or real_sieve(limit)
+    )
+    monkeypatch.setattr(
+        cli, "oracle_counts", lambda lo, ns: sizes.append(ns[-1]) or real_counts(lo, ns)
+    )
     assert run(capsys, "sweep", "1:100:7", "--methods", "eq1,oracle")[0] == EXIT_OK
     assert sizes == [99, 99]
+
+
+def test_sweep_oracle_column_holds_no_n_sized_table(capsys):
+    # The oracle column counts block by block: 11 n just below the oracle
+    # cap must not allocate a table with one entry per integer up to 10^7.
+    tracemalloc.start()
+    try:
+        code, out, _ = run(
+            capsys, "sweep", "9999990:10^7", "--methods", "oracle", "--format", "csv"
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert out.splitlines()[-1] == "10000000,1904324,true"
+    assert peak < 40 * 2**20
 
 
 def test_sweep_bad_range(capsys):

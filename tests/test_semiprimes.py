@@ -21,14 +21,18 @@ from semipi import (
     count_semiprimes_oracle,
     identity_rhs,
     isqrt,
-    omega_table,
-    oracle_count_table,
+    oracle_counts,
     pair_sum_grouped,
     pair_sum_naive,
 )
 from semipi.cli import GOLDEN
 from semipi.primes import SIEVE_SEGMENT
 from semipi.semiprimes import _omega_blocks
+
+
+def omega_window(lo: int, hi: int) -> np.ndarray:
+    """Omega(m) for m in [lo, hi], the blocks of _omega_blocks joined."""
+    return np.concatenate([omega for _, omega in _omega_blocks(lo, hi)])
 
 
 @pytest.fixture(scope="module")
@@ -203,7 +207,7 @@ def test_oracle_golden_25():
 
 
 def test_oracle_semiprime_list_to_25():
-    omega = omega_table(25)
+    omega = omega_window(0, 25)
     semiprimes = [m for m in range(26) if omega[m] == 2]
     assert semiprimes == [4, 6, 9, 10, 14, 15, 21, 22, 25]
 
@@ -220,7 +224,7 @@ def test_oracle_cap():
 
 
 def test_omega_table_matches_trial_factoring():
-    omega = omega_table(500)
+    omega = omega_window(0, 500)
     for m in range(501):
         assert int(omega[m]) == trial_omega(m), m
 
@@ -231,8 +235,8 @@ def test_omega_table_matches_trial_factoring():
 )
 def test_omega_table_at_block_edges(limit):
     # Every m within 50 of a block boundary (a multiple of SIEVE_SEGMENT)
-    # or of the table's end, checked by trial division.
-    omega = omega_table(limit)
+    # or of the window's end, checked by trial division.
+    omega = omega_window(0, limit)
     assert omega.dtype == np.uint8 and len(omega) == limit + 1
     edges = [*range(0, limit + 1, SIEVE_SEGMENT), limit + 1]
     near = {m for e in edges for m in range(e - 50, e + 51) if 0 <= m <= limit}
@@ -247,7 +251,7 @@ def test_omega_window_with_a_block_edge_on_a_prime_power(edge):
     blocks = list(_omega_blocks(lo, hi))
     assert [start for start, _ in blocks] == [lo, edge]
     window = np.concatenate([omega for _, omega in blocks])
-    assert np.array_equal(window, omega_table(hi)[lo:])
+    assert np.array_equal(window, omega_window(0, hi)[lo:])
     for m in range(edge - 50, edge + 51):
         assert int(window[m - lo]) == trial_omega(m), m
 
@@ -258,10 +262,46 @@ def test_oracle_matches_oeis_at_powers_of_ten(k):
 
 
 def test_oracle_count_table_prefix():
-    oc = oracle_count_table(100)
-    assert int(oc[25]) == 9
-    assert int(oc[100]) == 34
-    assert [int(oc[n]) for n in (1, 3, 4, 10, 30)] == [0, 0, 1, 4, 10]
+    oc = oracle_counts(1, range(1, 101))
+    assert int(oc[25 - 1]) == 9
+    assert int(oc[100 - 1]) == 34
+    assert [int(oc[n - 1]) for n in (1, 3, 4, 10, 30)] == [0, 0, 1, 4, 10]
+
+
+S = SIEVE_SEGMENT
+
+
+@pytest.mark.parametrize(
+    "lo,ns",
+    [
+        (1, range(1, 2)),
+        # n on a block's first entry (lo + k*S) and on its last (one less)
+        (1, range(S, S + 1)),
+        (1, range(S - 1, S + 2)),
+        (1, range(1 + 2 * S - 1, 1 + 2 * S + 1)),
+        (7, range(7 + S - 1, 7 + 3 * S, S)),
+        (7, range(7 + S, 7 + 2 * S + 1, S)),
+        # strides >= S: some blocks hold no n
+        (1, range(5, 3 * S + 10, S)),
+        (1, range(100, 3 * S + 10, 2 * S + 1)),
+        (3, range(3, 3 * S, 3 * S - 4)),
+        # windows above 1 whose second block starts at a prime power
+        (2**21 - S, range(2**21 - 50, 2**21 + 51)),
+        (3**13 - S, range(3**13 - S, 3**13 + 100, 7)),
+    ],
+)
+def test_oracle_counts_match_cumsum(lo, ns):
+    is_semiprime = omega_window(0, ns[-1]) == 2
+    cum = np.cumsum(is_semiprime, dtype=np.int64)
+    got = oracle_counts(lo, ns)
+    assert got.dtype == np.int64 and len(got) == len(ns)
+    assert got.tolist() == [int(cum[n] - cum[lo - 1]) for n in ns]
+
+
+@pytest.mark.parametrize("lo,ns", [(5, range(4, 10)), (0, range(1, 2)), (1, range(1, 1))])
+def test_oracle_counts_refuses_n_below_lo(lo, ns):
+    with pytest.raises(RangeError):
+        oracle_counts(lo, ns)
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +309,13 @@ def test_oracle_count_table_prefix():
 
 
 def test_four_way_equality_exhaustive_small(dense_10k):
-    oc = oracle_count_table(3000)
+    oc = oracle_counts(1, range(1, 3001))
     for n in range(1, 3001):
         q = QuotientPiTable.from_dense(n, dense_10k)
         c1 = count_semiprimes_eq1(n, q).count
         c3n = count_semiprimes_eq3(n, q, "naive", table=dense_10k).count
         c3g = count_semiprimes_eq3(n, q, "grouped").count
-        assert c1 == c3n == c3g == int(oc[n]), n
+        assert c1 == c3n == c3g == int(oc[n - 1]), n
 
 
 @settings(max_examples=40, deadline=None)
@@ -292,7 +332,7 @@ def test_four_way_equality_hypothesis(n):
 
 
 def test_step_property_small(dense_10k):
-    omega = omega_table(3000)
+    omega = omega_window(0, 3000)
     prev = 0
     for n in range(1, 3001):
         q = QuotientPiTable.from_dense(n, dense_10k)
