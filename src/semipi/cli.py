@@ -310,8 +310,14 @@ def _timed_counts(n: int, methods: tuple[str, ...], max_n: int) -> list[dict]:
 _WORKER_CTX: dict | None = None
 
 
-def _range_init(row_fn, ns: range, methods: tuple[str, ...], max_n: int):
-    """Build the shared read-only tables for the range ns, once per worker."""
+def _range_init(
+    row_fn, ns: range, methods: tuple[str, ...], max_n: int, oracle: np.ndarray | None
+):
+    """Build the shared read-only tables for the range ns, once per worker.
+
+    `oracle` is the oracle column for all of ns (or None), counted once by
+    the caller, so no worker factors the range again.
+    """
     global _WORKER_CTX
     dense = len(ns) > 1 and ns[-1] <= DENSE_SWEEP_LIMIT and _needs_qpi(methods)
     _WORKER_CTX = {
@@ -320,7 +326,7 @@ def _range_init(row_fn, ns: range, methods: tuple[str, ...], max_n: int):
         "methods": methods,
         "max_n": max_n,
         "table": build_prime_table(ns[-1]) if dense else None,
-        "oracle": oracle_counts(1, ns) if "oracle" in methods else None,
+        "oracle": oracle,
     }
 
 
@@ -358,7 +364,8 @@ def _run_chunked(row_fn, ns: range, methods: tuple, max_n: int, workers: int) ->
     output is byte-identical regardless of parallelism.
     """
     _check_workers(workers)
-    init_args = (row_fn, ns, methods, max_n)
+    oracle = oracle_counts(1, ns) if "oracle" in methods else None
+    init_args = (row_fn, ns, methods, max_n, oracle)
     workers = min(workers, os.cpu_count() or 1)
     chunk_size = max(1, min(5000, (len(ns) + workers * 4 - 1) // (workers * 4)))
     chunks = [ns[i : i + chunk_size] for i in range(0, len(ns), chunk_size)]

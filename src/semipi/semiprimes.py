@@ -24,6 +24,9 @@ The oracle shares only the base-prime sieve ``_sieve_mask`` with the
 quotient table.  It factors in blocks of at most SIEVE_SEGMENT integers,
 and ``oracle_counts``, which the count, the sweep's oracle column and the
 window check all read, holds one block at a time plus one count per n.
+Each block starts from the 27720-periodic share of 2, 4, 8, 3, 9, 5, 7
+and 11, walks only the other prime powers with a multiple in it, and
+keeps the smooth part in int32 below 2**31, where it cannot overflow.
 """
 
 from __future__ import annotations
@@ -228,32 +231,64 @@ def count_semiprimes_eq3(
     )
 
 
+#: The oracle's wheel: the prime powers 2, 4, 8, 3, 9, 5, 7 and 11 that
+#: divide it hit the same residues mod _WHEEL in every block.
+_WHEEL = 8 * 9 * 5 * 7 * 11
+
+
 def _omega_blocks(lo: int, hi: int):
     """Yield (start, omega) for consecutive blocks covering [lo, hi].
 
     omega[i] is Omega(start + i), prime factors counted with
     multiplicity, as uint8; each block holds at most SIEVE_SEGMENT
     entries, and 0 and 1 get 0.  The base primes p <= isqrt(hi) are
-    sieved once.  In each block every prime power q = p^e below the
-    block's end adds 1 at its multiples and multiplies `part` there by
-    p, so `part` ends as the isqrt(hi)-smooth part of m.  An m with
-    part < m has a cofactor m // part whose prime factors all exceed
-    sqrt(hi) >= sqrt(m), so it is one prime: one more factor.  All of
-    it is exact int64 arithmetic (part <= m <= hi).
+    sieved once.  In each block every prime power q = p^e adds 1 at its
+    multiples and multiplies `part` there by p, so `part` ends as the
+    isqrt(hi)-smooth part of m.  An m with part < m has a cofactor
+    m // part whose prime factors all exceed sqrt(hi) >= sqrt(m), so it
+    is one prime: one more factor.
+
+    The prime powers that divide _WHEEL = 27720 (of base primes only: a
+    wheel prime above isqrt(hi) is a cofactor) are applied once per call
+    to a pattern of _WHEEL residues, and each block starts as that
+    pattern rolled to start % _WHEEL.  Every other prime power q <= hi
+    is listed once per call; a block walks only the q that have a
+    multiple in it, with their first offsets found in one vector op.
+    `part` is int32 when hi < 2**31 and int64 otherwise: it divides m,
+    so part <= m <= hi and every product is exact.
     """
-    base = np.flatnonzero(_sieve_mask(isqrt(hi))).tolist()
+    dtype = np.int32 if hi < 2**31 else np.int64
+    base = np.flatnonzero(_sieve_mask(isqrt(hi)))
+    wheel_omega = np.zeros(_WHEEL, dtype=np.uint8)
+    wheel_part = np.ones(_WHEEL, dtype=dtype)
+    ps, qs = [base[:0]], [base[:0]]  # concatenate needs one array
+    p, q = base, base
+    while len(p):
+        in_wheel = _WHEEL % q == 0
+        for pw, qw in zip(p[in_wheel].tolist(), q[in_wheel].tolist()):
+            wheel_omega[::qw] += 1
+            wheel_part[::qw] *= pw
+        ps.append(p[~in_wheel])
+        qs.append(q[~in_wheel])
+        grows = q <= hi // p
+        p, q = p[grows], q[grows] * p[grows]
+    ps, qs = np.concatenate(ps), np.concatenate(qs)
     for start in range(lo, hi + 1, SIEVE_SEGMENT):
         end = min(start + SIEVE_SEGMENT, hi + 1)
-        omega = np.zeros(end - start, dtype=np.uint8)
-        part = np.ones(end - start, dtype=np.int64)
-        for p in base:
-            q = p
-            while q < end:
-                first = max(q, -(-start // q) * q) - start
-                omega[first::q] += 1
-                part[first::q] *= p
-                q *= p
-        omega += part < np.arange(start, end, dtype=np.int64)
+        off = start % _WHEEL
+        omega = np.resize(np.roll(wheel_omega, -off), end - start)
+        part = np.resize(np.roll(wheel_part, -off), end - start)
+        # 0 is a multiple of every q but no product of primes: skip it.
+        m0 = max(start, 1)
+        if start == 0:
+            omega[0], part[0] = 0, 1
+        hit = (end - 1) // qs > (m0 - 1) // qs
+        hit_q = qs[hit]
+        firsts = (m0 - start) + (-m0) % hit_q
+        for pw, qw, first in zip(ps[hit].tolist(), hit_q.tolist(), firsts.tolist()):
+            omega[first::qw] += 1
+            part[first::qw] *= pw
+        omega += part < np.arange(start, end, dtype=dtype)
         yield start, omega
 
 

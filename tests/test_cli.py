@@ -467,15 +467,20 @@ def test_sweep_bad_workers(capsys):
     assert run(capsys, "sweep", "1:10:1", "--workers", "x")[0] == EXIT_USAGE
 
 
-def test_sweep_workers_capped_at_cpu_count(capsys, monkeypatch):
-    # A recording stand-in for the process pool: it runs the initializer and
-    # the chunks in this process, so no worker process is ever started.
+@pytest.fixture
+def fake_pool(monkeypatch) -> list[int]:
+    """Replace the process pool; returns the max_workers it is asked for.
+
+    The stand-in runs the initializer twice, as two workers would, and the
+    chunks in this process, so no worker process is ever started.
+    """
     requested = []
 
     class FakePool:
         def __init__(self, max_workers, initializer, initargs):
             requested.append(max_workers)
-            initializer(*initargs)
+            for _ in range(2):
+                initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -487,6 +492,11 @@ def test_sweep_workers_capped_at_cpu_count(capsys, monkeypatch):
             return map(fn, chunks)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    return requested
+
+
+def test_sweep_workers_capped_at_cpu_count(capsys, monkeypatch, fake_pool):
+    requested = fake_pool
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     argv = ("sweep", "1:100", "--methods", "eq1,oracle", "--format", "csv")
     code, out_big, _ = run(capsys, *argv, "--workers", "100000")
@@ -497,6 +507,25 @@ def test_sweep_workers_capped_at_cpu_count(capsys, monkeypatch):
     assert code == EXIT_OK
     assert requested == [3]  # one worker never asks for a pool
     assert out_big == out_one
+
+
+def test_pooled_sweep_counts_the_oracle_column_once(capsys, monkeypatch, fake_pool):
+    # The oracle column is counted in the calling process and handed to
+    # every worker's initializer, not counted again by each worker.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    calls = []
+    real = cli.oracle_counts
+    monkeypatch.setattr(
+        cli, "oracle_counts", lambda lo, ns: calls.append((lo, ns)) or real(lo, ns)
+    )
+    argv = ("sweep", "1:100", "--methods", "eq1,oracle", "--format", "csv")
+    code, out_two, _ = run(capsys, *argv, "--workers", "2")
+    assert code == EXIT_OK
+    assert fake_pool == [2]
+    assert calls == [(1, range(1, 101))]
+    code, out_one, _ = run(capsys, *argv, "--workers", "1")
+    assert code == EXIT_OK
+    assert out_two == out_one
 
 
 def test_max_n_override_stops_at_the_quotient_table_budget(capsys):

@@ -27,7 +27,7 @@ from semipi import (
 )
 from semipi.cli import GOLDEN
 from semipi.primes import SIEVE_SEGMENT
-from semipi.semiprimes import _omega_blocks
+from semipi.semiprimes import _WHEEL, _omega_blocks
 
 
 def omega_window(lo: int, hi: int) -> np.ndarray:
@@ -254,6 +254,47 @@ def test_omega_window_with_a_block_edge_on_a_prime_power(edge):
     assert np.array_equal(window, omega_window(0, hi)[lo:])
     for m in range(edge - 50, edge + 51):
         assert int(window[m - lo]) == trial_omega(m), m
+
+
+def assert_omega_by_trial_division(lo: int, hi: int, ms) -> None:
+    blocks = list(_omega_blocks(lo, hi))
+    assert all(omega.dtype == np.uint8 for _, omega in blocks)
+    window = np.concatenate([omega for _, omega in blocks])
+    assert len(window) == hi - lo + 1
+    for m in ms:
+        assert int(window[m - lo]) == trial_omega(m), m
+
+
+@pytest.mark.parametrize("lo", [5 * _WHEEL - 1, 5 * _WHEEL, 5 * _WHEEL + 1])
+def test_omega_window_at_a_wheel_period_edge(lo):
+    # Blocks start from the wheel pattern rolled to start % _WHEEL.
+    assert_omega_by_trial_division(lo, lo + 300, range(lo, lo + 301))
+
+
+def test_omega_window_across_wheel_and_segment_edges():
+    # The second block starts at lo + SIEVE_SEGMENT, at another wheel offset.
+    lo = 38 * _WHEEL - 1
+    hi = lo + SIEVE_SEGMENT + 50
+    edges = (lo, 38 * _WHEEL, lo + SIEVE_SEGMENT, hi)
+    near = {m for e in edges for m in range(e - 50, e + 51) if lo <= m <= hi}
+    assert_omega_by_trial_division(lo, hi, sorted(near))
+
+
+@pytest.mark.parametrize("hi", [3, 8, 24, 48, 120, 121, 122])
+def test_omega_window_with_wheel_primes_above_the_root(hi):
+    # A wheel prime above isqrt(hi) is not in the pattern: it is a cofactor.
+    assert_omega_by_trial_division(0, hi, range(hi + 1))
+
+
+@pytest.mark.parametrize("hi", [2**31 - 1, 2**31 + 40])
+def test_omega_window_at_the_int32_edge(hi):
+    # The smooth part is int32 below 2**31 and int64 from there on.
+    assert_omega_by_trial_division(hi - 1000, hi, range(hi - 40, hi + 1))
+
+
+def test_omega_window_where_most_base_primes_miss():
+    lo = 10**10
+    assert_omega_by_trial_division(lo, lo + 5, range(lo, lo + 6))
 
 
 @pytest.mark.parametrize("k", range(1, 8))
