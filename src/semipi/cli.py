@@ -257,13 +257,13 @@ def _report_disagreement(n: int, counts: dict[str, int]) -> None:
 # per-n computation shared by count / sweep / selftest
 
 
-def method_count(n: int, method: str, qpi: QuotientPiTable | None, *, dense_table=None):
+def method_count(n: int, method: str, qpi: QuotientPiTable | None):
     """One (n, method) evaluation; returns the SemiprimeCount record.
 
-    Every method but the oracle reads qpi, the quotient table for n; the
-    oracle reads no table and may be passed None.  The counting functions
-    are read from this module's globals at each call, so a replacement
-    installed here is used.
+    Every method but the oracle reads only qpi, the quotient table for n;
+    the oracle reads no table and may be passed None.  The counting
+    functions are read from this module's globals at each call, so a
+    replacement installed here is used.
     """
     if method == "oracle":
         return count_semiprimes_oracle(n)
@@ -271,7 +271,7 @@ def method_count(n: int, method: str, qpi: QuotientPiTable | None, *, dense_tabl
         raise ValueError(f"unknown method {method!r}")
     if method == "eq1":
         return count_semiprimes_eq1(n, qpi)
-    return count_semiprimes_eq3(n, qpi, method.removeprefix("eq3_"), table=dense_table)
+    return count_semiprimes_eq3(n, qpi, method.removeprefix("eq3_"))
 
 
 def _needs_qpi(methods: tuple[str, ...]) -> bool:
@@ -347,7 +347,7 @@ def _sweep_row(n: int, ctx: dict) -> dict:
         if m == "oracle":
             row[m] = int(ctx["oracle"][ctx["ns"].index(n)])
         else:
-            row[m] = method_count(n, m, qpi, dense_table=table).count
+            row[m] = method_count(n, m, qpi).count
     row["agree"] = len({row[m] for m in methods}) == 1
     return row
 

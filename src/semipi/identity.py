@@ -5,16 +5,16 @@ in pi alone, with r = isqrt(n):
 
     sum_{p <= r} pi(n // p)  -  sum_{r < p <= n/2} pi(n // p)  =  pi(r)^2
 
-The left side reads a quotient table, the right side a dense sieve of
-isqrt(n), and the residual is reported; a nonzero residual always means
-an implementation bug, and the report carries the head/tail split.
+Both sides read one quotient table: the left side its pi values, the
+right side the count of its root primes, pi(isqrt(n)), with no second
+sieve.  The residual is reported; a nonzero residual always means an
+implementation bug, and the report carries the head/tail split.
 
-The two routes are not independent.  The left side reads the same
+The two sides are not independent routes.  The left side reads the same
 QuotientPiTable as eq1 and eq3_grouped, and with k = pi(isqrt(n)) the
-residual equals 2 * (eq1 - eq3_grouped) by algebra.  The right side's
-sieve is the same _sieve_mask that made the table's root_primes.  So a
-wrong `larges` entry can pass all three; only eq3_naive and the oracle
-(n <= 10**7) and the OEIS goldens at 10**k can catch it.
+residual equals 2 * (eq1 - eq3_grouped) by algebra.  So a wrong `larges`
+entry can pass all three; only eq3_naive and the oracle (n <= 10**7) and
+the OEIS goldens at 10**k can catch it.
 """
 
 from __future__ import annotations
@@ -22,14 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import RangeError
-from .primes import (
-    PrimeTable,
-    QuotientPiTable,
-    build_prime_table,
-    build_quotient_pi,
-    isqrt,
-    SUPPORTED_MAX_N,
-)
+from .primes import PrimeTable, QuotientPiTable, build_quotient_pi, isqrt, SUPPORTED_MAX_N
 from .semiprimes import _head_sum, _require_match, _tail_sum
 
 
@@ -74,18 +67,16 @@ def check_identity(
 ) -> IdentityReport:
     """Evaluate both sides of the identity at n and report the residual.
 
-    A dense table covering n may be supplied to accelerate sweeps; by
-    default the left side uses a fresh quotient table and the right side
-    a fresh dense sieve up to isqrt(n), by the same _sieve_mask that made
-    the table's root primes (see the module docstring).
+    Both sides read one quotient table: from_dense when a dense table
+    covering n is supplied (as sweeps do), else a fresh build.  The right
+    side is pi(isqrt(n)) squared, the count of the table's root primes.
     """
     if table is not None and table.limit >= n:
         qpi = QuotientPiTable.from_dense(n, table)
-        rhs = identity_rhs(n, table)
     else:
         qpi = build_quotient_pi(n, max_n=max_n)
-        rhs = identity_rhs(n, build_prime_table(max(isqrt(n), 1)))
     head, tail, lhs = identity_lhs(n, qpi)
+    rhs = len(qpi.root_primes) ** 2
     return IdentityReport(
         n=n, head_sum=head, tail_sum=tail, lhs=lhs, rhs=rhs, residual=lhs - rhs
     )

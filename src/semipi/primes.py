@@ -124,6 +124,9 @@ class QuotientPiTable:
     where root = isqrt(n).  Every floor(n/d) falls in one half or the
     other, so pi() is total on quotient points.  ``root_primes`` caches
     the primes <= root (the p_k over which the counting formulas sum).
+    ``dense`` is the PrimeTable that from_dense read, kept so that
+    eq3_naive takes its primes <= n/2 from it; build_quotient_pi leaves
+    it None.  It is left out of repr and ==.
     """
 
     n: int
@@ -131,6 +134,7 @@ class QuotientPiTable:
     smalls: np.ndarray = field(repr=False)
     larges: np.ndarray = field(repr=False)
     root_primes: np.ndarray = field(repr=False)
+    dense: PrimeTable | None = field(default=None, repr=False, compare=False)
 
     def pi(self, v: int) -> int:
         """pi(v) for any v in the quotient set of n (plus any v <= root)."""
@@ -145,24 +149,13 @@ class QuotientPiTable:
             raise RangeError(f"{v} is not a quotient point of {self.n}")
         return int(self.larges[d])
 
-    def pi_many(self, vs: np.ndarray) -> np.ndarray:
-        """Vectorized pi over an array of quotient points (values >= 1)."""
-        vs = np.asarray(vs, dtype=np.int64)
-        small = vs <= self.root
-        # Clamps keep the inactive np.where lane in bounds.
-        ds = self.n // np.maximum(vs, 1)
-        return np.where(
-            small,
-            self.smalls[np.minimum(vs, self.root)],
-            self.larges[np.minimum(ds, self.root + 1)],
-        )
-
     @classmethod
     def from_dense(cls, n: int, table: PrimeTable) -> "QuotientPiTable":
         """Fast-path construction by direct lookup in a covering dense table.
 
-        Requires table.limit >= n.  Bit-identical to build_quotient_pi(n);
-        used by sweeps where thousands of tables are needed.
+        Requires table.limit >= n.  Bit-identical to build_quotient_pi(n)
+        and keeps table as ``dense``; used by sweeps where thousands of
+        tables are needed.
         """
         if n < 1:
             raise RangeError(f"n must be >= 1, got {n}")
@@ -178,7 +171,9 @@ class QuotientPiTable:
         root_primes = table.primes[:k].copy()
         for a in (smalls, larges, root_primes):
             a.setflags(write=False)
-        return cls(n=n, root=r, smalls=smalls, larges=larges, root_primes=root_primes)
+        return cls(
+            n=n, root=r, smalls=smalls, larges=larges, root_primes=root_primes, dense=table
+        )
 
 
 def _pair_blocks(lo: np.ndarray, hi: np.ndarray):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError, RangeError
-from .primes import SIEVE_SEGMENT, PrimeTable, QuotientPiTable, _sieve_mask, isqrt
+from .primes import SIEVE_SEGMENT, QuotientPiTable, _sieve_mask, isqrt
 
 #: eq3_naive enumerates every prime <= n/2; refuse beyond this.
 NAIVE_MAX_N = 10**7
@@ -143,14 +143,14 @@ def count_semiprimes_eq1(n: int, qpi: QuotientPiTable) -> SemiprimeCount:
     return SemiprimeCount(n=n, method="eq1", count=count, term_count=k)
 
 
-def pair_sum_naive(
-    n: int, qpi: QuotientPiTable, *, table: PrimeTable | None = None
-) -> PairSum:
+def pair_sum_naive(n: int, qpi: QuotientPiTable) -> PairSum:
     """Ordered prime-pair count by literally visiting every prime <= n/2.
 
     Test-oracle counterpart of pair_sum_grouped; refuses n beyond
-    NAIVE_MAX_N since the term count alone is pi(n/2).  A dense table
-    with limit >= n // 2 may be supplied to skip the internal sieve.
+    NAIVE_MAX_N since the term count alone is pi(n/2).  The primes come
+    from qpi.dense when from_dense set it, else from a sieve of n // 2.
+    Each prime p reads larges[p] where n // p > isqrt(n) and
+    smalls[n // p] elsewhere, so the tail reads smalls, not larges.
     """
     _require_match(n, qpi)
     if n > NAIVE_MAX_N:
@@ -161,17 +161,13 @@ def pair_sum_naive(
     half = n // 2
     if half < 2:
         return PairSum(n=n, value=0, upper_index=0, term_count=0)
-    if table is None:
+    if qpi.dense is None:
         ps = np.flatnonzero(_sieve_mask(half)).astype(np.int64)
     else:
-        if table.limit < half:
-            raise RangeError(
-                f"dense table limit {table.limit} does not cover n//2 = {half}"
-            )
-        ps = table.primes[: int(np.searchsorted(table.primes, half, side="right"))]
-    if len(ps) == 0:
-        return PairSum(n=n, value=0, upper_index=0, term_count=0)
-    value = int(qpi.pi_many(n // ps).sum())
+        ps = qpi.dense.primes[: int(np.searchsorted(qpi.dense.primes, half, side="right"))]
+    quot = n // ps
+    k = int(np.count_nonzero(quot > qpi.root))  # quot descends: the first k read larges
+    value = int(qpi.larges[ps[:k]].sum()) + int(qpi.smalls[quot[k:]].sum())
     return PairSum(n=n, value=value, upper_index=len(ps), term_count=len(ps))
 
 
@@ -194,24 +190,18 @@ def pair_sum_grouped(n: int, qpi: QuotientPiTable) -> PairSum:
     )
 
 
-def count_semiprimes_eq3(
-    n: int,
-    qpi: QuotientPiTable,
-    mode: str = "grouped",
-    *,
-    table: PrimeTable | None = None,
-) -> SemiprimeCount:
+def count_semiprimes_eq3(n: int, qpi: QuotientPiTable, mode: str = "grouped") -> SemiprimeCount:
     """Count semiprimes <= n as (pair_sum(n) + pi(isqrt(n))) / 2.
 
     The dividend double-counts every unordered pair exactly twice, so it
     must be even; the halving is exact integer division guarded by a
     parity assertion.  A parity failure can only mean a bug in the pair
-    sum or the pi tables and raises InternalConsistencyError.  `table`
-    is forwarded to pair_sum_naive in naive mode to skip its sieve.
+    sum or the pi tables and raises InternalConsistencyError.  Both modes
+    read only qpi (naive mode takes its primes from qpi.dense when set).
     """
     _require_match(n, qpi)
     if mode == "naive":
-        pair = pair_sum_naive(n, qpi, table=table)
+        pair = pair_sum_naive(n, qpi)
     elif mode == "grouped":
         pair = pair_sum_grouped(n, qpi)
     else:

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import semipi.cli as cli
-from semipi import identity
+from semipi import identity, semiprimes
 from semipi.cli import (
     EXIT_DISAGREE,
     EXIT_OK,
@@ -256,6 +256,18 @@ def test_identity_requires_n_xor_range(capsys):
     # one target, an n or a range: none and two are both usage errors
     assert run(capsys, "identity")[0] == EXIT_USAGE
     assert run(capsys, "identity", "25", "1:10")[0] == EXIT_USAGE
+
+
+def test_dense_sweep_naive_column_reads_the_shared_sieve(capsys, monkeypatch):
+    # Below DENSE_SWEEP_LIMIT each table comes from the sweep's one dense
+    # sieve, and eq3_naive takes its primes <= n/2 from it: no sieve of its own.
+    calls, real = [], semiprimes._sieve_mask
+    monkeypatch.setattr(
+        semiprimes, "_sieve_mask", lambda limit: calls.append(limit) or real(limit)
+    )
+    argv = ("sweep", "1:3000", "--methods", "eq1,eq3_naive", "--format", "csv")
+    assert run(capsys, *argv)[0] == EXIT_OK
+    assert calls == []
 
 
 def test_identity_one_n_builds_no_dense_sieve(capsys, monkeypatch):

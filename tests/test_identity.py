@@ -120,6 +120,17 @@ def test_check_identity_ignores_undersized_table():
     assert rep.lhs == rep.rhs == 625
 
 
+def test_check_identity_sieves_only_the_root_primes(monkeypatch):
+    # Both sides read one quotient table: the right side counts its root
+    # primes, so the sieve of isqrt(n) that made them is the only one.
+    import semipi.primes as sp
+
+    calls, real = [], sp._sieve_mask
+    monkeypatch.setattr(sp, "_sieve_mask", lambda limit: calls.append(limit) or real(limit))
+    assert check_identity(100000007).residual == 0
+    assert calls == [10000]
+
+
 def _with_larges_entry(qpi: QuotientPiTable, d: int, delta: int) -> QuotientPiTable:
     larges = qpi.larges.copy()
     larges[d] += delta

@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import math
 import random
 
@@ -236,6 +237,10 @@ def test_from_dense_is_bit_identical_to_recurrence(dense_10m):
         assert np.array_equal(a.smalls, b.smalls)
         assert np.array_equal(a.larges, b.larges)
         assert np.array_equal(a.root_primes, b.root_primes)
+        assert b.dense is dense_10m and a.dense is None
+    # dense is kept out of repr and ==.
+    assert "dense" not in repr(b)
+    assert dataclasses.replace(b, dense=None) == b
 
 
 def test_from_dense_requires_coverage(dense_10k):

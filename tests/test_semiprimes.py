@@ -1,3 +1,7 @@
+import collections
+import dataclasses
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,7 +99,7 @@ def test_pair_sum_50_against_double_loop():
 def test_pair_sums_agree_exhaustively_small(dense_10k):
     for n in range(1, 2001):
         q = QuotientPiTable.from_dense(n, dense_10k)
-        naive = pair_sum_naive(n, q, table=dense_10k)
+        naive = pair_sum_naive(n, q)
         grouped = pair_sum_grouped(n, q)
         assert naive.value == grouped.value, n
         assert naive.upper_index == grouped.upper_index, n
@@ -119,11 +123,39 @@ def test_pair_sum_naive_cap():
         pair_sum_naive(NAIVE_MAX_N + 1, q)
 
 
-def test_pair_sum_naive_table_must_cover(dense_10k):
-    n = 10**5
-    q = build_quotient_pi(n)
-    with pytest.raises(RangeError):
-        pair_sum_naive(n, q, table=dense_10k)  # table covers only 10^4 < n/2
+def _plus(qpi: QuotientPiTable, name: str, i: int, delta: int) -> QuotientPiTable:
+    """A read-only copy of qpi with delta added to entry i of smalls or larges."""
+    a = getattr(qpi, name).copy()
+    a[i] += delta
+    a.setflags(write=False)
+    return dataclasses.replace(qpi, **{name: a})
+
+
+@pytest.mark.parametrize("source", ["recurrence", "dense"])
+@pytest.mark.parametrize("n", [125, 994014, 10**6 + 3])
+def test_pair_sum_naive_reads_larges_above_root_and_smalls_below(n, source, dense_10m):
+    # Which table entries eq3_naive's pair sum reads: larges[p] for the
+    # primes p <= n/2 with n // p > isqrt(n), and smalls[n // p] for the
+    # rest.  At n = 125 and 994014, r = isqrt(n) is prime with n // r == r,
+    # so p = r must read smalls; a split at p <= r would read larges[r].
+    q = build_quotient_pi(n) if source == "recurrence" else QuotientPiTable.from_dense(n, dense_10m)
+    r = q.root
+    ps = build_prime_table(n // 2).primes.tolist()
+    base = pair_sum_naive(n, q).value
+    rng = random.Random(n)
+    head = [p for p in ps if n // p > r]
+    for p in head[:3] + head[-3:] + rng.sample(head, min(10, len(head))):
+        delta = rng.choice((-3, -1, 2, 5))
+        assert pair_sum_naive(n, _plus(q, "larges", p, delta)).value == base + delta, p
+    # Entries no prime reads: larges at 1, at composites and at r + 1.
+    for d in (1, 4, r - 1 if r % 2 else r, r + 1):
+        assert pair_sum_naive(n, _plus(q, "larges", d, 7)).value == base, d
+    hits = collections.Counter(n // p for p in ps)
+    vs = range(r + 1) if r < 50 else [0, 1, 2, 3, r - 1, r] + rng.sample(range(4, r - 1), 20)
+    for v in vs:
+        delta = rng.choice((-3, -1, 2, 5))
+        moved = pair_sum_naive(n, _plus(q, "smalls", v, delta)).value - base
+        assert moved == delta * hits[v], v
 
 
 def test_pair_parity_property(dense_10k):
@@ -354,7 +386,7 @@ def test_four_way_equality_exhaustive_small(dense_10k):
     for n in range(1, 3001):
         q = QuotientPiTable.from_dense(n, dense_10k)
         c1 = count_semiprimes_eq1(n, q).count
-        c3n = count_semiprimes_eq3(n, q, "naive", table=dense_10k).count
+        c3n = count_semiprimes_eq3(n, q, "naive").count
         c3g = count_semiprimes_eq3(n, q, "grouped").count
         assert c1 == c3n == c3g == int(oc[n - 1]), n
 
