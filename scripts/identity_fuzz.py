@@ -13,7 +13,7 @@ import random
 import sys
 import time
 
-from semipi import check_identity
+from semipi import build_quotient_pi, check_identity
 
 
 def main() -> int:
@@ -31,7 +31,7 @@ def main() -> int:
         max_lhs = 0
         for _ in range(args.per_decade):
             n = rng.randrange(lo, hi)
-            rep = check_identity(n)
+            rep = check_identity(n, build_quotient_pi(n))
             if rep.residual != 0:
                 print(
                     f"RESIDUAL {rep.residual} at n={n} "

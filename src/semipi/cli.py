@@ -280,13 +280,13 @@ def _needs_qpi(methods: tuple[str, ...]) -> bool:
     return not methods or any(m != "oracle" for m in methods)
 
 
-def _timed_counts(n: int, methods: tuple[str, ...], max_n: int) -> list[dict]:
+def _timed_counts(n: int, methods: tuple[str, ...], max_n: int) -> tuple[list[dict], int]:
     """One COUNT_COLUMNS row per method at n, each timed from n alone.
 
     The quotient table is built once, and only if a method reads it.  Its
-    build time is added to the formula time of every method that reads
-    it, so elapsed_ns is the wall time of that count from n alone; the
-    oracle reads no table and is charged its own call only.
+    build time, also returned, is added to the formula time of every
+    method that reads it, so elapsed_ns is the wall time of that count
+    from n alone; the oracle reads no table and is charged its own call only.
     """
     qpi, build_ns = None, 0
     if _needs_qpi(methods):
@@ -300,7 +300,7 @@ def _timed_counts(n: int, methods: tuple[str, ...], max_n: int) -> list[dict]:
         elapsed = time.perf_counter_ns() - t0 + (build_ns if m != "oracle" else 0)
         values = (rec.n, rec.method, rec.count, rec.term_count, elapsed)
         rows.append(dict(zip(COUNT_COLUMNS, values)))
-    return rows
+    return rows, build_ns
 
 
 # ---------------------------------------------------------------------------
@@ -331,17 +331,21 @@ def _range_init(
 
 
 def _range_chunk(ns: range) -> list[dict]:
+    """The rows of ns; the one quotient table each n's row reads is picked here."""
     ctx = _WORKER_CTX
-    return [ctx["row"](n, ctx) for n in ns]
+    table, needs_qpi = ctx["table"], _needs_qpi(ctx["methods"])
+    rows = []
+    for n in ns:
+        if table is not None:
+            qpi = QuotientPiTable.from_dense(n, table)
+        else:
+            qpi = build_quotient_pi(n, max_n=ctx["max_n"]) if needs_qpi else None
+        rows.append(ctx["row"](n, qpi, ctx))
+    return rows
 
 
-def _sweep_row(n: int, ctx: dict) -> dict:
-    methods, table = ctx["methods"], ctx["table"]
-    qpi = None
-    if table is not None:
-        qpi = QuotientPiTable.from_dense(n, table)
-    elif _needs_qpi(methods):
-        qpi = build_quotient_pi(n, max_n=ctx["max_n"])
+def _sweep_row(n: int, qpi: QuotientPiTable | None, ctx: dict) -> dict:
+    methods = ctx["methods"]
     row: dict = {"n": n}
     for m in methods:
         if m == "oracle":
@@ -352,8 +356,8 @@ def _sweep_row(n: int, ctx: dict) -> dict:
     return row
 
 
-def _identity_row(n: int, ctx: dict) -> dict:
-    return asdict(check_identity(n, table=ctx["table"], max_n=ctx["max_n"]))
+def _identity_row(n: int, qpi: QuotientPiTable, ctx: dict) -> dict:
+    return asdict(check_identity(n, qpi))
 
 
 def _run_chunked(row_fn, ns: range, methods: tuple, max_n: int, workers: int) -> list[dict]:
@@ -404,7 +408,7 @@ def cmd_count(args) -> int:
     exit_code = EXIT_OK
     for n in ns:
         counts: dict[str, int] = {}
-        runs = [_timed_counts(n, methods, args.max_n) for _ in range(args.reps)]
+        runs, builds = zip(*(_timed_counts(n, methods, args.max_n) for _ in range(args.reps)))
         for per_rep in zip(*runs):
             row = per_rep[0]
             seen = sorted({r["count"] for r in per_rep})
@@ -415,6 +419,9 @@ def cmd_count(args) -> int:
             counts[row["method"]] = row["count"]
             median = statistics.median(r["elapsed_ns"] for r in per_rep)
             rows.append(dict(row, elapsed_ns=int(median)))
+        if _needs_qpi(methods):
+            ms = statistics.median(builds) / 1e6
+            print(f"build: build_quotient_pi({n}) took {ms:.3f} ms (median)", file=sys.stderr)
         if len(set(counts.values())) == 1:
             print(f"agree: pi2({n}) = {row['count']} by {', '.join(methods)}", file=sys.stderr)
         else:
@@ -499,7 +506,7 @@ def cmd_selftest(args) -> int:
     check("pair sum 25 grouped", pair.value, golden["pair_sum"])
     check("pair sum 25 upper index", pair.upper_index, golden["pair_sum_upper_index"])
 
-    rep = check_identity(25)
+    rep = check_identity(25, qpi)
     check(
         "identity at 25 (head, tail, lhs, rhs, residual)",
         (rep.head_sum, rep.tail_sum, rep.lhs, rep.rhs, rep.residual),

@@ -5,16 +5,18 @@ in pi alone, with r = isqrt(n):
 
     sum_{p <= r} pi(n // p)  -  sum_{r < p <= n/2} pi(n // p)  =  pi(r)^2
 
-Both sides read one quotient table: the left side its pi values, the
-right side the count of its root primes, pi(isqrt(n)), with no second
-sieve.  The residual is reported; a nonzero residual always means an
+Both sides read only the quotient table passed in; this module builds
+none.  The left side reads its pi values, the right side the count of
+its root primes, pi(isqrt(n)).  A nonzero residual always means an
 implementation bug, and the report carries the head/tail split.
 
 The two sides are not independent routes.  The left side reads the same
 QuotientPiTable as eq1 and eq3_grouped, and with k = pi(isqrt(n)) the
 residual equals 2 * (eq1 - eq3_grouped) by algebra.  So a wrong `larges`
-entry can pass all three; only eq3_naive and the oracle (n <= 10**7) and
-the OEIS goldens at 10**k can catch it.
+entry can pass all three; only eq3_naive and the oracle (n <= 10**7),
+the OEIS goldens at 10**k and the table-free window check above 10**7
+(selftest, criterion 10) can catch it, the last unless the tables of
+a - 1 and b share the fault.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import RangeError
-from .primes import PrimeTable, QuotientPiTable, build_quotient_pi, isqrt, SUPPORTED_MAX_N
+from .primes import PrimeTable, QuotientPiTable, isqrt
 from .semiprimes import _head_sum, _require_match, _tail_sum
 
 
@@ -53,28 +55,15 @@ def identity_lhs(n: int, qpi: QuotientPiTable) -> tuple[int, int, int]:
 
 
 def identity_rhs(n: int, table: PrimeTable) -> int:
-    """pi(isqrt(n)) squared, read from a dense table covering isqrt(n)."""
+    """pi(isqrt(n))^2 from a dense table: what check_identity reads as
+    len(qpi.root_primes) ** 2.  Public only for perfbench's large_n op."""
     if n < 1:
         raise RangeError(f"n must be >= 1, got {n}")
     return table.pi(isqrt(n)) ** 2
 
 
-def check_identity(
-    n: int,
-    *,
-    table: PrimeTable | None = None,
-    max_n: int = SUPPORTED_MAX_N,
-) -> IdentityReport:
-    """Evaluate both sides of the identity at n and report the residual.
-
-    Both sides read one quotient table: from_dense when a dense table
-    covering n is supplied (as sweeps do), else a fresh build.  The right
-    side is pi(isqrt(n)) squared, the count of the table's root primes.
-    """
-    if table is not None and table.limit >= n:
-        qpi = QuotientPiTable.from_dense(n, table)
-    else:
-        qpi = build_quotient_pi(n, max_n=max_n)
+def check_identity(n: int, qpi: QuotientPiTable) -> IdentityReport:
+    """Both sides of the identity at n, read from qpi alone, and their residual."""
     head, tail, lhs = identity_lhs(n, qpi)
     rhs = len(qpi.root_primes) ** 2
     return IdentityReport(

@@ -247,8 +247,7 @@ def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTabl
     larges = np.zeros(r + 2, dtype=np.int64)
     larges[1 : r + 1] = quot - 1
 
-    root_mask = _sieve_mask(r) if r >= 2 else np.zeros(r + 1, dtype=bool)
-    root_primes = np.flatnonzero(root_mask).astype(np.int64)
+    root_primes = np.flatnonzero(_sieve_mask(r)).astype(np.int64)
     # p^3 <= n exactly when p^2 <= n // p: these primes step one by one.
     cut = int(np.count_nonzero(root_primes * root_primes <= n // root_primes))
 

@@ -20,6 +20,8 @@ independent routes would: eq1 and eq3_grouped read one quotient table
 (eq3_naive reads it too, its tail through ``smalls``), and only the
 oracle reads none.  A wrong ``larges`` entry can pass eq1 = eq3_grouped;
 the oracle catches it and eq3_naive can, both up to their 10**7 caps.
+Above 10**7 the table-free window check (``selftest``, criterion 10)
+can catch it too, unless the tables of a - 1 and b share the fault.
 The oracle shares only the base-prime sieve ``_sieve_mask`` with the
 quotient table.  It factors in blocks of at most SIEVE_SEGMENT integers,
 and ``oracle_counts``, which the count, the sweep's oracle column and the
@@ -148,9 +150,9 @@ def pair_sum_naive(n: int, qpi: QuotientPiTable) -> PairSum:
 
     Test-oracle counterpart of pair_sum_grouped; refuses n beyond
     NAIVE_MAX_N since the term count alone is pi(n/2).  The primes come
-    from qpi.dense when from_dense set it, else from a sieve of n // 2.
-    Each prime p reads larges[p] where n // p > isqrt(n) and
-    smalls[n // p] elsewhere, so the tail reads smalls, not larges.
+    from qpi.dense (the sieve the table was read from) if set, else from
+    a sieve of n // 2.  Each prime p reads larges[p] where n // p >
+    isqrt(n) and smalls[n // p] elsewhere, so the tail reads smalls.
     """
     _require_match(n, qpi)
     if n > NAIVE_MAX_N:

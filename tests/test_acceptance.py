@@ -94,7 +94,7 @@ def test_criterion_1_golden_count_at_25():
 def test_criterion_2_golden_identity_at_25():
     def body():
         t0 = time.perf_counter()
-        rep = check_identity(25)
+        rep = check_identity(25, build_quotient_pi(25))
         got = (rep.head_sum, rep.tail_sum, rep.lhs, rep.rhs, rep.residual)
         assert got == GOLDEN["n25"]["identity"]
         assert time.perf_counter() - t0 < 1.0
@@ -138,11 +138,11 @@ def test_criterion_5_identity_sweep(sweep):
         t0 = time.perf_counter()
         table = sweep["table"]
         for n in range(1, SWEEP_LIMIT + 1):
-            assert check_identity(n, table=table).residual == 0, n
+            assert check_identity(n, QuotientPiTable.from_dense(n, table)).residual == 0, n
         rng = random.Random(5)
         for _ in range(100):
             n = rng.randrange(1, 10**9 + 1)
-            assert check_identity(n).residual == 0, n
+            assert check_identity(n, build_quotient_pi(n)).residual == 0, n
         assert time.perf_counter() - t0 < 120.0
 
     _report("5 (identity residual 0 on [1, 1e5] + 100 random <= 1e9)", body)

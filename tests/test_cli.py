@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import semipi.cli as cli
-from semipi import identity, semiprimes
+from semipi import semiprimes
 from semipi.cli import (
     EXIT_DISAGREE,
     EXIT_OK,
@@ -178,6 +178,22 @@ def test_count_builds_one_table_and_charges_it(capsys, monkeypatch):
     assert elapsed["oracle"] < 5e7
 
 
+def test_count_names_the_table_build_on_stderr(capsys, monkeypatch):
+    slow_builds(monkeypatch)
+    code, _, err = run(capsys, "count", "10^4,25", "--methods", "eq1,oracle", "--reps", "3")
+    assert code == EXIT_OK
+    lines = err.splitlines()
+    for n in (10**4, 25):
+        # one build line per n, right before its agree line, reading >= 50 ms
+        (i,) = [i for i, s in enumerate(lines) if s.startswith(f"build: build_quotient_pi({n})")]
+        assert lines[i + 1].startswith(f"agree: pi2({n})")
+        assert float(lines[i].split(" took ")[1].split(" ms")[0]) >= 50
+    # no method reads the table: no build line
+    code, _, err = run(capsys, "count", "10^4", "--methods", "oracle")
+    assert code == EXIT_OK
+    assert "build" not in err
+
+
 def test_count_max_n_guard_override(capsys):
     code, _, err = run(capsys, "count", "100", "--max-n", "50")
     assert code == EXIT_USAGE
@@ -274,9 +290,9 @@ def test_identity_one_n_builds_no_dense_sieve(capsys, monkeypatch):
     # One n runs the range path as n:n, with one quotient table and no
     # shared dense sieve; a range of two or more n shares one sieve.
     tables, sieves = [], []
-    real_table, real_sieve = identity.build_quotient_pi, cli.build_prime_table
+    real_table, real_sieve = cli.build_quotient_pi, cli.build_prime_table
     monkeypatch.setattr(
-        identity, "build_quotient_pi", lambda n, **kw: tables.append(n) or real_table(n, **kw)
+        cli, "build_quotient_pi", lambda n, **kw: tables.append(n) or real_table(n, **kw)
     )
     monkeypatch.setattr(
         cli, "build_prime_table", lambda limit: sieves.append(limit) or real_sieve(limit)
@@ -318,8 +334,8 @@ def test_identity_range_guard(capsys):
 def test_identity_violation_exit_code(capsys, monkeypatch):
     real = cli.check_identity
 
-    def broken(n, **kwargs):
-        rep = real(n, **kwargs)
+    def broken(n, qpi):
+        rep = real(n, qpi)
         object.__setattr__(rep, "residual", 1)
         return rep
 
@@ -553,13 +569,10 @@ def test_quotient_table_budget_checked_before_any_table(capsys, monkeypatch):
     # Work whose last n is past the table budget is refused before the
     # earlier n build their tables: no row, no agree line, no build.
     builds = []
-    for module in (cli, identity):
-        real = module.build_quotient_pi
-        monkeypatch.setattr(
-            module,
-            "build_quotient_pi",
-            lambda n, real=real, **kw: builds.append(n) or real(n, **kw),
-        )
+    real = cli.build_quotient_pi
+    monkeypatch.setattr(
+        cli, "build_quotient_pi", lambda n, **kw: builds.append(n) or real(n, **kw)
+    )
     two_n = f"10^10:2^52:{2**52 - 10**10}"  # the range 10^10, 2^52
     for argv in (("count", "10^11,2^52"), ("identity", two_n), ("sweep", two_n)):
         code, out, err = run(capsys, *argv, "--max-n", "2^52")

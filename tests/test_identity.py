@@ -11,20 +11,18 @@ from semipi import (
     InternalConsistencyError,
     QuotientPiTable,
     RangeError,
-    build_prime_table,
     build_quotient_pi,
     check_identity,
     count_semiprimes_eq1,
     count_semiprimes_eq3,
     identity_lhs,
     identity_rhs,
-    isqrt,
     pair_sum_grouped,
 )
 
 
 def test_identity_golden_25():
-    rep = check_identity(25)
+    rep = check_identity(25, build_quotient_pi(25))
     assert (rep.head_sum, rep.tail_sum) == (12, 3)  # (5+4+3) and (2+1)
     assert rep.lhs == rep.rhs == 9  # 3^2
     assert rep.residual == 0
@@ -32,7 +30,7 @@ def test_identity_golden_25():
 
 def test_identity_trivial_n1_n2():
     for n in (1, 2):
-        rep = check_identity(n)
+        rep = check_identity(n, build_quotient_pi(n))
         assert rep.head_sum == rep.tail_sum == rep.lhs == rep.rhs == rep.residual == 0
 
 
@@ -54,7 +52,7 @@ def test_identity_at_1e4_with_naive_per_prime_summation(dense_10k):
     head = sum(pi(n // p) for p in primes if p * p <= n)
     tail = sum(pi(n // p) for p in primes if p * p > n)
     assert (head, tail) == (2925, 2300)
-    rep = check_identity(n, table=dense_10k)
+    rep = check_identity(n, QuotientPiTable.from_dense(n, dense_10k))
     assert (rep.head_sum, rep.tail_sum) == (head, tail)
     assert rep.lhs == rep.rhs == 625
     assert rep.residual == 0
@@ -62,7 +60,7 @@ def test_identity_at_1e4_with_naive_per_prime_summation(dense_10k):
 
 def test_identity_residual_zero_exhaustive(dense_10k):
     for n in range(1, 5001):
-        rep = check_identity(n, table=dense_10k)
+        rep = check_identity(n, QuotientPiTable.from_dense(n, dense_10k))
         assert rep.residual == 0, n
 
 
@@ -70,11 +68,11 @@ def test_identity_residual_zero_random_large():
     rng = random.Random(0x5EED)
     for _ in range(25):
         n = rng.randrange(1, 10**9)
-        assert check_identity(n).residual == 0, n
+        assert check_identity(n, build_quotient_pi(n)).residual == 0, n
 
 
 def test_identity_regression_pin_1e9():
-    rep = check_identity(10**9)
+    rep = check_identity(10**9, build_quotient_pi(10**9))
     assert (rep.head_sum, rep.tail_sum) == (166570236, 155003435)
     assert rep.lhs == rep.rhs == 11566801  # pi(31622)^2 = 3401^2
     assert rep.residual == 0
@@ -100,24 +98,17 @@ def test_double_head_minus_pair_equals_rhs(dense_10k):
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=1, max_value=10**6))
 def test_identity_residual_zero_hypothesis(n):
-    assert check_identity(n).residual == 0
+    assert check_identity(n, build_quotient_pi(n)).residual == 0
 
 
 def test_identity_rejects_bad_n():
     with pytest.raises(RangeError):
-        check_identity(0)
+        check_identity(0, build_quotient_pi(1))
 
 
 def test_identity_lhs_rejects_mismatched_table():
     with pytest.raises(RangeError):
         identity_lhs(24, build_quotient_pi(25))
-
-
-def test_check_identity_ignores_undersized_table():
-    # a table that does not cover n falls back to the recurrence route
-    small = build_prime_table(10)
-    rep = check_identity(10**4, table=small)
-    assert rep.lhs == rep.rhs == 625
 
 
 def test_check_identity_sieves_only_the_root_primes(monkeypatch):
@@ -127,7 +118,7 @@ def test_check_identity_sieves_only_the_root_primes(monkeypatch):
 
     calls, real = [], sp._sieve_mask
     monkeypatch.setattr(sp, "_sieve_mask", lambda limit: calls.append(limit) or real(limit))
-    assert check_identity(100000007).residual == 0
+    assert check_identity(100000007, build_quotient_pi(100000007)).residual == 0
     assert calls == [10000]
 
 
@@ -147,7 +138,6 @@ def test_residual_is_twice_the_eq1_eq3_gap_on_a_wrong_table():
     fired = held = 0
     for n in (10**6 + 3, 10**8 + 7, 123456789):
         qpi = build_quotient_pi(n)
-        rhs = identity_rhs(n, build_prime_table(isqrt(n)))
         rng = random.Random(n)
         # Random entries, plus every entry from n // (r+1) up, where the
         # head and the tail read the table differently.
@@ -156,7 +146,7 @@ def test_residual_is_twice_the_eq1_eq3_gap_on_a_wrong_table():
         cases += [(d, delta) for d in top for delta in (-2, -1, 1, 2)]
         for d, delta in cases:
             table = _with_larges_entry(qpi, d, delta)
-            residual = identity_lhs(n, table)[2] - rhs
+            residual = check_identity(n, table).residual
             eq1 = count_semiprimes_eq1(n, table).count
             try:
                 eq3 = count_semiprimes_eq3(n, table).count
