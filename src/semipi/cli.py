@@ -50,6 +50,8 @@ from .semiprimes import (
     count_semiprimes_eq3,
     count_semiprimes_oracle,
     oracle_counts,
+    pair_sum_grouped,
+    pair_sum_naive,
 )
 
 EXIT_OK = 0
@@ -310,24 +312,10 @@ def _timed_counts(n: int, methods: tuple[str, ...], max_n: int) -> tuple[list[di
 _WORKER_CTX: dict | None = None
 
 
-def _range_init(
-    row_fn, ns: range, methods: tuple[str, ...], max_n: int, oracle: np.ndarray | None
-):
-    """Build the shared read-only tables for the range ns, once per worker.
-
-    `oracle` is the oracle column for all of ns (or None), counted once by
-    the caller, so no worker factors the range again.
-    """
+def _range_init(ctx: dict | None) -> None:
+    """Install the range context that _range_chunk reads (None clears it)."""
     global _WORKER_CTX
-    dense = len(ns) > 1 and ns[-1] <= DENSE_SWEEP_LIMIT and _needs_qpi(methods)
-    _WORKER_CTX = {
-        "row": row_fn,
-        "ns": ns,
-        "methods": methods,
-        "max_n": max_n,
-        "table": build_prime_table(ns[-1]) if dense else None,
-        "oracle": oracle,
-    }
+    _WORKER_CTX = ctx
 
 
 def _range_chunk(ns: range) -> list[dict]:
@@ -363,24 +351,37 @@ def _identity_row(n: int, qpi: QuotientPiTable, ctx: dict) -> dict:
 def _run_chunked(row_fn, ns: range, methods: tuple, max_n: int, workers: int) -> list[dict]:
     """Map _range_chunk over contiguous chunks of ns, preserving order.
 
-    The pool never exceeds the CPU count or the number of chunks.  One
-    worker runs in-process through the exact same code path, so the
-    output is byte-identical regardless of parallelism.
+    The caller builds every shared table once (the oracle column, and the
+    dense sieve of two or more n up to DENSE_SWEEP_LIMIT): forked workers
+    inherit them, spawn or forkserver pickles them to each worker, and
+    in-process they are freed when the range ends.  The pool never exceeds
+    the CPU count or the number of chunks.  One worker runs in-process
+    through the same code path, so the output is the same at any worker count.
     """
     _check_workers(workers)
-    oracle = oracle_counts(1, ns) if "oracle" in methods else None
-    init_args = (row_fn, ns, methods, max_n, oracle)
+    dense = len(ns) > 1 and ns[-1] <= DENSE_SWEEP_LIMIT and _needs_qpi(methods)
+    ctx = {
+        "row": row_fn,
+        "ns": ns,
+        "methods": methods,
+        "max_n": max_n,
+        "oracle": oracle_counts(1, ns) if "oracle" in methods else None,
+        "table": build_prime_table(ns[-1]) if dense else None,
+    }
     workers = min(workers, os.cpu_count() or 1)
     chunk_size = max(1, min(5000, (len(ns) + workers * 4 - 1) // (workers * 4)))
     chunks = [ns[i : i + chunk_size] for i in range(0, len(ns), chunk_size)]
     if workers == 1 or len(chunks) <= 1:
-        _range_init(*init_args)
-        parts = [_range_chunk(c) for c in chunks]
+        _range_init(ctx)
+        try:
+            parts = [_range_chunk(c) for c in chunks]
+        finally:
+            _range_init(None)
     else:
         with ProcessPoolExecutor(
             max_workers=min(workers, len(chunks)),
             initializer=_range_init,
-            initargs=init_args,
+            initargs=(ctx,),
         ) as pool:
             parts = list(pool.map(_range_chunk, chunks))
     return [row for part in parts for row in part]
@@ -498,8 +499,6 @@ def cmd_selftest(args) -> int:
         check(f"pi2(25) via {m}", method_count(25, m, qpi).count, golden["pi2"])
     eq1 = count_semiprimes_eq1(25, qpi)
     check("eq1 term count at 25", eq1.term_count, golden["eq1_terms"])
-
-    from .semiprimes import pair_sum_grouped, pair_sum_naive
 
     pair = pair_sum_grouped(25, qpi)
     check("pair sum 25 naive", pair_sum_naive(25, qpi).value, golden["pair_sum"])

@@ -52,8 +52,8 @@ def isqrt(n: int) -> int:
     return math.isqrt(n)
 
 
-def _sieve_mask(limit: int) -> np.ndarray:
-    """Boolean primality mask for 0..limit, sieved segment by segment."""
+def _primes(limit: int) -> np.ndarray:
+    """The primes <= limit, ascending, as int64, sieved segment by segment."""
     mask = np.ones(limit + 1, dtype=bool)
     mask[: min(2, limit + 1)] = False
     root = math.isqrt(limit)
@@ -70,7 +70,7 @@ def _sieve_mask(limit: int) -> np.ndarray:
             if start < hi:
                 mask[start:hi:p] = False
         lo = hi
-    return mask
+    return np.flatnonzero(mask).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -104,9 +104,11 @@ def build_prime_table(limit: int) -> PrimeTable:
         raise ResourceLimitError(
             f"limit {limit} exceeds dense table budget {MAX_DENSE_LIMIT}"
         )
-    mask = _sieve_mask(limit)
-    primes = np.flatnonzero(mask).astype(np.int64)
-    pi_dense = np.cumsum(mask, dtype=np.int32)
+    primes = _primes(limit)
+    # Counted in place, so no second limit-sized array outlives the sieve.
+    pi_dense = np.zeros(limit + 1, dtype=np.int32)
+    pi_dense[primes] = 1
+    np.cumsum(pi_dense, out=pi_dense)
     primes.setflags(write=False)
     pi_dense.setflags(write=False)
     return PrimeTable(limit=limit, primes=primes, pi_dense=pi_dense)
@@ -247,7 +249,7 @@ def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTabl
     larges = np.zeros(r + 2, dtype=np.int64)
     larges[1 : r + 1] = quot - 1
 
-    root_primes = np.flatnonzero(_sieve_mask(r)).astype(np.int64)
+    root_primes = _primes(r)
     # p^3 <= n exactly when p^2 <= n // p: these primes step one by one.
     cut = int(np.count_nonzero(root_primes * root_primes <= n // root_primes))
 
@@ -277,7 +279,7 @@ def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTabl
         np.subtract.at(larges, d, smalls[n // (d * band[i])] - sp[i])
 
     smalls[0] = 0
-    larges[r + 1] = smalls[n // (r + 1)] if r + 1 <= n else 0
+    larges[r + 1] = smalls[n // (r + 1)]
     for a in (smalls, larges, root_primes):
         a.setflags(write=False)
     return QuotientPiTable(

@@ -22,7 +22,7 @@ oracle reads none.  A wrong ``larges`` entry can pass eq1 = eq3_grouped;
 the oracle catches it and eq3_naive can, both up to their 10**7 caps.
 Above 10**7 the table-free window check (``selftest``, criterion 10)
 can catch it too, unless the tables of a - 1 and b share the fault.
-The oracle shares only the base-prime sieve ``_sieve_mask`` with the
+The oracle shares only the base-prime sieve ``_primes`` with the
 quotient table.  It factors in blocks of at most SIEVE_SEGMENT integers,
 and ``oracle_counts``, which the count, the sweep's oracle column and the
 window check all read, holds one block at a time plus one count per n.
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError, RangeError
-from .primes import SIEVE_SEGMENT, QuotientPiTable, _sieve_mask, isqrt
+from .primes import SIEVE_SEGMENT, QuotientPiTable, _primes, isqrt
 
 #: eq3_naive enumerates every prime <= n/2; refuse beyond this.
 NAIVE_MAX_N = 10**7
@@ -104,8 +104,6 @@ def _head_sum(qpi: QuotientPiTable) -> int:
     MAX_QUOTIENT_ROOT = 2**25 keeps n below 2**50 even under a max_n
     override.
     """
-    if len(qpi.root_primes) == 0:
-        return 0
     return int(qpi.larges[qpi.root_primes].sum())
 
 
@@ -161,10 +159,8 @@ def pair_sum_naive(n: int, qpi: QuotientPiTable) -> PairSum:
             "use pair_sum_grouped"
         )
     half = n // 2
-    if half < 2:
-        return PairSum(n=n, value=0, upper_index=0, term_count=0)
     if qpi.dense is None:
-        ps = np.flatnonzero(_sieve_mask(half)).astype(np.int64)
+        ps = _primes(half)
     else:
         ps = qpi.dense.primes[: int(np.searchsorted(qpi.dense.primes, half, side="right"))]
     quot = n // ps
@@ -250,7 +246,7 @@ def _omega_blocks(lo: int, hi: int):
     so part <= m <= hi and every product is exact.
     """
     dtype = np.int32 if hi < 2**31 else np.int64
-    base = np.flatnonzero(_sieve_mask(isqrt(hi)))
+    base = _primes(isqrt(hi))
     wheel_omega = np.zeros(_WHEEL, dtype=np.uint8)
     wheel_part = np.ones(_WHEEL, dtype=dtype)
     ps, qs = [base[:0]], [base[:0]]  # concatenate needs one array

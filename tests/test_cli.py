@@ -1,10 +1,12 @@
 import csv
+import gc
 import io
 import json
 import multiprocessing
 import os
 import time
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given
@@ -277,9 +279,9 @@ def test_identity_requires_n_xor_range(capsys):
 def test_dense_sweep_naive_column_reads_the_shared_sieve(capsys, monkeypatch):
     # Below DENSE_SWEEP_LIMIT each table comes from the sweep's one dense
     # sieve, and eq3_naive takes its primes <= n/2 from it: no sieve of its own.
-    calls, real = [], semiprimes._sieve_mask
+    calls, real = [], semiprimes._primes
     monkeypatch.setattr(
-        semiprimes, "_sieve_mask", lambda limit: calls.append(limit) or real(limit)
+        semiprimes, "_primes", lambda limit: calls.append(limit) or real(limit)
     )
     argv = ("sweep", "1:3000", "--methods", "eq1,eq3_naive", "--format", "csv")
     assert run(capsys, *argv)[0] == EXIT_OK
@@ -554,6 +556,42 @@ def test_pooled_sweep_counts_the_oracle_column_once(capsys, monkeypatch, fake_po
     code, out_one, _ = run(capsys, *argv, "--workers", "1")
     assert code == EXIT_OK
     assert out_two == out_one
+
+
+def test_pooled_sweep_builds_the_dense_sieve_once(capsys, monkeypatch, fake_pool):
+    # The dense sieve is built in the calling process and handed to every
+    # worker's initializer, not sieved again by each worker.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    sieves, real = [], cli.build_prime_table
+    monkeypatch.setattr(
+        cli, "build_prime_table", lambda limit: sieves.append(limit) or real(limit)
+    )
+    argv = ("sweep", "1:100", "--format", "csv")
+    code, out_two, _ = run(capsys, *argv, "--workers", "2")
+    assert code == EXIT_OK
+    assert fake_pool == [2]
+    assert sieves == [100]
+    code, out_one, _ = run(capsys, *argv, "--workers", "1")
+    assert code == EXIT_OK
+    assert out_two == out_one
+
+
+def test_in_process_sweep_frees_its_dense_sieve(monkeypatch):
+    # Once a range ends, nothing holds its dense sieve, so the next range
+    # does not build its own table while the old one is still held.
+    built, real = [], cli.build_prime_table
+
+    def build(limit):
+        table = real(limit)
+        built.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(cli, "build_prime_table", build)
+    config = SweepConfig(1, 3000, 1, ("eq1",), "csv", 1)
+    assert cli.run_sweep(config, out=io.StringIO()) == EXIT_OK
+    gc.collect()
+    assert len(built) == 1
+    assert built[0]() is None
 
 
 def test_max_n_override_stops_at_the_quotient_table_budget(capsys):

@@ -116,8 +116,8 @@ def test_check_identity_sieves_only_the_root_primes(monkeypatch):
     # primes, so the sieve of isqrt(n) that made them is the only one.
     import semipi.primes as sp
 
-    calls, real = [], sp._sieve_mask
-    monkeypatch.setattr(sp, "_sieve_mask", lambda limit: calls.append(limit) or real(limit))
+    calls, real = [], sp._primes
+    monkeypatch.setattr(sp, "_primes", lambda limit: calls.append(limit) or real(limit))
     assert check_identity(100000007, build_quotient_pi(100000007)).residual == 0
     assert calls == [10000]
 

@@ -2,6 +2,7 @@ import bisect
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,18 @@ def test_build_prime_table_limit_one():
     t = build_prime_table(1)
     assert t.primes.tolist() == []
     assert t.pi_dense.tolist() == [0, 0]
+
+
+def test_build_prime_table_peak_is_the_table_it_keeps():
+    # pi_dense is counted in place from the primes, so the peak is the
+    # table kept, with no second limit-sized array (a mask's cumsum) beside it.
+    tracemalloc.start()
+    try:
+        t = build_prime_table(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (t.pi_dense.nbytes + t.primes.nbytes)
 
 
 def test_prime_table_pi_100():
