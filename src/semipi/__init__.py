@@ -3,7 +3,8 @@
 Public surface:
 
 * primes:       isqrt, dense PrimeTable, QuotientPiTable over quotient
-                 points (the performance substrate)
+                 points (the performance substrate), and quotient_tables,
+                 every table of a range from one anchor
 * semiprimes:   the counting formulas (eq1, eq3 naive/grouped) and the
                  factoring-sieve oracle (oracle_counts: one block pass)
 * identity:     both sides of the pi identity with residual reports
@@ -28,6 +29,7 @@ from .primes import (
     build_prime_table,
     build_quotient_pi,
     isqrt,
+    quotient_tables,
 )
 from .semiprimes import (
     METHOD_CAPS,
@@ -58,6 +60,7 @@ __all__ = [
     "isqrt",
     "build_prime_table",
     "build_quotient_pi",
+    "quotient_tables",
     "METHODS",
     "METHOD_CAPS",
     "NAIVE_MAX_N",

@@ -42,6 +42,7 @@ from .primes import (
     build_prime_table,
     build_quotient_pi,
     isqrt,
+    quotient_tables,
 )
 from .semiprimes import (
     METHOD_CAPS,
@@ -319,17 +320,23 @@ def _range_init(ctx: dict | None) -> None:
 
 
 def _range_chunk(ns: range) -> list[dict]:
-    """The rows of ns; the one quotient table each n's row reads is picked here."""
+    """The rows of ns; the one quotient table each n's row reads is picked here.
+
+    A range's dense sieve serves each n up to DENSE_SWEEP_LIMIT.  Above
+    it, a chunk of two or more n at stride 1 derives every table from
+    one anchor (quotient_tables), and any other n builds its own.
+    """
     ctx = _WORKER_CTX
-    table, needs_qpi = ctx["table"], _needs_qpi(ctx["methods"])
-    rows = []
-    for n in ns:
-        if table is not None:
-            qpi = QuotientPiTable.from_dense(n, table)
-        else:
-            qpi = build_quotient_pi(n, max_n=ctx["max_n"]) if needs_qpi else None
-        rows.append(ctx["row"](n, qpi, ctx))
-    return rows
+    table, max_n = ctx["table"], ctx["max_n"]
+    if not _needs_qpi(ctx["methods"]):
+        qpis = [None] * len(ns)
+    elif table is not None:
+        qpis = (QuotientPiTable.from_dense(n, table) for n in ns)
+    elif ns.step == 1 and len(ns) > 1 and ns[-1] > DENSE_SWEEP_LIMIT:
+        qpis = quotient_tables(ns, max_n=max_n)
+    else:
+        qpis = (build_quotient_pi(n, max_n=max_n) for n in ns)
+    return [ctx["row"](n, qpi, ctx) for n, qpi in zip(ns, qpis)]
 
 
 def _sweep_row(n: int, qpi: QuotientPiTable | None, ctx: dict) -> dict:
@@ -354,9 +361,12 @@ def _run_chunked(row_fn, ns: range, methods: tuple, max_n: int, workers: int) ->
     The caller builds every shared table once (the oracle column, and the
     dense sieve of two or more n up to DENSE_SWEEP_LIMIT): forked workers
     inherit them, spawn or forkserver pickles them to each worker, and
-    in-process they are freed when the range ends.  The pool never exceeds
-    the CPU count or the number of chunks.  One worker runs in-process
-    through the same code path, so the output is the same at any worker count.
+    in-process they are freed when the range ends.  Above the dense limit
+    a stride-1 chunk derives its tables from one anchor and checks its
+    last, so in-process the range is one chunk, and each pooled chunk
+    pays its own anchor and check.  The pool never exceeds the CPU count
+    or the number of chunks.  One worker runs in-process through the same
+    code path, so the output is the same at any worker count.
     """
     _check_workers(workers)
     dense = len(ns) > 1 and ns[-1] <= DENSE_SWEEP_LIMIT and _needs_qpi(methods)
@@ -369,7 +379,8 @@ def _run_chunked(row_fn, ns: range, methods: tuple, max_n: int, workers: int) ->
         "table": build_prime_table(ns[-1]) if dense else None,
     }
     workers = min(workers, os.cpu_count() or 1)
-    chunk_size = max(1, min(5000, (len(ns) + workers * 4 - 1) // (workers * 4)))
+    per_chunk = max(1, min(5000, (len(ns) + workers * 4 - 1) // (workers * 4)))
+    chunk_size = len(ns) if workers == 1 else per_chunk
     chunks = [ns[i : i + chunk_size] for i in range(0, len(ns), chunk_size)]
     if workers == 1 or len(chunks) <= 1:
         _range_init(ctx)
@@ -480,7 +491,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    """Check every value in GOLDEN and, from 10^9 up, the table-free oracle window."""
+    """Check every value in GOLDEN and, from 10^9 up, two window checks.
+
+    With a = 10^k - 10^5 + 1, quotient_tables derives table(10^k) from
+    table(a - 1) and raises unless it equals build_quotient_pi(10^k) entry
+    by entry, and eq1(10^k) - eq1(a - 1) must equal the table-free oracle
+    count of [a, 10^k].
+    """
     failures = 0
 
     def check(name: str, got, want) -> None:
@@ -516,13 +533,16 @@ def cmd_selftest(args) -> int:
         n = 10**k
         if n > SUPPORTED_MAX_N:
             continue
-        qpi = build_quotient_pi(n)
+        if k >= 9:
+            a = n - 10**5 + 1
+            below_qpi, qpi = quotient_tables(range(a - 1, n + 1, n - a + 1))
+        else:
+            qpi = build_quotient_pi(n)
         eq1, eq3 = (method_count(n, m, qpi).count for m in ("eq1", "eq3_grouped"))
         got = (qpi.pi(n), eq1, eq3)
         check(f"pi, eq1, eq3_grouped at 10^{k} (OEIS)", got, (pi_k, pi2_k, pi2_k))
         if k >= 9:  # table-free: shows a fault that differs between a - 1 and n
-            a = n - 10**5 + 1
-            below = count_semiprimes_eq1(a - 1, build_quotient_pi(a - 1)).count
+            below = count_semiprimes_eq1(a - 1, below_qpi).count
             window = int(oracle_counts(a, range(n, n + 1))[0])
             check(f"eq1 - eq1(a - 1) = oracle count of [a, 10^{k}], a = {a}", eq1 - below, window)
 

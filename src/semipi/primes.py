@@ -9,6 +9,12 @@ Two table types back everything else in the package:
   quotient points in O(n^(3/4)) arithmetic ops and O(sqrt(n)) memory,
   so pi(n/p) sums never require sieving anywhere near n/2.
 
+``quotient_tables`` yields the QuotientPiTable of every n of an ascending
+range from one anchor build: table(m) follows from table(m - 1) by the
+factoring step of ``_factor_blocks``, the block sieve that the oracle in
+``semiprimes`` counts Omega with, and the last table is checked against
+its own build entry by entry.
+
 All values are exact integers; no floating point is involved anywhere.
 Tables are immutable after construction and safe to share between
 threads or forked workers.
@@ -21,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RangeError, ResourceLimitError
+from .errors import InternalConsistencyError, RangeError, ResourceLimitError
 
 #: Largest n accepted by build_quotient_pi without an explicit override.
 SUPPORTED_MAX_N = 10**11
@@ -198,6 +204,23 @@ def _pair_blocks(lo: np.ndarray, hi: np.ndarray):
         yield np.repeat(np.arange(i0, i1), took), np.arange(j0, j1) - shift
 
 
+def _quotient_root(n: int, max_n: int) -> int:
+    """isqrt(n), once n is known to be one the quotient table accepts."""
+    if n < 1:
+        raise RangeError(f"n must be >= 1, got {n}")
+    if n > max_n:
+        raise RangeError(
+            f"n={n} exceeds the supported range (max_n={max_n}); "
+            "pass a larger max_n to override"
+        )
+    r = math.isqrt(n)
+    if r > MAX_QUOTIENT_ROOT:
+        raise ResourceLimitError(
+            f"isqrt(n)={r} exceeds quotient-table budget {MAX_QUOTIENT_ROOT}"
+        )
+    return r
+
+
 def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTable:
     """Compute pi at all quotient points of n in O(n^(3/4)) time.
 
@@ -228,18 +251,7 @@ def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTabl
     accept the cost.  isqrt(n) beyond MAX_QUOTIENT_ROOT raises
     ResourceLimitError before anything is allocated.
     """
-    if n < 1:
-        raise RangeError(f"n must be >= 1, got {n}")
-    if n > max_n:
-        raise RangeError(
-            f"n={n} exceeds the supported range (max_n={max_n}); "
-            "pass a larger max_n to override"
-        )
-    r = math.isqrt(n)
-    if r > MAX_QUOTIENT_ROOT:
-        raise ResourceLimitError(
-            f"isqrt(n)={r} exceeds quotient-table budget {MAX_QUOTIENT_ROOT}"
-        )
+    r = _quotient_root(n, max_n)
 
     # smalls[v] tracks S(v) for v <= r; larges[d] tracks S(n // d).
     # quot[d - 1] = n // d, so S(n // (d*p)) at d*p > r is
@@ -286,3 +298,178 @@ def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTabl
         n=n, root=r, smalls=smalls, larges=larges, root_primes=root_primes
     )
 
+
+#: The factoring sieve's wheel: the prime powers 2, 4, 8, 3, 9, 5, 7 and
+#: 11 that divide it hit the same residues mod _WHEEL in every block.
+_WHEEL = 8 * 9 * 5 * 7 * 11
+
+
+def _factor_blocks(lo: int, hi: int):
+    """Yield (start, omega, part) for consecutive blocks covering [lo, hi].
+
+    omega[i] is Omega(start + i), prime factors counted with
+    multiplicity, as uint8, and part[i] is the isqrt(hi)-smooth part of
+    start + i; each block holds at most SIEVE_SEGMENT entries, and 0 and
+    1 get omega 0 and part 1.  The base primes p <= isqrt(hi) are sieved
+    once.  In each block every prime power q = p^e adds 1 at its
+    multiples and multiplies `part` there by p.  An m with part < m has a
+    cofactor m // part whose prime factors all exceed sqrt(hi) >= sqrt(m),
+    so it is one prime: one more factor.
+
+    The prime powers that divide _WHEEL = 27720 (of base primes only: a
+    wheel prime above isqrt(hi) is a cofactor) are applied once per call
+    to a pattern of _WHEEL residues, and each block starts as that
+    pattern rolled to start % _WHEEL.  Every other prime power q <= hi
+    is listed once per call; a block walks only the q that have a
+    multiple in it, with their first offsets found in one vector op.
+    `part` is int32 when hi < 2**31 and int64 otherwise: it divides m,
+    so part <= m <= hi and every product is exact.
+    """
+    dtype = np.int32 if hi < 2**31 else np.int64
+    base = _primes(isqrt(hi))
+    wheel_omega = np.zeros(_WHEEL, dtype=np.uint8)
+    wheel_part = np.ones(_WHEEL, dtype=dtype)
+    ps, qs = [base[:0]], [base[:0]]  # concatenate needs one array
+    p, q = base, base
+    while len(p):
+        in_wheel = _WHEEL % q == 0
+        for pw, qw in zip(p[in_wheel].tolist(), q[in_wheel].tolist()):
+            wheel_omega[::qw] += 1
+            wheel_part[::qw] *= pw
+        ps.append(p[~in_wheel])
+        qs.append(q[~in_wheel])
+        grows = q <= hi // p
+        p, q = p[grows], q[grows] * p[grows]
+    ps, qs = np.concatenate(ps), np.concatenate(qs)
+    for start in range(lo, hi + 1, SIEVE_SEGMENT):
+        end = min(start + SIEVE_SEGMENT, hi + 1)
+        off = start % _WHEEL
+        omega = np.resize(np.roll(wheel_omega, -off), end - start)
+        part = np.resize(np.roll(wheel_part, -off), end - start)
+        # 0 is a multiple of every q but no product of primes: skip it.
+        m0 = max(start, 1)
+        if start == 0:
+            omega[0], part[0] = 0, 1
+        hit = (end - 1) // qs > (m0 - 1) // qs
+        hit_q = qs[hit]
+        firsts = (m0 - start) + (-m0) % hit_q
+        for pw, qw, first in zip(ps[hit].tolist(), hit_q.tolist(), firsts.tolist()):
+            omega[first::qw] += 1
+            part[first::qw] *= pw
+        omega += part < np.arange(start, end, dtype=dtype)
+        yield start, omega, part
+
+
+def _table_at(n: int, smalls: np.ndarray, larges: np.ndarray, primes: np.ndarray):
+    """The read-only QuotientPiTable of n from tables sized for some n' >= n."""
+    r = math.isqrt(n)
+    smalls, larges = smalls[: r + 1].copy(), larges[: r + 2].copy()
+    root_primes = primes[: int(smalls[r])]
+    for a in (smalls, larges, root_primes):
+        a.setflags(write=False)
+    return QuotientPiTable(
+        n=n, root=r, smalls=smalls, larges=larges, root_primes=root_primes
+    )
+
+
+def _require_equal(want: QuotientPiTable, got: QuotientPiTable) -> None:
+    """Raise InternalConsistencyError at the first entry where got differs from want.
+
+    The error names it as (array, index, want, got); an entry that one
+    table lacks reads as None.
+    """
+    for name in ("smalls", "larges", "root_primes"):
+        a, b = getattr(want, name), getattr(got, name)
+        k = min(len(a), len(b))
+        diff = np.flatnonzero(a[:k] != b[:k]).tolist() + [k] * (len(a) != len(b))
+        if diff:
+            i = diff[0]
+            w, g = (int(x[i]) if i < len(x) else None for x in (a, b))
+            raise InternalConsistencyError(
+                f"derived table at n={got.n} differs from build_quotient_pi({want.n}): "
+                f"{name}[{i}] want {w} got {g}"
+            )
+
+
+def quotient_tables(ns: range, *, max_n: int = SUPPORTED_MAX_N):
+    """Yield the quotient table of every n of an ascending range, from one anchor.
+
+    Only the anchor, table(ns[0]), runs the recurrence.  Walking m up
+    from there, table(m) follows from table(m - 1) by exact steps, with
+    r = isqrt(m - 1):
+
+    * larges[d] = pi(m // d) grows by 1 exactly when d divides m and
+      m / d is a prime q, for d <= isqrt(m) + 1: at most two d per m.
+    * At a square m = (r + 1)^2, smalls gains pi(r + 1), larges gains
+      larges[r + 2] = pi(m // (r + 2)) = pi(r), and root_primes gains
+      r + 1 if it is prime.
+
+    The steps come from the factoring sieve _factor_blocks over the
+    walked m, whose base primes are the primes <= isqrt(ns[-1]).  Once
+    the smooth part s of m is divided out, the cofactor is 1 or one
+    prime q > isqrt(m), which gives d = s <= isqrt(m).  A base prime q
+    gives d = m / q when (d - 1)^2 <= m, which needs d <= q + 2.  The
+    working tables are sized for ns[-1] up front: the entries born at a
+    square hold their birth value from the start, and no step reaches
+    them before then.  So every step commutes with the others, and the
+    steps between two n are applied with one np.add.at.
+
+    Each table is yielded fresh and read-only, bit-identical to
+    build_quotient_pi(n) in values, dtypes and flags.  The last one is
+    compared entry by entry with build_quotient_pi(ns[-1]), built before
+    the working tables exist so that the two builds are the peak; the
+    first entry that differs raises InternalConsistencyError naming it
+    as (array, index, want, got).
+    The walk sieves every integer of (ns[0], ns[-1]], so it pays off for
+    a dense range, not for a wide stride.
+    """
+    if len(ns) == 0 or ns.step < 1:
+        raise RangeError(f"need a non-empty ascending range, got {ns}")
+    last = ns[-1]
+    root = _quotient_root(last, max_n)
+    anchor = build_quotient_pi(ns[0], max_n=max_n)
+    yield anchor
+    if len(ns) == 1:
+        return
+    want = build_quotient_pi(last, max_n=max_n)
+
+    r0 = anchor.root
+    primes = _primes(root)
+    primes.setflags(write=False)
+    smalls = np.zeros(root + 1, dtype=np.int64)
+    smalls[: r0 + 1] = anchor.smalls
+    # pi(v) for r0 < v <= root: pi(r0) plus the primes in (r0, v].
+    smalls[primes[len(anchor.root_primes) :]] = 1
+    np.cumsum(smalls[r0:], out=smalls[r0:])
+    larges = np.empty(root + 2, dtype=np.int64)
+    larges[: r0 + 2] = anchor.larges
+    larges[r0 + 2 :] = smalls[r0:root]  # larges[d] is born as pi(d - 2)
+    del anchor  # the caller decides how long the anchor lives
+
+    i = 1  # ns[i] is the next table to yield
+    for start, _, part in _factor_blocks(ns[0] + 1, last):
+        end = start + len(part)
+        m = np.arange(start, end, dtype=np.int64)
+        big = part < m  # m = part * q, q a prime > isqrt(ns[-1]): d = part
+        # Base primes q with a multiple m = q * d in the block, d <= q + 2.
+        qs = primes[np.searchsorted(primes, max(isqrt(start) - 1, 0)) :]
+        d0 = -(-start // qs)
+        took = np.maximum(np.minimum((end - 1) // qs, qs + 2) - d0 + 1, 0)
+        q = np.repeat(qs, took)
+        d = np.repeat(d0 - np.cumsum(took) + took, took) + np.arange(len(q))
+        ok = (d - 1) ** 2 <= q * d
+        step_m = np.concatenate([m[big], (q * d)[ok]])
+        step_d = np.concatenate([part[big], d[ok]])
+        order = np.argsort(step_m)
+        step_m, step_d = step_m[order], step_d[order]
+        done = 0
+        while i < len(ns) and ns[i] < end:
+            upto = int(np.searchsorted(step_m, ns[i], side="right"))
+            np.add.at(larges, step_d[done:upto], 1)
+            done = upto
+            table = _table_at(ns[i], smalls, larges, primes)
+            if ns[i] == last:
+                _require_equal(want, table)
+            yield table
+            i += 1
+        np.add.at(larges, step_d[done:], 1)

@@ -21,9 +21,13 @@ independent routes would: eq1 and eq3_grouped read one quotient table
 oracle reads none.  A wrong ``larges`` entry can pass eq1 = eq3_grouped;
 the oracle catches it and eq3_naive can, both up to their 10**7 caps.
 Above 10**7 the table-free window check (``selftest``, criterion 10)
-can catch it too, unless the tables of a - 1 and b share the fault.
-The oracle shares only the base-prime sieve ``_primes`` with the
-quotient table.  It factors in blocks of at most SIEVE_SEGMENT integers,
+can catch it too, and so can the comparison of a table derived by
+``quotient_tables`` with its own build (``selftest``, criterion 11, and
+every stride-1 range above 10**7), both unless the recurrence tables of
+a - 1 and b share the fault.  The oracle shares only the base-prime
+sieve ``_primes`` with the recurrence; its block sieve
+``primes._factor_blocks`` also gives the steps of ``quotient_tables``.
+It factors in blocks of at most SIEVE_SEGMENT integers,
 and ``oracle_counts``, which the count, the sweep's oracle column and the
 window check all read, holds one block at a time plus one count per n.
 Each block starts from the 27720-periodic share of 2, 4, 8, 3, 9, 5, 7
@@ -35,11 +39,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import InternalConsistencyError, RangeError
-from .primes import SIEVE_SEGMENT, QuotientPiTable, _primes, isqrt
+from .primes import QuotientPiTable, _factor_blocks, _primes
 
 #: eq3_naive enumerates every prime <= n/2; refuse beyond this.
 NAIVE_MAX_N = 10**7
@@ -219,65 +224,16 @@ def count_semiprimes_eq3(n: int, qpi: QuotientPiTable, mode: str = "grouped") ->
     )
 
 
-#: The oracle's wheel: the prime powers 2, 4, 8, 3, 9, 5, 7 and 11 that
-#: divide it hit the same residues mod _WHEEL in every block.
-_WHEEL = 8 * 9 * 5 * 7 * 11
-
-
 def _omega_blocks(lo: int, hi: int):
     """Yield (start, omega) for consecutive blocks covering [lo, hi].
 
     omega[i] is Omega(start + i), prime factors counted with
-    multiplicity, as uint8; each block holds at most SIEVE_SEGMENT
-    entries, and 0 and 1 get 0.  The base primes p <= isqrt(hi) are
-    sieved once.  In each block every prime power q = p^e adds 1 at its
-    multiples and multiplies `part` there by p, so `part` ends as the
-    isqrt(hi)-smooth part of m.  An m with part < m has a cofactor
-    m // part whose prime factors all exceed sqrt(hi) >= sqrt(m), so it
-    is one prime: one more factor.
-
-    The prime powers that divide _WHEEL = 27720 (of base primes only: a
-    wheel prime above isqrt(hi) is a cofactor) are applied once per call
-    to a pattern of _WHEEL residues, and each block starts as that
-    pattern rolled to start % _WHEEL.  Every other prime power q <= hi
-    is listed once per call; a block walks only the q that have a
-    multiple in it, with their first offsets found in one vector op.
-    `part` is int32 when hi < 2**31 and int64 otherwise: it divides m,
-    so part <= m <= hi and every product is exact.
+    multiplicity, as uint8; 0 and 1 get 0.  These are the blocks of
+    primes._factor_blocks without their smooth parts.  map holds no
+    reference to a block once it is passed on, so a block's smooth part
+    is freed while the next block is sieved.
     """
-    dtype = np.int32 if hi < 2**31 else np.int64
-    base = _primes(isqrt(hi))
-    wheel_omega = np.zeros(_WHEEL, dtype=np.uint8)
-    wheel_part = np.ones(_WHEEL, dtype=dtype)
-    ps, qs = [base[:0]], [base[:0]]  # concatenate needs one array
-    p, q = base, base
-    while len(p):
-        in_wheel = _WHEEL % q == 0
-        for pw, qw in zip(p[in_wheel].tolist(), q[in_wheel].tolist()):
-            wheel_omega[::qw] += 1
-            wheel_part[::qw] *= pw
-        ps.append(p[~in_wheel])
-        qs.append(q[~in_wheel])
-        grows = q <= hi // p
-        p, q = p[grows], q[grows] * p[grows]
-    ps, qs = np.concatenate(ps), np.concatenate(qs)
-    for start in range(lo, hi + 1, SIEVE_SEGMENT):
-        end = min(start + SIEVE_SEGMENT, hi + 1)
-        off = start % _WHEEL
-        omega = np.resize(np.roll(wheel_omega, -off), end - start)
-        part = np.resize(np.roll(wheel_part, -off), end - start)
-        # 0 is a multiple of every q but no product of primes: skip it.
-        m0 = max(start, 1)
-        if start == 0:
-            omega[0], part[0] = 0, 1
-        hit = (end - 1) // qs > (m0 - 1) // qs
-        hit_q = qs[hit]
-        firsts = (m0 - start) + (-m0) % hit_q
-        for pw, qw, first in zip(ps[hit].tolist(), hit_q.tolist(), firsts.tolist()):
-            omega[first::qw] += 1
-            part[first::qw] *= pw
-        omega += part < np.arange(start, end, dtype=dtype)
-        yield start, omega
+    return map(itemgetter(0, 1), _factor_blocks(lo, hi))
 
 
 def oracle_counts(lo: int, ns: range) -> np.ndarray:

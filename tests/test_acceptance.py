@@ -26,6 +26,7 @@ from semipi import (
     oracle_counts,
     pair_sum_grouped,
     pair_sum_naive,
+    quotient_tables,
 )
 from semipi.cli import GOLDEN
 from semipi.semiprimes import _omega_blocks
@@ -245,3 +246,28 @@ def test_criterion_10_table_free_window_above_1e7():
             assert pair[1] - pair[0] == window, f"b=10^{k}: {pair} vs {window}"
 
     _report("10 (eq1(b) - eq1(a-1) = oracle window, b = 10^9..10^11)", body)
+
+
+def test_criterion_11_derived_window_table_above_1e7():
+    """table(b) derived from table(a - 1) equals build_quotient_pi(b) entry by entry.
+
+    b = 10^k for k = 9, 10, 11 and a = b - 10^5 + 1, the windows of
+    criterion 10.  quotient_tables derives table(b) from table(a - 1) by
+    exact steps over [a, b] and raises at its first entry that differs
+    from build_quotient_pi(b); the comparison is repeated here.  It
+    covers every entry, composite d included, and catches a fault that
+    differs between the recurrence tables of a - 1 and b.  A fault that
+    both share passes.
+    """
+
+    def body():
+        for k in (9, 10, 11):
+            b = 10**k
+            a = b - 10**5 + 1
+            below, derived = quotient_tables(range(a - 1, b + 1, b - a + 1))
+            assert (below.n, derived.n) == (a - 1, b)
+            want = build_quotient_pi(b)
+            for name in ("smalls", "larges", "root_primes"):
+                assert np.array_equal(getattr(derived, name), getattr(want, name)), (k, name)
+
+    _report("11 (derived table(b) = build_quotient_pi(b) entry by entry, b = 10^9..10^11)", body)

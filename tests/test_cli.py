@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import io
 import json
@@ -13,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import semipi.cli as cli
-from semipi import semiprimes
+from semipi import primes, semiprimes
 from semipi.cli import (
     EXIT_DISAGREE,
     EXIT_OK,
@@ -592,6 +593,76 @@ def test_in_process_sweep_frees_its_dense_sieve(monkeypatch):
     gc.collect()
     assert len(built) == 1
     assert built[0]() is None
+
+
+def wrong_first_build(monkeypatch, d: int, at=None) -> None:
+    """Add 1 to larges[d] of the first primes.build_quotient_pi table (of n = at, if given)."""
+    real, calls = primes.build_quotient_pi, []
+
+    def build(n, **kwargs):
+        qpi = real(n, **kwargs)
+        if calls or (at is not None and n != at):
+            return qpi
+        calls.append(n)
+        larges = qpi.larges.copy()
+        larges[d] += 1
+        return dataclasses.replace(qpi, larges=larges)
+
+    monkeypatch.setattr(primes, "build_quotient_pi", build)
+
+
+@pytest.mark.parametrize("d", [12, 13])
+def test_stride_one_sweep_names_a_wrong_anchor_entry(capsys, monkeypatch, d):
+    # One wrong larges[d] in the anchor, composite d = 12 or prime d = 13:
+    # eq1 and eq3_grouped still agree, but the check of the last table
+    # against its own build names the entry, and no row is printed.
+    b = 10**8 + 17
+    want = int(primes.build_quotient_pi(b).larges[d])
+    wrong_first_build(monkeypatch, d)
+    code, out, err = run(capsys, "sweep", f"{10**8 + 7}:{b}")
+    assert (code, out) == (EXIT_DISAGREE, "")
+    assert err == (
+        f"internal consistency failure: derived table at n={b} differs from "
+        f"build_quotient_pi({b}): larges[{d}] want {want} got {want + 1}\n"
+    )
+
+
+def test_selftest_checks_the_derived_window_table(capsys, monkeypatch):
+    # selftest derives table(10^9) from table(10^9 - 10^5) and compares it
+    # with build_quotient_pi(10^9) entry by entry.
+    a = 10**9 - 10**5
+    wrong_first_build(monkeypatch, 20, at=a)
+    code, out, err = run(capsys, "selftest")
+    assert code == EXIT_DISAGREE
+    assert "FAIL" not in out
+    assert err.startswith(
+        f"internal consistency failure: derived table at n={10**9} differs from "
+        f"build_quotient_pi({10**9}): larges[20] want "
+    )
+
+
+def test_stride_one_sweep_above_the_dense_limit_builds_two_tables(capsys, monkeypatch):
+    # One anchor and one check; the 199 tables between are derived.
+    built, real = [], primes.build_quotient_pi
+    monkeypatch.setattr(
+        primes, "build_quotient_pi", lambda n, **kw: built.append(n) or real(n, **kw)
+    )
+    monkeypatch.setattr(cli, "build_quotient_pi", None)  # no per-n build
+    code, out, _ = run(capsys, "sweep", f"{10**9}:{10**9 + 200}", "--format", "csv")
+    assert code == EXIT_OK
+    assert built == [10**9, 10**9 + 200]
+    assert len(out.splitlines()) == 202
+
+
+def test_pooled_stride_one_sweep_matches_in_process(capsys, monkeypatch, fake_pool):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ("sweep", f"{10**8}:{10**8 + 40}", "--format", "csv")
+    code, out_two, _ = run(capsys, *argv, "--workers", "2")
+    assert code == EXIT_OK
+    assert fake_pool == [2]
+    code, out_one, _ = run(capsys, *argv, "--workers", "1")
+    assert code == EXIT_OK
+    assert out_two == out_one
 
 
 def test_max_n_override_stops_at_the_quotient_table_budget(capsys):

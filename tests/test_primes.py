@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semipi.primes as primes_module
 from reference_impls import trial_is_prime, trial_pi, trial_primes
 from semipi import (
+    InternalConsistencyError,
     QuotientPiTable,
     RangeError,
     ResourceLimitError,
@@ -18,6 +20,7 @@ from semipi import (
     build_prime_table,
     build_quotient_pi,
     isqrt,
+    quotient_tables,
 )
 
 
@@ -292,3 +295,131 @@ def test_quotient_pi_agrees_with_dense_hypothesis(dense_10k, n):
     q = build_quotient_pi(n)
     for v in quotient_set(n):
         assert q.pi(v) == int(dense_10k.pi_dense[v])
+
+
+# ---------------------------------------------------------------------------
+# quotient_tables: every table of a range from one anchor
+
+
+def assert_same_table(got: QuotientPiTable, want: QuotientPiTable) -> None:
+    """Equal n, root and arrays, with equal dtypes and read-only flags."""
+    assert (got.n, got.root) == (want.n, want.root)
+    for name in ("smalls", "larges", "root_primes"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, (got.n, name)
+        assert np.array_equal(a, b), (got.n, name)
+        assert not a.flags.writeable and a.flags.c_contiguous, (got.n, name)
+
+
+def check_range(ns: range, reference) -> list[QuotientPiTable]:
+    tables = list(quotient_tables(ns))
+    assert [t.n for t in tables] == list(ns)
+    for t in tables:
+        assert_same_table(t, reference(t.n))
+    return tables
+
+
+@pytest.mark.parametrize("r", [3163, 31623])
+def test_quotient_tables_cross_a_square(r):
+    # At n = r^2, smalls, larges and root_primes each gain an entry.
+    tables = check_range(range(r * r - 30, r * r + 31), build_quotient_pi)
+    assert tables[29].root == r - 1 and tables[30].root == r
+
+
+def test_quotient_tables_at_1e10_cross_a_square():
+    """r^2 - 30 .. r^2 + 40 for r = 10^5, so the window 10^10 .. 10^10 + 40 too.
+
+    Above 2^31 the step sieve's smooth parts are int64.  The last table
+    is compared entry by entry inside quotient_tables; every fifth table
+    and every table within 3 of the square are compared here, which
+    keeps the test to about 25 builds of 10^10.
+    """
+    r = 10**5
+    for t in quotient_tables(range(r * r - 30, r * r + 41)):
+        if abs(t.n - r * r) <= 3 or t.n % 5 == 0:
+            assert_same_table(t, build_quotient_pi(t.n))
+
+
+def test_quotient_tables_above_the_dense_limit():
+    check_range(range(10**7 + 1, 10**7 + 301), build_quotient_pi)
+
+
+def test_quotient_tables_around_prime_cubes(dense_10m):
+    # At n = p^3 the recurrence moves p from its batched band to its
+    # per-prime loop; the derived tables must not notice.
+    primes = trial_primes(4641)
+    for p in primes:
+        if p**3 + 5 <= dense_10m.limit:
+            check_range(
+                range(p**3 - 5, p**3 + 6), lambda n: QuotientPiTable.from_dense(n, dense_10m)
+            )
+    # Above 10^7: the last table is checked inside quotient_tables, p^3 here.
+    big = [p for p in primes if 10**7 < p**3 < 10**10]
+    assert primes[-1] == 4639  # the largest p with p^3 < 10^11
+    for p in random.Random(13).sample(big, 4) + [primes[-1]]:
+        for t in quotient_tables(range(p**3 - 5, p**3 + 6)):
+            if t.n == p**3:
+                assert_same_table(t, build_quotient_pi(t.n))
+
+
+def test_quotient_tables_random_windows(dense_10m):
+    rng = random.Random(2024)
+    for _ in range(40):
+        a, width, step = rng.randrange(1, 10**6), rng.randrange(0, 120), rng.choice([1, 1, 2, 9])
+        check_range(
+            range(a, a + width + 1, step), lambda n: QuotientPiTable.from_dense(n, dense_10m)
+        )
+
+
+def test_quotient_tables_one_n_and_a_strided_pair():
+    check_range(range(10**8 + 7, 10**8 + 8), build_quotient_pi)
+    check_range(range(10**6 - 1, 10**6 + 10**5, 10**5), build_quotient_pi)
+    check_range(range(1, 3), build_quotient_pi)
+
+
+def test_quotient_tables_build_two_tables(monkeypatch):
+    # The anchor and the check at the last n; the tables between are derived.
+    built, real = [], primes_module.build_quotient_pi
+    monkeypatch.setattr(
+        primes_module, "build_quotient_pi", lambda n, **kw: built.append(n) or real(n, **kw)
+    )
+    assert len(list(quotient_tables(range(10**9, 10**9 + 50)))) == 50
+    assert built == [10**9, 10**9 + 49]
+
+
+def test_quotient_tables_name_the_first_wrong_entry(monkeypatch):
+    # A wrong anchor entry reaches every derived table; the check at the
+    # last n names it.
+    real = primes_module.build_quotient_pi
+    calls = []
+
+    def wrong_anchor(n, **kw):
+        qpi = real(n, **kw)
+        calls.append(n)
+        if len(calls) > 1:
+            return qpi
+        larges = qpi.larges.copy()
+        larges[6] += 1
+        return dataclasses.replace(qpi, larges=larges)
+
+    monkeypatch.setattr(primes_module, "build_quotient_pi", wrong_anchor)
+    want = int(real(10**7 + 20).larges[6])
+    with pytest.raises(InternalConsistencyError) as err:
+        list(quotient_tables(range(10**7, 10**7 + 21)))
+    assert str(err.value) == (
+        f"derived table at n={10**7 + 20} differs from build_quotient_pi({10**7 + 20}): "
+        f"larges[6] want {want} got {want + 1}"
+    )
+
+
+def test_quotient_tables_refuse_before_building(monkeypatch):
+    built = []
+    monkeypatch.setattr(primes_module, "build_quotient_pi", lambda n, **kw: built.append(n))
+    for ns in (range(5, 5), range(9, 1, -1)):
+        with pytest.raises(RangeError):
+            next(quotient_tables(ns))
+    with pytest.raises(RangeError, match="max_n"):
+        next(quotient_tables(range(10, SUPPORTED_MAX_N + 2)))
+    with pytest.raises(ResourceLimitError, match="budget"):
+        next(quotient_tables(range(10, 2**52 + 1), max_n=2**52))
+    assert built == []

@@ -30,8 +30,8 @@ from semipi import (
     pair_sum_naive,
 )
 from semipi.cli import GOLDEN
-from semipi.primes import SIEVE_SEGMENT
-from semipi.semiprimes import _WHEEL, _omega_blocks
+from semipi.primes import _WHEEL, SIEVE_SEGMENT
+from semipi.semiprimes import _omega_blocks
 
 
 def omega_window(lo: int, hi: int) -> np.ndarray:
