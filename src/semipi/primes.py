@@ -16,8 +16,8 @@ factoring step of ``_factor_blocks``, the block sieve that the oracle in
 its own build entry by entry.
 
 All values are exact integers; no floating point is involved anywhere.
-Tables are immutable after construction and safe to share between
-threads or forked workers.
+``QuotientPiTable.__post_init__`` makes every table read-only, so
+tables are safe to share between threads or forked workers.
 """
 
 from __future__ import annotations
@@ -144,6 +144,11 @@ class QuotientPiTable:
     root_primes: np.ndarray = field(repr=False)
     dense: PrimeTable | None = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        # Read-only by type: every constructor, dataclasses.replace included.
+        for a in (self.smalls, self.larges, self.root_primes):
+            a.setflags(write=False)
+
     def pi(self, v: int) -> int:
         """pi(v) for any v in the quotient set of n (plus any v <= root)."""
         if v < 0:
@@ -162,8 +167,8 @@ class QuotientPiTable:
         """Fast-path construction by direct lookup in a covering dense table.
 
         Requires table.limit >= n.  Bit-identical to build_quotient_pi(n)
-        and keeps table as ``dense``; used by sweeps where thousands of
-        tables are needed.
+        and keeps table as ``dense``, whose read-only primes root_primes
+        views; used by sweeps where thousands of tables are needed.
         """
         if n < 1:
             raise RangeError(f"n must be >= 1, got {n}")
@@ -176,11 +181,8 @@ class QuotientPiTable:
         d = np.arange(1, r + 2, dtype=np.int64)
         larges = np.concatenate([[0], table.pi_dense[n // d]]).astype(np.int64)
         k = int(np.searchsorted(table.primes, r, side="right"))
-        root_primes = table.primes[:k].copy()
-        for a in (smalls, larges, root_primes):
-            a.setflags(write=False)
         return cls(
-            n=n, root=r, smalls=smalls, larges=larges, root_primes=root_primes, dense=table
+            n=n, root=r, smalls=smalls, larges=larges, root_primes=table.primes[:k], dense=table
         )
 
 
@@ -292,8 +294,6 @@ def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTabl
 
     smalls[0] = 0
     larges[r + 1] = smalls[n // (r + 1)]
-    for a in (smalls, larges, root_primes):
-        a.setflags(write=False)
     return QuotientPiTable(
         n=n, root=r, smalls=smalls, larges=larges, root_primes=root_primes
     )
@@ -304,14 +304,14 @@ def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTabl
 _WHEEL = 8 * 9 * 5 * 7 * 11
 
 
-def _factor_blocks(lo: int, hi: int):
+def _factor_blocks(lo: int, hi: int, base: np.ndarray):
     """Yield (start, omega, part) for consecutive blocks covering [lo, hi].
 
     omega[i] is Omega(start + i), prime factors counted with
     multiplicity, as uint8, and part[i] is the isqrt(hi)-smooth part of
     start + i; each block holds at most SIEVE_SEGMENT entries, and 0 and
-    1 get omega 0 and part 1.  The base primes p <= isqrt(hi) are sieved
-    once.  In each block every prime power q = p^e adds 1 at its
+    1 get omega 0 and part 1.  The caller passes the base primes
+    p <= isqrt(hi).  In each block every prime power q = p^e adds 1 at its
     multiples and multiplies `part` there by p.  An m with part < m has a
     cofactor m // part whose prime factors all exceed sqrt(hi) >= sqrt(m),
     so it is one prime: one more factor.
@@ -326,7 +326,6 @@ def _factor_blocks(lo: int, hi: int):
     so part <= m <= hi and every product is exact.
     """
     dtype = np.int32 if hi < 2**31 else np.int64
-    base = _primes(isqrt(hi))
     wheel_omega = np.zeros(_WHEEL, dtype=np.uint8)
     wheel_part = np.ones(_WHEEL, dtype=dtype)
     ps, qs = [base[:0]], [base[:0]]  # concatenate needs one array
@@ -361,14 +360,13 @@ def _factor_blocks(lo: int, hi: int):
 
 
 def _table_at(n: int, smalls: np.ndarray, larges: np.ndarray, primes: np.ndarray):
-    """The read-only QuotientPiTable of n from tables sized for some n' >= n."""
+    """The QuotientPiTable of n from walk tables sized for some n' >= n.
+
+    It copies larges and views smalls and primes, which no step changes."""
     r = math.isqrt(n)
-    smalls, larges = smalls[: r + 1].copy(), larges[: r + 2].copy()
-    root_primes = primes[: int(smalls[r])]
-    for a in (smalls, larges, root_primes):
-        a.setflags(write=False)
+    larges, root_primes = larges[: r + 2].copy(), primes[: int(smalls[r])]
     return QuotientPiTable(
-        n=n, root=r, smalls=smalls, larges=larges, root_primes=root_primes
+        n=n, root=r, smalls=smalls[: r + 1], larges=larges, root_primes=root_primes
     )
 
 
@@ -405,7 +403,7 @@ def quotient_tables(ns: range, *, max_n: int = SUPPORTED_MAX_N):
       r + 1 if it is prime.
 
     The steps come from the factoring sieve _factor_blocks over the
-    walked m, whose base primes are the primes <= isqrt(ns[-1]).  Once
+    walked m, whose base primes are the check build's root_primes.  Once
     the smooth part s of m is divided out, the cofactor is 1 or one
     prime q > isqrt(m), which gives d = s <= isqrt(m).  A base prime q
     gives d = m / q when (d - 1)^2 <= m, which needs d <= q + 2.  The
@@ -414,8 +412,9 @@ def quotient_tables(ns: range, *, max_n: int = SUPPORTED_MAX_N):
     them before then.  So every step commutes with the others, and the
     steps between two n are applied with one np.add.at.
 
-    Each table is yielded fresh and read-only, bit-identical to
-    build_quotient_pi(n) in values, dtypes and flags.  The last one is
+    Each table is bit-identical to build_quotient_pi(n) in values, dtypes
+    and flags; only its larges is fresh, its smalls and root_primes are
+    views of the walk's read-only smalls and primes.  The last one is
     compared entry by entry with build_quotient_pi(ns[-1]), built before
     the working tables exist so that the two builds are the peak; the
     first entry that differs raises InternalConsistencyError naming it
@@ -434,20 +433,20 @@ def quotient_tables(ns: range, *, max_n: int = SUPPORTED_MAX_N):
     want = build_quotient_pi(last, max_n=max_n)
 
     r0 = anchor.root
-    primes = _primes(root)
-    primes.setflags(write=False)
+    primes = want.root_primes  # _primes(root), already read-only
     smalls = np.zeros(root + 1, dtype=np.int64)
     smalls[: r0 + 1] = anchor.smalls
     # pi(v) for r0 < v <= root: pi(r0) plus the primes in (r0, v].
     smalls[primes[len(anchor.root_primes) :]] = 1
     np.cumsum(smalls[r0:], out=smalls[r0:])
+    smalls.setflags(write=False)  # final: every table of the walk shares it
     larges = np.empty(root + 2, dtype=np.int64)
     larges[: r0 + 2] = anchor.larges
     larges[r0 + 2 :] = smalls[r0:root]  # larges[d] is born as pi(d - 2)
     del anchor  # the caller decides how long the anchor lives
 
     i = 1  # ns[i] is the next table to yield
-    for start, _, part in _factor_blocks(ns[0] + 1, last):
+    for start, _, part in _factor_blocks(ns[0] + 1, last, primes):
         end = start + len(part)
         m = np.arange(start, end, dtype=np.int64)
         big = part < m  # m = part * q, q a prime > isqrt(ns[-1]): d = part

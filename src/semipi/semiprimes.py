@@ -44,7 +44,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import InternalConsistencyError, RangeError
-from .primes import QuotientPiTable, _factor_blocks, _primes
+from .primes import QuotientPiTable, _factor_blocks, _primes, isqrt
 
 #: eq3_naive enumerates every prime <= n/2; refuse beyond this.
 NAIVE_MAX_N = 10**7
@@ -229,11 +229,11 @@ def _omega_blocks(lo: int, hi: int):
 
     omega[i] is Omega(start + i), prime factors counted with
     multiplicity, as uint8; 0 and 1 get 0.  These are the blocks of
-    primes._factor_blocks without their smooth parts.  map holds no
-    reference to a block once it is passed on, so a block's smooth part
-    is freed while the next block is sieved.
+    primes._factor_blocks over the primes <= isqrt(hi), sieved here,
+    without their smooth parts.  map holds no reference to a block once
+    it is passed on, so its smooth part is freed while the next is sieved.
     """
-    return map(itemgetter(0, 1), _factor_blocks(lo, hi))
+    return map(itemgetter(0, 1), _factor_blocks(lo, hi, _primes(isqrt(hi))))
 
 
 def oracle_counts(lo: int, ns: range) -> np.ndarray:

@@ -423,3 +423,41 @@ def test_quotient_tables_refuse_before_building(monkeypatch):
     with pytest.raises(ResourceLimitError, match="budget"):
         next(quotient_tables(range(10, 2**52 + 1), max_n=2**52))
     assert built == []
+
+
+def test_quotient_table_is_read_only_by_type():
+    # Arrays handed to the constructor or to dataclasses.replace are frozen.
+    smalls = np.array([0, 0, 1, 2], dtype=np.int64)
+    larges = np.array([0, 4, 3, 2, 1], dtype=np.int64)
+    root_primes = np.array([2, 3], dtype=np.int64)
+    q = QuotientPiTable(n=10, root=3, smalls=smalls, larges=larges, root_primes=root_primes)
+    want = build_quotient_pi(10)
+    for name in ("smalls", "larges", "root_primes"):
+        assert np.array_equal(getattr(q, name), getattr(want, name))
+        assert not getattr(q, name).flags.writeable
+    qpi = build_quotient_pi(10**6)
+    copy = dataclasses.replace(qpi, larges=qpi.larges.copy())
+    for a in (copy.smalls, copy.larges, copy.root_primes):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        copy.larges[1] = 0
+
+
+def test_quotient_tables_sieve_only_in_their_two_builds(monkeypatch):
+    # The walk's base primes are the check build's root_primes.
+    limits, real = [], primes_module._primes
+    monkeypatch.setattr(
+        primes_module, "_primes", lambda limit: limits.append(limit) or real(limit)
+    )
+    assert len(list(quotient_tables(range(10**8, 10**8 + 50)))) == 50
+    assert limits == [isqrt(10**8), isqrt(10**8 + 49)]
+
+
+def test_quotient_tables_share_one_read_only_smalls():
+    tables = list(quotient_tables(range(10**8, 10**8 + 50)))
+    derived = tables[1:]
+    for t in derived[1:]:
+        assert np.shares_memory(t.smalls, derived[0].smalls)
+    with pytest.raises(ValueError):
+        derived[-1].smalls[0] = 1
+    assert not np.shares_memory(derived[0].larges, derived[1].larges)
