@@ -33,7 +33,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .errors import InternalConsistencyError, RangeError, ResourceLimitError
+from .errors import InternalConsistencyError, ResourceLimitError
 from .identity import IdentityReport, check_identity
 from .primes import (
     MAX_QUOTIENT_ROOT,
@@ -379,7 +379,7 @@ def _run_chunked(row_fn, ns: range, methods: tuple, max_n: int, workers: int) ->
         "table": build_prime_table(ns[-1]) if dense else None,
     }
     workers = min(workers, os.cpu_count() or 1)
-    per_chunk = max(1, min(5000, (len(ns) + workers * 4 - 1) // (workers * 4)))
+    per_chunk = min(5000, (len(ns) + workers * 4 - 1) // (workers * 4))
     chunk_size = len(ns) if workers == 1 else per_chunk
     chunks = [ns[i : i + chunk_size] for i in range(0, len(ns), chunk_size)]
     if workers == 1 or len(chunks) <= 1:
@@ -462,7 +462,12 @@ def cmd_identity(args) -> int:
 
 
 def run_sweep(config: SweepConfig, out=None) -> int:
-    """Execute a sweep and stream rows in ascending n; returns exit code."""
+    """Execute a sweep and write its rows in ascending n; returns exit code.
+
+    Every row is held until emit_rows writes them all at once: a failed
+    end check of a range walk must leave stdout empty, and the table
+    format needs the width of every column before its first line.
+    """
     out = out if out is not None else sys.stdout
     ns = _range_ns(config.start, config.end, config.stride, config.methods, config.max_n)
     rows = _run_chunked(_sweep_row, ns, config.methods, config.max_n, config.parallelism)
@@ -644,7 +649,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(err.code or 0)
     try:
         return args.func(args)
-    except (RangeError, ResourceLimitError, ValueError, OverflowError) as err:
+    except (ResourceLimitError, ValueError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except InternalConsistencyError as err:

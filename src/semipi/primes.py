@@ -16,8 +16,9 @@ factoring step of ``_factor_blocks``, the block sieve that the oracle in
 its own build entry by entry.
 
 All values are exact integers; no floating point is involved anywhere.
-``QuotientPiTable.__post_init__`` makes every table read-only, so
-tables are safe to share between threads or forked workers.
+Both table types make their arrays read-only in ``__post_init__``, and
+again when unpickled, so tables are safe to share between threads or
+workers of any start method.
 """
 
 from __future__ import annotations
@@ -91,6 +92,14 @@ class PrimeTable:
     primes: np.ndarray = field(repr=False)
     pi_dense: np.ndarray = field(repr=False)
 
+    def __post_init__(self) -> None:
+        self.primes.setflags(write=False)
+        self.pi_dense.setflags(write=False)
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)  # unpickling skips __post_init__
+        self.__post_init__()
+
     def pi(self, x: int) -> int:
         """pi(x) for 0 <= x <= limit."""
         if not 0 <= x <= self.limit:
@@ -115,8 +124,6 @@ def build_prime_table(limit: int) -> PrimeTable:
     pi_dense = np.zeros(limit + 1, dtype=np.int32)
     pi_dense[primes] = 1
     np.cumsum(pi_dense, out=pi_dense)
-    primes.setflags(write=False)
-    pi_dense.setflags(write=False)
     return PrimeTable(limit=limit, primes=primes, pi_dense=pi_dense)
 
 
@@ -149,6 +156,10 @@ class QuotientPiTable:
         for a in (self.smalls, self.larges, self.root_primes):
             a.setflags(write=False)
 
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)  # unpickling skips __post_init__
+        self.__post_init__()
+
     def pi(self, v: int) -> int:
         """pi(v) for any v in the quotient set of n (plus any v <= root)."""
         if v < 0:
@@ -178,11 +189,11 @@ class QuotientPiTable:
             )
         r = math.isqrt(n)
         smalls = table.pi_dense[: r + 1].astype(np.int64)
-        d = np.arange(1, r + 2, dtype=np.int64)
-        larges = np.concatenate([[0], table.pi_dense[n // d]]).astype(np.int64)
-        k = int(np.searchsorted(table.primes, r, side="right"))
+        larges = np.zeros(r + 2, dtype=np.int64)
+        larges[1:] = table.pi_dense[n // np.arange(1, r + 2)]
+        root_primes = table.primes[: int(smalls[r])]
         return cls(
-            n=n, root=r, smalls=smalls, larges=larges, root_primes=table.primes[:k], dense=table
+            n=n, root=r, smalls=smalls, larges=larges, root_primes=root_primes, dense=table
         )
 
 
@@ -191,8 +202,9 @@ def _pair_blocks(lo: np.ndarray, hi: np.ndarray):
 
     The pairs are listed i by i and cut into blocks of at most
     BAND_BLOCK pairs; a block boundary may fall inside one i's range.
+    Requires hi >= lo - 1 for every i (an empty range, not a negative one).
     """
-    counts = np.maximum(hi - lo + 1, 0)
+    counts = hi - lo + 1
     ends = np.cumsum(counts)
     starts = ends - counts
     total = int(ends[-1]) if len(ends) else 0
@@ -273,7 +285,7 @@ def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTabl
         dmax = min(r, n // p2)
         # Each right-hand side is gathered before its write, so the
         # recurrence sees pre-update values throughout.
-        k = min(dmax, r // p)
+        k = r // p  # <= dmax, since r * p <= r^2 <= n
         larges[1 : k + 1] -= larges[p : k * p + 1 : p] - sp
         larges[k + 1 : dmax + 1] -= smalls[quot[k:dmax] // p] - sp
         if p2 <= r:
@@ -406,11 +418,13 @@ def quotient_tables(ns: range, *, max_n: int = SUPPORTED_MAX_N):
     walked m, whose base primes are the check build's root_primes.  Once
     the smooth part s of m is divided out, the cofactor is 1 or one
     prime q > isqrt(m), which gives d = s <= isqrt(m).  A base prime q
-    gives d = m / q when (d - 1)^2 <= m, which needs d <= q + 2.  The
-    working tables are sized for ns[-1] up front: the entries born at a
-    square hold their birth value from the start, and no step reaches
-    them before then.  So every step commutes with the others, and the
-    steps between two n are applied with one np.add.at.
+    gives d = m / q when (d - 1)^2 <= m = q * d, which holds exactly when
+    d <= q + 1: then (d - 1)^2 <= q * (d - 1), and above it (d - 1)^2 >=
+    (q + 1) * (d - 1) > q * d.  The working tables are sized for ns[-1]
+    up front: the entries born at a square hold their birth value from
+    the start, and no step reaches them before then.  So every step
+    commutes with the others, and the steps between two n are applied
+    with one np.add.at.
 
     Each table is bit-identical to build_quotient_pi(n) in values, dtypes
     and flags; only its larges is fresh, its smalls and root_primes are
@@ -450,15 +464,14 @@ def quotient_tables(ns: range, *, max_n: int = SUPPORTED_MAX_N):
         end = start + len(part)
         m = np.arange(start, end, dtype=np.int64)
         big = part < m  # m = part * q, q a prime > isqrt(ns[-1]): d = part
-        # Base primes q with a multiple m = q * d in the block, d <= q + 2.
+        # Base primes q with a multiple m = q * d in the block, d <= q + 1.
         qs = primes[np.searchsorted(primes, max(isqrt(start) - 1, 0)) :]
         d0 = -(-start // qs)
-        took = np.maximum(np.minimum((end - 1) // qs, qs + 2) - d0 + 1, 0)
+        took = np.maximum(np.minimum((end - 1) // qs, qs + 1) - d0 + 1, 0)
         q = np.repeat(qs, took)
         d = np.repeat(d0 - np.cumsum(took) + took, took) + np.arange(len(q))
-        ok = (d - 1) ** 2 <= q * d
-        step_m = np.concatenate([m[big], (q * d)[ok]])
-        step_d = np.concatenate([part[big], d[ok]])
+        step_m = np.concatenate([m[big], q * d])
+        step_d = np.concatenate([part[big], d])
         order = np.argsort(step_m)
         step_m, step_d = step_m[order], step_d[order]
         done = 0

@@ -122,18 +122,16 @@ def _tail_sum(qpi: QuotientPiTable) -> tuple[int, int]:
 
     The int64 dot product cannot overflow: its terms are nonnegative and
     its partial sums count ordered prime pairs (p, q) with p*q <= n, which
-    number at most n (see _head_sum), below 2**50.
+    number at most n (see _head_sum), below 2**50.  A dot product per
+    bound has no such cap: each passes 2**63 from about n = 2 * 10**14.
     """
-    n, r = qpi.n, qpi.root
-    last = n // (r + 1)
+    last = qpi.n // (qpi.root + 1)
     if last < 2:
         return 0, 0
     # v runs over 2..last, and last <= r keeps larges[v + 1] in the table.
-    hi = qpi.larges[2 : last + 1]  # pi(n // v)
-    # pi(max(n//(v+1), r)) == max(pi(n//(v+1)), pi(r)) by monotonicity.
-    lo = np.maximum(qpi.larges[3 : last + 2], qpi.smalls[r])
-    tail = int(np.dot(qpi.smalls[2 : last + 1], hi - lo))
-    return tail, last - 1
+    # n // (v + 1) >= n // (last + 1) = r, so every prime counted is > r.
+    primes_at = qpi.larges[2 : last + 1] - qpi.larges[3 : last + 2]
+    return int(np.dot(qpi.smalls[2 : last + 1], primes_at)), last - 1
 
 
 def count_semiprimes_eq1(n: int, qpi: QuotientPiTable) -> SemiprimeCount:
@@ -167,7 +165,7 @@ def pair_sum_naive(n: int, qpi: QuotientPiTable) -> PairSum:
     if qpi.dense is None:
         ps = _primes(half)
     else:
-        ps = qpi.dense.primes[: int(np.searchsorted(qpi.dense.primes, half, side="right"))]
+        ps = qpi.dense.primes[: qpi.dense.pi(half)]
     quot = n // ps
     k = int(np.count_nonzero(quot > qpi.root))  # quot descends: the first k read larges
     value = int(qpi.larges[ps[:k]].sum()) + int(qpi.smalls[quot[k:]].sum())
@@ -184,11 +182,10 @@ def pair_sum_grouped(n: int, qpi: QuotientPiTable) -> PairSum:
     _require_match(n, qpi)
     head = _head_sum(qpi)
     tail, blocks = _tail_sum(qpi)
-    upper = qpi.pi(n // 2) if n >= 2 else 0
     return PairSum(
         n=n,
         value=head + tail,
-        upper_index=upper,
+        upper_index=qpi.pi(n // 2),
         term_count=len(qpi.root_primes) + blocks,
     )
 
@@ -202,7 +199,6 @@ def count_semiprimes_eq3(n: int, qpi: QuotientPiTable, mode: str = "grouped") ->
     sum or the pi tables and raises InternalConsistencyError.  Both modes
     read only qpi (naive mode takes its primes from qpi.dense when set).
     """
-    _require_match(n, qpi)
     if mode == "naive":
         pair = pair_sum_naive(n, qpi)
     elif mode == "grouped":

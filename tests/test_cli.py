@@ -8,6 +8,7 @@ import os
 import time
 import tracemalloc
 import weakref
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import given
@@ -660,6 +661,33 @@ def test_pooled_stride_one_sweep_matches_in_process(capsys, monkeypatch, fake_po
     code, out_two, _ = run(capsys, *argv, "--workers", "2")
     assert code == EXIT_OK
     assert fake_pool == [2]
+    code, out_one, _ = run(capsys, *argv, "--workers", "1")
+    assert code == EXIT_OK
+    assert out_two == out_one
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "1:200", "--methods", "eq1,eq3_naive,oracle", "--format", "csv"),
+        ("identity", "100000000:100000040", "--format", "csv"),
+    ],
+)
+def test_spawn_pool_prints_what_one_worker_prints(capsys, monkeypatch, argv):
+    # A spawn pool pickles the range context (the dense PrimeTable, the
+    # oracle column) to each worker, where fork would inherit it.
+    pools = []
+
+    def spawn_pool(**kwargs):
+        pools.append(kwargs["max_workers"])
+        return ProcessPoolExecutor(mp_context=multiprocessing.get_context("spawn"), **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", spawn_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out_two, _ = run(capsys, *argv, "--workers", "2")
+    assert code == EXIT_OK
+    assert pools == [2]
+    assert not multiprocessing.active_children()
     code, out_one, _ = run(capsys, *argv, "--workers", "1")
     assert code == EXIT_OK
     assert out_two == out_one

@@ -1,6 +1,7 @@
 import bisect
 import dataclasses
 import math
+import pickle
 import random
 import tracemalloc
 
@@ -344,6 +345,16 @@ def test_quotient_tables_above_the_dense_limit():
     check_range(range(10**7 + 1, 10**7 + 301), build_quotient_pi)
 
 
+@pytest.mark.parametrize("q", [3163, 31627, 99991])
+def test_quotient_tables_step_bound_is_exact(q):
+    # A base prime q steps larges[d] at m = q * d for d <= q + 1 only:
+    # m = q(q + 1) takes the step d = q + 1, and m = q(q + 2) must not
+    # take d = q + 2.  Both m are above the dense limit.
+    assert trial_is_prime(q)
+    for m in (q * (q + 1), q * (q + 2)):
+        check_range(range(m - 3, m + 4), build_quotient_pi)
+
+
 def test_quotient_tables_around_prime_cubes(dense_10m):
     # At n = p^3 the recurrence moves p from its batched band to its
     # per-prime loop; the derived tables must not notice.
@@ -461,3 +472,17 @@ def test_quotient_tables_share_one_read_only_smalls():
     with pytest.raises(ValueError):
         derived[-1].smalls[0] = 1
     assert not np.shares_memory(derived[0].larges, derived[1].larges)
+
+
+def test_tables_stay_read_only_through_pickling():
+    # Unpickling sets a dataclass's fields without __post_init__, and
+    # numpy unpickles arrays writable.
+    dense = build_prime_table(3000)
+    walked = list(quotient_tables(range(10**7 + 1, 10**7 + 4)))[1]
+    for table in (build_quotient_pi(10**6), QuotientPiTable.from_dense(2999, dense), walked):
+        assert_same_table(pickle.loads(pickle.dumps(table)), table)
+    copy = pickle.loads(pickle.dumps(dense))
+    for name in ("primes", "pi_dense"):
+        a, b = getattr(copy, name), getattr(dense, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert not a.flags.writeable, name
