@@ -260,6 +260,28 @@ def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTabl
       one scatter over all (p, d) pairs, in blocks of at most
       BAND_BLOCK pairs to keep memory flat.
 
+    No per-prime step allocates.  The build allocates two (r + 1)-entry
+    int64 scratch rows, idx and rhs, once, and each step writes its
+    right-hand side into them through out= before subtracting it in place:
+
+    * near, d <= r // p: rhs = larges[d*p] - pi(p - 1), a strided copy.
+    * far, r // p < d <= min(r, n // p^2): idx = (n // d) // p, then
+      rhs = np.take(smalls, idx, mode="clip").  d*p > r gives
+      idx <= n // (r + 1) <= r and d <= n // p^2 gives idx >= p, so
+      idx lies in [p, r] and the clip never clips; take's default
+      mode="raise" would buffer out and allocate again.
+    * smalls, p^2 <= r: smalls[v // p] for v = p^2..r is each of
+      smalls[p..r // p] p times in a row, so rhs = smalls[p..r // p] -
+      pi(p - 1) is subtracted as a broadcast over rows of p entries, plus
+      a partial last row when p does not divide r + 1.
+
+    The scratch rows do not save arithmetic; they save page faults.  A
+    fresh r-entry temporary is mapped anew by the allocator and faulted
+    in page by page on every step: a fresh `semipi count 10**11` process
+    took about 118k minor faults with such temporaries and 9k without.
+    quot and the scratch rows are freed before the p > n^(1/3) band,
+    which reads none of them.
+
     n beyond max_n (default 10**11) is rejected with RangeError rather
     than silently degrading; the cap can be overridden by callers that
     accept the cost.  isqrt(n) beyond MAX_QUOTIENT_ROOT raises
@@ -274,6 +296,9 @@ def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTabl
     smalls = np.arange(r + 1, dtype=np.int64) - 1
     larges = np.zeros(r + 2, dtype=np.int64)
     larges[1 : r + 1] = quot - 1
+    # The scratch rows that every step writes its right-hand side into.
+    idx = np.empty(r + 1, dtype=np.int64)
+    rhs = np.empty(r + 1, dtype=np.int64)
 
     root_primes = _primes(r)
     # p^3 <= n exactly when p^2 <= n // p: these primes step one by one.
@@ -283,15 +308,27 @@ def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTabl
         sp = int(smalls[p - 1])  # pi(p - 1): final, since p - 1 < p^2
         p2 = p * p
         dmax = min(r, n // p2)
-        # Each right-hand side is gathered before its write, so the
-        # recurrence sees pre-update values throughout.
+        # Each right-hand side is gathered into rhs before its write, so
+        # the recurrence sees pre-update values throughout.
         k = r // p  # <= dmax, since r * p <= r^2 <= n
-        larges[1 : k + 1] -= larges[p : k * p + 1 : p] - sp
-        larges[k + 1 : dmax + 1] -= smalls[quot[k:dmax] // p] - sp
+        np.subtract(larges[p : k * p + 1 : p], sp, out=rhs[:k])
+        larges[1 : k + 1] -= rhs[:k]
+        m = dmax - k
+        np.floor_divide(quot[k:dmax], p, out=idx[:m])
+        np.take(smalls, idx[:m], out=rhs[:m], mode="clip")
+        rhs[:m] -= sp
+        larges[k + 1 : dmax + 1] -= rhs[:m]
         if p2 <= r:
-            # smalls[v // p] for v = p^2..r: each of smalls[p..r//p] p times.
-            src = np.repeat(smalls[p : r // p + 1], p)[: r + 1 - p2]
-            smalls[p2:] -= src - sp
+            # smalls[v // p] for v = p^2..r is smalls[j] for j = p..r // p,
+            # p times each in rows of p, and fewer times for the last j
+            # when p does not divide r + 1.
+            j = r // p + 1 - p
+            np.subtract(smalls[p : r // p + 1], sp, out=rhs[:j])
+            f = (r + 1) // p - p  # full rows
+            rows = smalls[p2 : p2 + f * p].reshape(f, p)
+            rows -= rhs[:f, None]
+            smalls[p2 + f * p :] -= rhs[f:j]
+    del quot, idx, rhs  # the band below reads none of them
 
     # The p > n^(1/3) band in one scatter.  For each p it covers
     # d = 1..n // p^2, reading larges[d*p] up to d = r // p and
@@ -316,7 +353,7 @@ def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTabl
 _WHEEL = 8 * 9 * 5 * 7 * 11
 
 
-def _factor_blocks(lo: int, hi: int, base: np.ndarray):
+def _factor_blocks(lo: int, hi: int, base: np.ndarray, *, count_omega: bool = True):
     """Yield (start, omega, part) for consecutive blocks covering [lo, hi].
 
     omega[i] is Omega(start + i), prime factors counted with
@@ -326,7 +363,8 @@ def _factor_blocks(lo: int, hi: int, base: np.ndarray):
     p <= isqrt(hi).  In each block every prime power q = p^e adds 1 at its
     multiples and multiplies `part` there by p.  An m with part < m has a
     cofactor m // part whose prime factors all exceed sqrt(hi) >= sqrt(m),
-    so it is one prime: one more factor.
+    so it is one prime: one more factor.  With count_omega=False the
+    Omega work is skipped, which halves the sieve, and omega is None.
 
     The prime powers that divide _WHEEL = 27720 (of base primes only: a
     wheel prime above isqrt(hi) is a cofactor) are applied once per call
@@ -355,19 +393,25 @@ def _factor_blocks(lo: int, hi: int, base: np.ndarray):
     for start in range(lo, hi + 1, SIEVE_SEGMENT):
         end = min(start + SIEVE_SEGMENT, hi + 1)
         off = start % _WHEEL
-        omega = np.resize(np.roll(wheel_omega, -off), end - start)
         part = np.resize(np.roll(wheel_part, -off), end - start)
+        omega = None
+        if count_omega:
+            omega = np.resize(np.roll(wheel_omega, -off), end - start)
         # 0 is a multiple of every q but no product of primes: skip it.
         m0 = max(start, 1)
         if start == 0:
-            omega[0], part[0] = 0, 1
+            part[0] = 1
+            if count_omega:
+                omega[0] = 0
         hit = (end - 1) // qs > (m0 - 1) // qs
         hit_q = qs[hit]
         firsts = (m0 - start) + (-m0) % hit_q
         for pw, qw, first in zip(ps[hit].tolist(), hit_q.tolist(), firsts.tolist()):
-            omega[first::qw] += 1
             part[first::qw] *= pw
-        omega += part < np.arange(start, end, dtype=dtype)
+            if count_omega:
+                omega[first::qw] += 1
+        if count_omega:
+            omega += part < np.arange(start, end, dtype=dtype)
         yield start, omega, part
 
 
@@ -414,8 +458,10 @@ def quotient_tables(ns: range, *, max_n: int = SUPPORTED_MAX_N):
       larges[r + 2] = pi(m // (r + 2)) = pi(r), and root_primes gains
       r + 1 if it is prime.
 
-    The steps come from the factoring sieve _factor_blocks over the
-    walked m, whose base primes are the check build's root_primes.  Once
+    The steps come from the smooth parts that the factoring sieve
+    _factor_blocks finds over the walked m (with count_omega=False: the
+    walk reads no Omega), whose base primes are the check build's
+    root_primes.  Once
     the smooth part s of m is divided out, the cofactor is 1 or one
     prime q > isqrt(m), which gives d = s <= isqrt(m).  A base prime q
     gives d = m / q when (d - 1)^2 <= m = q * d, which holds exactly when
@@ -460,7 +506,7 @@ def quotient_tables(ns: range, *, max_n: int = SUPPORTED_MAX_N):
     del anchor  # the caller decides how long the anchor lives
 
     i = 1  # ns[i] is the next table to yield
-    for start, _, part in _factor_blocks(ns[0] + 1, last, primes):
+    for start, _, part in _factor_blocks(ns[0] + 1, last, primes, count_omega=False):
         end = start + len(part)
         m = np.arange(start, end, dtype=np.int64)
         big = part < m  # m = part * q, q a prime > isqrt(ns[-1]): d = part

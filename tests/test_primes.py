@@ -247,6 +247,11 @@ def test_from_dense_is_bit_identical_to_recurrence(dense_10m):
             ns += [p * p - 1, p * p, p**3 - 1, p**3, p**3 + 1]
         m = math.isqrt(limit) // p * p  # largest multiple of p with m^2 <= limit
         ns += [m * m, min((m + 1) ** 2 - 1, limit)]
+    # Edges of the smalls step, for the p with p^2 <= isqrt(limit): roots
+    # r with p | r + 1 leave no partial row, and r = p^2 steps one entry.
+    for p in trial_primes(math.isqrt(math.isqrt(limit))):
+        r = (math.isqrt(limit) + 1) // p * p - 1  # largest r with p | r + 1
+        ns += [r * r, min((r + 1) ** 2 - 1, limit), p**4, (p * p + 1) ** 2 - 1]
     for n in ns:
         a = build_quotient_pi(n)
         b = QuotientPiTable.from_dense(n, dense_10m)
