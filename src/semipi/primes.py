@@ -364,7 +364,7 @@ def _factor_blocks(lo: int, hi: int, base: np.ndarray, *, count_omega: bool = Tr
     multiples and multiplies `part` there by p.  An m with part < m has a
     cofactor m // part whose prime factors all exceed sqrt(hi) >= sqrt(m),
     so it is one prime: one more factor.  With count_omega=False the
-    Omega work is skipped, which halves the sieve, and omega is None.
+    Omega work, about half the sieve's time, is skipped and omega is None.
 
     The prime powers that divide _WHEEL = 27720 (of base primes only: a
     wheel prime above isqrt(hi) is a cofactor) are applied once per call
@@ -461,9 +461,8 @@ def quotient_tables(ns: range, *, max_n: int = SUPPORTED_MAX_N):
     The steps come from the smooth parts that the factoring sieve
     _factor_blocks finds over the walked m (with count_omega=False: the
     walk reads no Omega), whose base primes are the check build's
-    root_primes.  Once
-    the smooth part s of m is divided out, the cofactor is 1 or one
-    prime q > isqrt(m), which gives d = s <= isqrt(m).  A base prime q
+    root_primes.  Once the smooth part s of m is divided out, the
+    cofactor is 1 or one prime q > isqrt(m), which gives d = s <= isqrt(m).  A base prime q
     gives d = m / q when (d - 1)^2 <= m = q * d, which holds exactly when
     d <= q + 1: then (d - 1)^2 <= q * (d - 1), and above it (d - 1)^2 >=
     (q + 1) * (d - 1) > q * d.  The working tables are sized for ns[-1]
