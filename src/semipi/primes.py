@@ -393,10 +393,12 @@ def _factor_blocks(lo: int, hi: int, base: np.ndarray, *, count_omega: bool = Tr
     for start in range(lo, hi + 1, SIEVE_SEGMENT):
         end = min(start + SIEVE_SEGMENT, hi + 1)
         off = start % _WHEEL
-        part = np.resize(np.roll(wheel_part, -off), end - start)
+        # omega before part: in the other order the oracle's peak RSS
+        # read 2 MiB higher at n <= 10**7.
         omega = None
         if count_omega:
             omega = np.resize(np.roll(wheel_omega, -off), end - start)
+        part = np.resize(np.roll(wheel_part, -off), end - start)
         # 0 is a multiple of every q but no product of primes: skip it.
         m0 = max(start, 1)
         if start == 0:
