@@ -464,14 +464,14 @@ def quotient_tables(ns: range, *, max_n: int = SUPPORTED_MAX_N):
     _factor_blocks finds over the walked m (with count_omega=False: the
     walk reads no Omega), whose base primes are the check build's
     root_primes.  Once the smooth part s of m is divided out, the
-    cofactor is 1 or one prime q > isqrt(m), which gives d = s <= isqrt(m).  A base prime q
-    gives d = m / q when (d - 1)^2 <= m = q * d, which holds exactly when
-    d <= q + 1: then (d - 1)^2 <= q * (d - 1), and above it (d - 1)^2 >=
-    (q + 1) * (d - 1) > q * d.  The working tables are sized for ns[-1]
-    up front: the entries born at a square hold their birth value from
-    the start, and no step reaches them before then.  So every step
-    commutes with the others, and the steps between two n are applied
-    with one np.add.at.
+    cofactor is 1 or one prime q > isqrt(m), which gives d = s <= isqrt(m).
+    A base prime q gives d = m / q when (d - 1)^2 <= m = q * d, which
+    holds exactly when d <= q + 1: then (d - 1)^2 <= q * (d - 1), and
+    above it (d - 1)^2 >= (q + 1) * (d - 1) > q * d.  The working tables
+    are sized for ns[-1] up front: the entries born at a square hold
+    their birth value from the start, and no step reaches them before
+    then.  So every step commutes with the others, and the steps between
+    two n are applied with one np.add.at.
 
     Each table is bit-identical to build_quotient_pi(n) in values, dtypes
     and flags; only its larges is fresh, its smalls and root_primes are
