@@ -29,6 +29,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .errors import InternalConsistencyError, ResourceLimitError
 from .identity import IdentityReport, check_identity
 from .primes import (
     MAX_QUOTIENT_ROOT,
+    PrimeTable,
     QuotientPiTable,
     SUPPORTED_MAX_N,
     build_prime_table,
@@ -320,23 +322,25 @@ def _range_init(ctx: dict | None) -> None:
 
 
 def _range_chunk(ns: range) -> list[dict]:
-    """The rows of ns; the one quotient table each n's row reads is picked here.
-
-    A range's dense sieve serves each n up to DENSE_SWEEP_LIMIT.  Above
-    it, a chunk of two or more n at stride 1 derives every table from
-    one anchor (quotient_tables), and any other n builds its own.
-    """
+    """The rows of ns, each read from the table that the range's source gives."""
     ctx = _WORKER_CTX
-    table, max_n = ctx["table"], ctx["max_n"]
-    if not _needs_qpi(ctx["methods"]):
-        qpis = [None] * len(ns)
-    elif table is not None:
-        qpis = (QuotientPiTable.from_dense(n, table) for n in ns)
-    elif ns.step == 1 and len(ns) > 1 and ns[-1] > DENSE_SWEEP_LIMIT:
-        qpis = quotient_tables(ns, max_n=max_n)
-    else:
-        qpis = (build_quotient_pi(n, max_n=max_n) for n in ns)
-    return [ctx["row"](n, qpi, ctx) for n, qpi in zip(ns, qpis)]
+    return [ctx["row"](n, qpi, ctx) for n, qpi in zip(ns, ctx["tables"](ns))]
+
+
+def _no_tables(ns: range) -> list[None]:
+    """The table source of the oracle alone, which reads no table."""
+    return [None] * len(ns)
+
+
+def _dense_tables(table: PrimeTable, ns: range):
+    """The quotient table of each n of ns, looked up in the range's dense sieve."""
+    return (QuotientPiTable.from_dense(n, table) for n in ns)
+
+
+def _one_by_one(ns: range, *, max_n: int):
+    """The quotient table of each n of ns from a walk of that n alone,
+    which yields just its anchor build."""
+    return (qpi for n in ns for qpi in quotient_tables(range(n, n + 1), max_n=max_n))
 
 
 def _sweep_row(n: int, qpi: QuotientPiTable | None, ctx: dict) -> dict:
@@ -358,29 +362,38 @@ def _identity_row(n: int, qpi: QuotientPiTable, ctx: dict) -> dict:
 def _run_chunked(row_fn, ns: range, methods: tuple, max_n: int, workers: int) -> list[dict]:
     """Map _range_chunk over contiguous chunks of ns, preserving order.
 
-    The caller builds every shared table once (the oracle column, and the
-    dense sieve of two or more n up to DENSE_SWEEP_LIMIT): forked workers
-    inherit them, spawn or forkserver pickles them to each worker, and
-    in-process they are freed when the range ends.  Above the dense limit
-    a stride-1 chunk derives its tables from one anchor and checks its
-    last, so in-process the range is one chunk, and each pooled chunk
-    pays its own anchor and check.  The pool never exceeds the CPU count
-    or the number of chunks.  One worker runs in-process through the same
-    code path, so the output is the same at any worker count.
+    The table source and the chunk size are picked here, once per range:
+
+    * no table when only the oracle is asked for;
+    * two or more n up to DENSE_SWEEP_LIMIT share one dense sieve;
+    * any other range walks, in one chunk per worker: each walk pays
+      one anchor build and one check build, so more chunks only add
+      builds.  A stride up to isqrt(ns[-1]) walks the whole chunk
+      (quotient_tables).  A wider one walks each n alone (_one_by_one),
+      which yields just its anchor: one build per n beats sieving the
+      gaps.  It does not make each n a chunk of its own: a chunk frees
+      all it holds when it ends, and the next build pages it in again.
+
+    The caller builds every shared table once (the oracle column and
+    the dense sieve): forked workers inherit them, spawn or forkserver
+    pickles them to each worker, and in-process they are freed when the
+    range ends.  The pool never exceeds the CPU count or the number of
+    chunks.  One worker runs in-process through the same code path, so
+    the output is the same at any worker count.
     """
     _check_workers(workers)
-    dense = len(ns) > 1 and ns[-1] <= DENSE_SWEEP_LIMIT and _needs_qpi(methods)
-    ctx = {
-        "row": row_fn,
-        "ns": ns,
-        "methods": methods,
-        "max_n": max_n,
-        "oracle": oracle_counts(1, ns) if "oracle" in methods else None,
-        "table": build_prime_table(ns[-1]) if dense else None,
-    }
     workers = min(workers, os.cpu_count() or 1)
-    per_chunk = min(5000, (len(ns) + workers * 4 - 1) // (workers * 4))
-    chunk_size = len(ns) if workers == 1 else per_chunk
+    chunk_size = len(ns) if workers == 1 else min(5000, -(-len(ns) // (workers * 4)))
+    oracle = oracle_counts(1, ns) if "oracle" in methods else None
+    if not _needs_qpi(methods):
+        tables = _no_tables
+    elif len(ns) > 1 and ns[-1] <= DENSE_SWEEP_LIMIT:
+        tables = partial(_dense_tables, build_prime_table(ns[-1]))
+    else:
+        walk = quotient_tables if ns.step <= isqrt(ns[-1]) else _one_by_one
+        tables = partial(walk, max_n=max_n)
+        chunk_size = -(-len(ns) // workers)
+    ctx = {"row": row_fn, "ns": ns, "methods": methods, "oracle": oracle, "tables": tables}
     chunks = [ns[i : i + chunk_size] for i in range(0, len(ns), chunk_size)]
     if workers == 1 or len(chunks) <= 1:
         _range_init(ctx)

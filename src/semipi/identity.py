@@ -16,9 +16,9 @@ residual equals 2 * (eq1 - eq3_grouped) by algebra.  So a wrong `larges`
 entry can pass all three; only eq3_naive and the oracle (n <= 10**7),
 the OEIS goldens at 10**k, and above 10**7 the table-free window check
 (selftest, criterion 10) and the entry-by-entry check of a derived
-table against its own build (selftest, criterion 11, and every stride-1
-range) can catch it, the last two unless the recurrence tables of
-a - 1 and b share the fault.
+table against its own build (selftest, criterion 11, and every range
+that the CLI walks) can catch it, the last two unless the recurrence
+tables of a - 1 and b share the fault.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ workers of any start method.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -471,7 +472,9 @@ def quotient_tables(ns: range, *, max_n: int = SUPPORTED_MAX_N):
     are sized for ns[-1] up front: the entries born at a square hold
     their birth value from the start, and no step reaches them before
     then.  So every step commutes with the others, and the steps between
-    two n are applied with one np.add.at.
+    two n are applied with np.add.at, one family at a time: the cofactor
+    steps through a mask over the block, which is in ascending m, and the
+    base-prime steps, far fewer, sorted by m.
 
     Each table is bit-identical to build_quotient_pi(n) in values, dtypes
     and flags; only its larges is fresh, its smalls and root_primes are
@@ -480,8 +483,9 @@ def quotient_tables(ns: range, *, max_n: int = SUPPORTED_MAX_N):
     the working tables exist so that the two builds are the peak; the
     first entry that differs raises InternalConsistencyError naming it
     as (array, index, want, got).
-    The walk sieves every integer of (ns[0], ns[-1]], so it pays off for
-    a dense range, not for a wide stride.
+    The walk sieves every integer of (ns[0], ns[-1]], so a wide stride
+    pays for gaps that it never reads: the CLI walks a stride up to
+    isqrt(ns[-1]) and builds each n of a wider one alone.
     """
     if len(ns) == 0 or ns.step < 1:
         raise RangeError(f"need a non-empty ascending range, got {ns}")
@@ -509,26 +513,31 @@ def quotient_tables(ns: range, *, max_n: int = SUPPORTED_MAX_N):
     i = 1  # ns[i] is the next table to yield
     for start, _, part in _factor_blocks(ns[0] + 1, last, primes, count_omega=False):
         end = start + len(part)
-        m = np.arange(start, end, dtype=np.int64)
-        big = part < m  # m = part * q, q a prime > isqrt(ns[-1]): d = part
+        # m = start + j = part[j] * q, q a prime > isqrt(ns[-1]): d = part[j].
+        big = part < np.arange(start, end, dtype=part.dtype)
         # Base primes q with a multiple m = q * d in the block, d <= q + 1.
         qs = primes[np.searchsorted(primes, max(isqrt(start) - 1, 0)) :]
         d0 = -(-start // qs)
         took = np.maximum(np.minimum((end - 1) // qs, qs + 1) - d0 + 1, 0)
         q = np.repeat(qs, took)
         d = np.repeat(d0 - np.cumsum(took) + took, took) + np.arange(len(q))
-        step_m = np.concatenate([m[big], q * d])
-        step_d = np.concatenate([part[big], d])
-        order = np.argsort(step_m)
-        step_m, step_d = step_m[order], step_d[order]
-        done = 0
+        qd = q * d
+        order = np.argsort(qd)
+        base_m, base_d = qd[order].tolist(), d[order]
+        # One cursor per family: the steps applied are those at the first
+        # `done` m of the block and the first `base_done` base-prime steps.
+        done = base_done = 0
         while i < len(ns) and ns[i] < end:
-            upto = int(np.searchsorted(step_m, ns[i], side="right"))
-            np.add.at(larges, step_d[done:upto], 1)
-            done = upto
+            upto = ns[i] - start + 1
+            np.add.at(larges, part[done:upto][big[done:upto]], 1)
+            base_upto = bisect.bisect_right(base_m, ns[i])
+            if base_upto > base_done:  # seldom; np.add.at costs as much when empty
+                np.add.at(larges, base_d[base_done:base_upto], 1)
+            done, base_done = upto, base_upto
             table = _table_at(ns[i], smalls, larges, primes)
             if ns[i] == last:
                 _require_equal(want, table)
             yield table
             i += 1
-        np.add.at(larges, step_d[done:], 1)
+        np.add.at(larges, part[done:][big[done:]], 1)
+        np.add.at(larges, base_d[base_done:], 1)

@@ -23,7 +23,8 @@ the oracle catches it and eq3_naive can, both up to their 10**7 caps.
 Above 10**7 the table-free window check (``selftest``, criterion 10)
 can catch it too, and so can the comparison of a table derived by
 ``quotient_tables`` with its own build (``selftest``, criterion 11, and
-every stride-1 range above 10**7), both unless the recurrence tables of
+every walked range of the CLI: two or more n ending above 10**7, at a
+stride up to isqrt of the last n), both unless the recurrence tables of
 a - 1 and b share the fault.  The oracle shares only the base-prime
 sieve ``_primes`` with the recurrence; its block sieve
 ``primes._factor_blocks`` also gives the steps of ``quotient_tables``.

@@ -294,9 +294,9 @@ def test_identity_one_n_builds_no_dense_sieve(capsys, monkeypatch):
     # One n runs the range path as n:n, with one quotient table and no
     # shared dense sieve; a range of two or more n shares one sieve.
     tables, sieves = [], []
-    real_table, real_sieve = cli.build_quotient_pi, cli.build_prime_table
+    real_table, real_sieve = primes.build_quotient_pi, cli.build_prime_table
     monkeypatch.setattr(
-        cli, "build_quotient_pi", lambda n, **kw: tables.append(n) or real_table(n, **kw)
+        primes, "build_quotient_pi", lambda n, **kw: tables.append(n) or real_table(n, **kw)
     )
     monkeypatch.setattr(
         cli, "build_prime_table", lambda limit: sieves.append(limit) or real_sieve(limit)
@@ -482,7 +482,8 @@ def test_sweep_single_point_n1(capsys):
 
 
 def test_sweep_beyond_dense_limit_uses_recurrence(capsys):
-    # ends past the shared-sieve cutoff fall back to per-n tables
+    # ends past the shared-sieve cutoff walk from one anchor: stride 2 is
+    # below isqrt(ns[-1])
     start, end = 10**7 + 1, 10**7 + 5
     code, out, _ = run(
         capsys, "sweep", f"{start}:{end}:2", "--methods", "eq1,eq3_grouped",
@@ -616,16 +617,18 @@ def wrong_first_build(monkeypatch, d: int, at=None) -> None:
 def test_stride_one_sweep_names_a_wrong_anchor_entry(capsys, monkeypatch, d):
     # One wrong larges[d] in the anchor, composite d = 12 or prime d = 13:
     # eq1 and eq3_grouped still agree, but the check of the last table
-    # against its own build names the entry, and no row is printed.
-    b = 10**8 + 17
-    want = int(primes.build_quotient_pi(b).larges[d])
-    wrong_first_build(monkeypatch, d)
-    code, out, err = run(capsys, "sweep", f"{10**8 + 7}:{b}")
-    assert (code, out) == (EXIT_DISAGREE, "")
-    assert err == (
-        f"internal consistency failure: derived table at n={b} differs from "
-        f"build_quotient_pi({b}): larges[{d}] want {want} got {want + 1}\n"
-    )
+    # against its own build names the entry, and no row is printed.  A
+    # strided range walks too, and is checked the same way.
+    for b, stride in ((10**8 + 17, 1), (10**8 + 1007, 10)):
+        want = int(primes.build_quotient_pi(b).larges[d])
+        with monkeypatch.context() as patch:
+            wrong_first_build(patch, d)
+            code, out, err = run(capsys, "sweep", f"{10**8 + 7}:{b}:{stride}")
+        assert (code, out) == (EXIT_DISAGREE, "")
+        assert err == (
+            f"internal consistency failure: derived table at n={b} differs from "
+            f"build_quotient_pi({b}): larges[{d}] want {want} got {want + 1}\n"
+        )
 
 
 def test_selftest_checks_the_derived_window_table(capsys, monkeypatch):
@@ -643,24 +646,52 @@ def test_selftest_checks_the_derived_window_table(capsys, monkeypatch):
 
 
 def test_stride_one_sweep_above_the_dense_limit_builds_two_tables(capsys, monkeypatch):
-    # One anchor and one check; the 199 tables between are derived.
+    # A stride up to isqrt(ns[-1]) walks: one anchor and one check, and
+    # the tables between are derived.  A wider stride builds each n's
+    # table alone and walks nothing.
+    built, walked, real = [], [], primes.build_quotient_pi
+    real_blocks = primes._factor_blocks
+    monkeypatch.setattr(
+        primes, "build_quotient_pi", lambda n, **kw: built.append(n) or real(n, **kw)
+    )
+    monkeypatch.setattr(
+        primes, "_factor_blocks", lambda *a, **kw: walked.append(a[:2]) or real_blocks(*a, **kw)
+    )
+    monkeypatch.setattr(cli, "build_quotient_pi", None)  # no build outside the walk
+    for a, b, stride, walks in (
+        (10**9, 10**9 + 200, 1, True),
+        (10**8, 10**8 + 1000, 10, True),
+        (10**8, 10**8 + 10**6, 10**5, False),
+    ):
+        built.clear()
+        walked.clear()
+        code, out, _ = run(capsys, "sweep", f"{a}:{b}:{stride}", "--format", "csv")
+        assert code == EXIT_OK
+        ns = range(a, b + 1, stride)
+        assert built == ([a, b] if walks else list(ns))
+        assert walked == ([(a + 1, b)] if walks else [])
+        lines = out.splitlines()
+        assert len(lines) == len(ns) + 1
+        for n in ns[::10]:  # each row as a build of its own n gives it
+            qpi = real(n)
+            counts = [cli.method_count(n, m, qpi).count for m in ("eq1", "eq3_grouped")]
+            assert lines[1 + ns.index(n)] == f"{n},{counts[0]},{counts[1]},true"
+
+
+def test_pooled_stride_one_sweep_matches_in_process(capsys, monkeypatch, fake_pool):
+    # A pooled walk has one chunk per worker, each with one anchor and one
+    # check build.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     built, real = [], primes.build_quotient_pi
     monkeypatch.setattr(
         primes, "build_quotient_pi", lambda n, **kw: built.append(n) or real(n, **kw)
     )
-    monkeypatch.setattr(cli, "build_quotient_pi", None)  # no per-n build
-    code, out, _ = run(capsys, "sweep", f"{10**9}:{10**9 + 200}", "--format", "csv")
-    assert code == EXIT_OK
-    assert built == [10**9, 10**9 + 200]
-    assert len(out.splitlines()) == 202
-
-
-def test_pooled_stride_one_sweep_matches_in_process(capsys, monkeypatch, fake_pool):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    argv = ("sweep", f"{10**8}:{10**8 + 40}", "--format", "csv")
+    a = 10**8
+    argv = ("sweep", f"{a}:{a + 40}", "--format", "csv")
     code, out_two, _ = run(capsys, *argv, "--workers", "2")
     assert code == EXIT_OK
     assert fake_pool == [2]
+    assert built == [a, a + 20, a + 21, a + 40]  # 2 builds per worker
     code, out_one, _ = run(capsys, *argv, "--workers", "1")
     assert code == EXIT_OK
     assert out_two == out_one
@@ -705,11 +736,16 @@ def test_max_n_override_stops_at_the_quotient_table_budget(capsys):
 def test_quotient_table_budget_checked_before_any_table(capsys, monkeypatch):
     # Work whose last n is past the table budget is refused before the
     # earlier n build their tables: no row, no agree line, no build.
+    # count builds through cli's name, and a range walk through primes'.
     builds = []
-    real = cli.build_quotient_pi
-    monkeypatch.setattr(
-        cli, "build_quotient_pi", lambda n, **kw: builds.append(n) or real(n, **kw)
-    )
+    real = primes.build_quotient_pi
+
+    def build(n, **kw):
+        builds.append(n)
+        return real(n, **kw)
+
+    monkeypatch.setattr(cli, "build_quotient_pi", build)
+    monkeypatch.setattr(primes, "build_quotient_pi", build)
     two_n = f"10^10:2^52:{2**52 - 10**10}"  # the range 10^10, 2^52
     for argv in (("count", "10^11,2^52"), ("identity", two_n), ("sweep", two_n)):
         code, out, err = run(capsys, *argv, "--max-n", "2^52")
