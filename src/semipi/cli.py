@@ -233,10 +233,11 @@ def _cell(value) -> str:
 def emit_rows(rows: list[dict], columns: tuple[str, ...], fmt: str, out) -> None:
     """Write rows to `out` as an aligned table, CSV, or a JSON array.
 
-    All three formats carry identical values for the same rows.
+    All three formats carry identical values for the same rows, in the
+    order of columns.
     """
     if fmt == "json":
-        out.write(json.dumps(rows) + "\n")
+        out.write(json.dumps([{c: row[c] for c in columns} for row in rows]) + "\n")
     elif fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
@@ -312,24 +313,19 @@ def _timed_counts(n: int, methods: tuple[str, ...], max_n: int) -> tuple[list[di
 # range machinery for sweep / identity (module-level so it pickles under
 # process pools)
 
-_WORKER_CTX: dict | None = None
+_WORKER_CTX: tuple | None = None
 
 
-def _range_init(ctx: dict | None) -> None:
-    """Install the range context that _range_chunk reads (None clears it)."""
+def _range_init(ctx: tuple | None) -> None:
+    """Install the (row, tables) pair that _range_chunk reads (None clears it)."""
     global _WORKER_CTX
     _WORKER_CTX = ctx
 
 
 def _range_chunk(ns: range) -> list[dict]:
     """The rows of ns, each read from the table that the range's source gives."""
-    ctx = _WORKER_CTX
-    return [ctx["row"](n, qpi, ctx) for n, qpi in zip(ns, ctx["tables"](ns))]
-
-
-def _no_tables(ns: range) -> list[None]:
-    """The table source of the oracle alone, which reads no table."""
-    return [None] * len(ns)
+    row, tables = _WORKER_CTX
+    return [row(n, qpi) for n, qpi in zip(ns, tables(ns))]
 
 
 def _dense_tables(table: PrimeTable, ns: range):
@@ -343,29 +339,26 @@ def _one_by_one(ns: range, *, max_n: int):
     return (qpi for n in ns for qpi in quotient_tables(range(n, n + 1), max_n=max_n))
 
 
-def _sweep_row(n: int, qpi: QuotientPiTable | None, ctx: dict) -> dict:
-    methods = ctx["methods"]
-    row: dict = {"n": n}
+def _sweep_row(methods: tuple[str, ...], n: int, qpi: QuotientPiTable) -> dict:
+    """n and the count of each formula method at n, all read from qpi."""
+    row = {"n": n}
     for m in methods:
-        if m == "oracle":
-            row[m] = int(ctx["oracle"][ctx["ns"].index(n)])
-        else:
-            row[m] = method_count(n, m, qpi).count
-    row["agree"] = len({row[m] for m in methods}) == 1
+        row[m] = method_count(n, m, qpi).count
     return row
 
 
-def _identity_row(n: int, qpi: QuotientPiTable, ctx: dict) -> dict:
+def _identity_row(n: int, qpi: QuotientPiTable) -> dict:
     return asdict(check_identity(n, qpi))
 
 
-def _run_chunked(row_fn, ns: range, methods: tuple, max_n: int, workers: int) -> list[dict]:
-    """Map _range_chunk over contiguous chunks of ns, preserving order.
+def _run_chunked(row, ns: range, max_n: int, workers: int) -> list[dict]:
+    """row(n, qpi) for every n of ns, in order, mapped over contiguous chunks.
 
     The table source and the chunk size are picked here, once per range:
 
-    * no table when only the oracle is asked for;
-    * two or more n up to DENSE_SWEEP_LIMIT share one dense sieve;
+    * two or more n up to DENSE_SWEEP_LIMIT share one dense sieve, built
+      here once: forked workers inherit it, spawn or forkserver pickles
+      it to each worker, and in-process it is freed when the range ends;
     * any other range walks, in one chunk per worker: each walk pays
       one anchor build and one check build, so more chunks only add
       builds.  A stride up to isqrt(ns[-1]) walks the whole chunk
@@ -374,29 +367,22 @@ def _run_chunked(row_fn, ns: range, methods: tuple, max_n: int, workers: int) ->
       gaps.  It does not make each n a chunk of its own: a chunk frees
       all it holds when it ends, and the next build pages it in again.
 
-    The caller builds every shared table once (the oracle column and
-    the dense sieve): forked workers inherit them, spawn or forkserver
-    pickles them to each worker, and in-process they are freed when the
-    range ends.  The pool never exceeds the CPU count or the number of
-    chunks.  One worker runs in-process through the same code path, so
-    the output is the same at any worker count.
+    The pool never exceeds the CPU count or the number of chunks.  One
+    worker runs in-process through the same code path, so the output is
+    the same at any worker count.
     """
     _check_workers(workers)
     workers = min(workers, os.cpu_count() or 1)
     chunk_size = len(ns) if workers == 1 else min(5000, -(-len(ns) // (workers * 4)))
-    oracle = oracle_counts(1, ns) if "oracle" in methods else None
-    if not _needs_qpi(methods):
-        tables = _no_tables
-    elif len(ns) > 1 and ns[-1] <= DENSE_SWEEP_LIMIT:
+    if len(ns) > 1 and ns[-1] <= DENSE_SWEEP_LIMIT:
         tables = partial(_dense_tables, build_prime_table(ns[-1]))
     else:
         walk = quotient_tables if ns.step <= isqrt(ns[-1]) else _one_by_one
         tables = partial(walk, max_n=max_n)
         chunk_size = -(-len(ns) // workers)
-    ctx = {"row": row_fn, "ns": ns, "methods": methods, "oracle": oracle, "tables": tables}
     chunks = [ns[i : i + chunk_size] for i in range(0, len(ns), chunk_size)]
     if workers == 1 or len(chunks) <= 1:
-        _range_init(ctx)
+        _range_init((row, tables))
         try:
             parts = [_range_chunk(c) for c in chunks]
         finally:
@@ -405,10 +391,10 @@ def _run_chunked(row_fn, ns: range, methods: tuple, max_n: int, workers: int) ->
         with ProcessPoolExecutor(
             max_workers=min(workers, len(chunks)),
             initializer=_range_init,
-            initargs=(ctx,),
+            initargs=((row, tables),),
         ) as pool:
             parts = list(pool.map(_range_chunk, chunks))
-    return [row for part in parts for row in part]
+    return [r for part in parts for r in part]
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +445,7 @@ def cmd_count(args) -> int:
 def cmd_identity(args) -> int:
     target = args.target if ":" in args.target else f"{args.target}:{args.target}"
     ns = _range_ns(*parse_range(target), (), args.max_n)
-    rows = _run_chunked(_identity_row, ns, (), args.max_n, args.workers)
+    rows = _run_chunked(_identity_row, ns, args.max_n, args.workers)
     emit_rows(rows, IDENTITY_COLUMNS, args.format, sys.stdout)
     bad = [row for row in rows if row["residual"] != 0]
     if bad:
@@ -477,19 +463,31 @@ def cmd_identity(args) -> int:
 def run_sweep(config: SweepConfig, out=None) -> int:
     """Execute a sweep and write its rows in ascending n; returns exit code.
 
+    The oracle column is counted once over the range after the formula
+    rows; an oracle-only sweep reads no table and starts no pool.
+
     Every row is held until emit_rows writes them all at once: a failed
     end check of a range walk must leave stdout empty, and the table
     format needs the width of every column before its first line.
     """
     out = out if out is not None else sys.stdout
-    ns = _range_ns(config.start, config.end, config.stride, config.methods, config.max_n)
-    rows = _run_chunked(_sweep_row, ns, config.methods, config.max_n, config.parallelism)
-    columns = ("n", *config.methods, "agree")
-    emit_rows(rows, columns, config.output_format, out)
+    methods = config.methods
+    ns = _range_ns(config.start, config.end, config.stride, methods, config.max_n)
+    formulas = tuple(m for m in methods if m != "oracle")
+    if formulas:
+        rows = _run_chunked(partial(_sweep_row, formulas), ns, config.max_n, config.parallelism)
+    else:
+        rows = [{"n": n} for n in ns]
+    oracle = oracle_counts(1, ns).tolist() if "oracle" in methods else None
+    for i, row in enumerate(rows):
+        if oracle is not None:
+            row["oracle"] = oracle[i]
+        row["agree"] = len({row[m] for m in methods}) == 1
+    emit_rows(rows, ("n", *methods, "agree"), config.output_format, out)
     disagreeing = [row for row in rows if not row["agree"]]
     if disagreeing:
         first = disagreeing[0]
-        _report_disagreement(first["n"], {m: first[m] for m in config.methods})
+        _report_disagreement(first["n"], {m: first[m] for m in methods})
         return EXIT_DISAGREE
     return EXIT_OK
 

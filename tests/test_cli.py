@@ -408,16 +408,23 @@ def test_sweep_parallel_output_identical(capsys):
 
 
 def test_sweep_csv_json_same_values(capsys):
-    argv = ("sweep", "1:50:1", "--methods", "eq1,oracle")
-    _, out_csv, _ = run(capsys, *argv, "--format", "csv")
-    _, out_json, _ = run(capsys, *argv, "--format", "json")
-    csv_rows = list(csv.DictReader(io.StringIO(out_csv)))
-    json_rows = json.loads(out_json)
-    for c, j in zip(csv_rows, json_rows, strict=True):
-        assert c["n"] == str(j["n"])
-        assert c["eq1"] == str(j["eq1"])
-        assert c["oracle"] == str(j["oracle"])
-        assert c["agree"] == ("true" if j["agree"] else "false")
+    # JSON keys come in the order of the CSV header, also when the oracle
+    # column is not the last method.
+    for argv in (
+        ("sweep", "1:50:1", "--methods", "eq1,oracle"),
+        ("sweep", "1:6", "--methods", "oracle,eq1"),
+    ):
+        _, out_csv, _ = run(capsys, *argv, "--format", "csv")
+        _, out_json, _ = run(capsys, *argv, "--format", "json")
+        csv_rows = list(csv.DictReader(io.StringIO(out_csv)))
+        json_rows = json.loads(out_json)
+        header = out_csv.splitlines()[0].split(",")
+        for c, j in zip(csv_rows, json_rows, strict=True):
+            assert list(j) == header
+            assert c["n"] == str(j["n"])
+            assert c["eq1"] == str(j["eq1"])
+            assert c["oracle"] == str(j["oracle"])
+            assert c["agree"] == ("true" if j["agree"] else "false")
 
 
 def test_sweep_caps_rejected_before_work(capsys):
@@ -543,8 +550,9 @@ def test_sweep_workers_capped_at_cpu_count(capsys, monkeypatch, fake_pool):
 
 
 def test_pooled_sweep_counts_the_oracle_column_once(capsys, monkeypatch, fake_pool):
-    # The oracle column is counted in the calling process and handed to
-    # every worker's initializer, not counted again by each worker.
+    # The oracle column is counted once, in the calling process, after the
+    # formula rows; no worker counts it.  An oracle-only sweep reads no
+    # table, so it starts no pool at all.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     calls = []
     real = cli.oracle_counts
@@ -555,6 +563,16 @@ def test_pooled_sweep_counts_the_oracle_column_once(capsys, monkeypatch, fake_po
     code, out_two, _ = run(capsys, *argv, "--workers", "2")
     assert code == EXIT_OK
     assert fake_pool == [2]
+    assert calls == [(1, range(1, 101))]
+    code, out_one, _ = run(capsys, *argv, "--workers", "1")
+    assert code == EXIT_OK
+    assert out_two == out_one
+    fake_pool.clear()
+    calls.clear()
+    argv = ("sweep", "1:100", "--methods", "oracle", "--format", "csv")
+    code, out_two, _ = run(capsys, *argv, "--workers", "2")
+    assert code == EXIT_OK
+    assert fake_pool == []
     assert calls == [(1, range(1, 101))]
     code, out_one, _ = run(capsys, *argv, "--workers", "1")
     assert code == EXIT_OK
@@ -705,8 +723,8 @@ def test_pooled_stride_one_sweep_matches_in_process(capsys, monkeypatch, fake_po
     ],
 )
 def test_spawn_pool_prints_what_one_worker_prints(capsys, monkeypatch, argv):
-    # A spawn pool pickles the range context (the dense PrimeTable, the
-    # oracle column) to each worker, where fork would inherit it.
+    # A spawn pool pickles the range context (the row function and the
+    # dense PrimeTable) to each worker, where fork would inherit it.
     pools = []
 
     def spawn_pool(**kwargs):
