@@ -11,9 +11,9 @@ Two table types back everything else in the package:
 
 ``quotient_tables`` yields the QuotientPiTable of every n of an ascending
 range from one anchor build: table(m) follows from table(m - 1) by the
-factoring step of ``_factor_blocks``, the block sieve that the oracle in
-``semiprimes`` counts Omega with, and the last table is checked against
-its own build entry by entry.
+smooth parts of ``_factor_blocks``, and the last table is checked against
+its own build entry by entry.  Its block sieve ``_sieve_blocks`` also
+counts the small prime factors that the oracle in ``semiprimes`` reads.
 
 All values are exact integers; no floating point is involved anywhere.
 Both table types make their arrays read-only in ``__post_init__``, and
@@ -354,68 +354,71 @@ def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTabl
 _WHEEL = 8 * 9 * 5 * 7 * 11
 
 
-def _factor_blocks(lo: int, hi: int, base: np.ndarray, *, count_omega: bool = True):
-    """Yield (start, omega, part) for consecutive blocks covering [lo, hi].
+def _sieve_blocks(lo: int, hi: int, base: np.ndarray, ufunc: np.ufunc, dtype):
+    """Yield (start, block) for consecutive blocks covering [lo, hi].
 
-    omega[i] is Omega(start + i), prime factors counted with
-    multiplicity, as uint8, and part[i] is the isqrt(hi)-smooth part of
-    start + i; each block holds at most SIEVE_SEGMENT entries, and 0 and
-    1 get omega 0 and part 1.  The caller passes the base primes
-    p <= isqrt(hi).  In each block every prime power q = p^e adds 1 at its
-    multiples and multiplies `part` there by p.  An m with part < m has a
-    cofactor m // part whose prime factors all exceed sqrt(hi) >= sqrt(m),
-    so it is one prime: one more factor.  With count_omega=False the
-    Omega work, about half the sieve's time, is skipped and omega is None.
+    Each block holds at most SIEVE_SEGMENT entries of dtype.  block[i]
+    starts as ufunc's identity, and every prime power q = p^e <= hi of a
+    base prime p applies ufunc at the multiples of q: np.multiply by p,
+    which leaves the smooth part of start + i over the base primes, or
+    np.add of 1, which leaves the count of its base-prime factors with
+    multiplicity.  0 is a multiple of every q but no product of primes,
+    so it keeps the identity, as does 1.
 
     The prime powers that divide _WHEEL = 27720 (of base primes only: a
-    wheel prime above isqrt(hi) is a cofactor) are applied once per call
-    to a pattern of _WHEEL residues, and each block starts as that
-    pattern rolled to start % _WHEEL.  Every other prime power q <= hi
-    is listed once per call; a block walks only the q that have a
-    multiple in it, with their first offsets found in one vector op.
-    `part` is int32 when hi < 2**31 and int64 otherwise: it divides m,
-    so part <= m <= hi and every product is exact.
+    wheel prime that is not a base prime is no smooth factor) are applied
+    once per call to a pattern of _WHEEL residues, tiled once per call to
+    min(hi - lo + 1, SIEVE_SEGMENT) + _WHEEL entries; each block starts
+    as a copy of that tiling from start % _WHEEL on.  Every other prime
+    power q <= hi is listed once per call; a block walks only the q that
+    have a multiple in it, with their first offsets found in one vector op.
     """
-    dtype = np.int32 if hi < 2**31 else np.int64
-    wheel_omega = np.zeros(_WHEEL, dtype=np.uint8)
-    wheel_part = np.ones(_WHEEL, dtype=dtype)
-    ps, qs = [base[:0]], [base[:0]]  # concatenate needs one array
     p, q = base, base
+    ps, qs = [p], [q]
     while len(p):
-        in_wheel = _WHEEL % q == 0
-        for pw, qw in zip(p[in_wheel].tolist(), q[in_wheel].tolist()):
-            wheel_omega[::qw] += 1
-            wheel_part[::qw] *= pw
-        ps.append(p[~in_wheel])
-        qs.append(q[~in_wheel])
         grows = q <= hi // p
         p, q = p[grows], q[grows] * p[grows]
+        ps.append(p)
+        qs.append(q)
     ps, qs = np.concatenate(ps), np.concatenate(qs)
+    # The operand each prime power applies: p, or 1.
+    ws = ps if ufunc is np.multiply else np.ones_like(ps)
+    pattern = np.full(_WHEEL, ufunc.identity, dtype=dtype)
+    in_wheel = _WHEEL % qs == 0
+    for w, q in zip(ws[in_wheel].tolist(), qs[in_wheel].tolist()):
+        view = pattern[::q]
+        ufunc(view, w, out=view)
+    ws, qs = ws[~in_wheel], qs[~in_wheel]
+    tiled = np.resize(pattern, min(hi - lo + 1, SIEVE_SEGMENT) + _WHEEL)
     for start in range(lo, hi + 1, SIEVE_SEGMENT):
         end = min(start + SIEVE_SEGMENT, hi + 1)
         off = start % _WHEEL
-        # omega before part: in the other order the oracle's peak RSS
-        # read 2 MiB higher at n <= 10**7.
-        omega = None
-        if count_omega:
-            omega = np.resize(np.roll(wheel_omega, -off), end - start)
-        part = np.resize(np.roll(wheel_part, -off), end - start)
-        # 0 is a multiple of every q but no product of primes: skip it.
+        block = tiled[off : off + end - start].copy()
         m0 = max(start, 1)
         if start == 0:
-            part[0] = 1
-            if count_omega:
-                omega[0] = 0
+            block[0] = ufunc.identity
         hit = (end - 1) // qs > (m0 - 1) // qs
         hit_q = qs[hit]
         firsts = (m0 - start) + (-m0) % hit_q
-        for pw, qw, first in zip(ps[hit].tolist(), hit_q.tolist(), firsts.tolist()):
-            part[first::qw] *= pw
-            if count_omega:
-                omega[first::qw] += 1
-        if count_omega:
-            omega += part < np.arange(start, end, dtype=dtype)
-        yield start, omega, part
+        for w, q, first in zip(ws[hit].tolist(), hit_q.tolist(), firsts.tolist()):
+            view = block[first::q]
+            ufunc(view, w, out=view)
+        yield start, block
+
+
+def _factor_blocks(lo: int, hi: int, base: np.ndarray):
+    """Yield (start, part) for consecutive blocks covering [lo, hi].
+
+    part[i] is the isqrt(hi)-smooth part of start + i, the product of
+    its prime factors p <= isqrt(hi) with multiplicity, and 0 and 1 get
+    part 1; the caller passes the base primes p <= isqrt(hi), and the
+    blocks are those of _sieve_blocks.  An m with part < m has a
+    cofactor m // part whose prime factors all exceed sqrt(hi) >= sqrt(m),
+    so it is one prime.  `part` is int32 when hi < 2**31 and int64
+    otherwise: it divides m, so part <= m <= hi and every product is exact.
+    """
+    dtype = np.int32 if hi < 2**31 else np.int64
+    return _sieve_blocks(lo, hi, base, np.multiply, dtype)
 
 
 def _table_at(n: int, smalls: np.ndarray, larges: np.ndarray, primes: np.ndarray):
@@ -462,10 +465,10 @@ def quotient_tables(ns: range, *, max_n: int = SUPPORTED_MAX_N):
       r + 1 if it is prime.
 
     The steps come from the smooth parts that the factoring sieve
-    _factor_blocks finds over the walked m (with count_omega=False: the
-    walk reads no Omega), whose base primes are the check build's
-    root_primes.  Once the smooth part s of m is divided out, the
-    cofactor is 1 or one prime q > isqrt(m), which gives d = s <= isqrt(m).
+    _factor_blocks finds over the walked m, whose base primes are the
+    check build's root_primes.  Once the smooth part s of m is divided
+    out, the cofactor is 1 or one prime q > isqrt(m), which gives
+    d = s <= isqrt(m).
     A base prime q gives d = m / q when (d - 1)^2 <= m = q * d, which
     holds exactly when d <= q + 1: then (d - 1)^2 <= q * (d - 1), and
     above it (d - 1)^2 >= (q + 1) * (d - 1) > q * d.  The working tables
@@ -511,7 +514,7 @@ def quotient_tables(ns: range, *, max_n: int = SUPPORTED_MAX_N):
     del anchor  # the caller decides how long the anchor lives
 
     i = 1  # ns[i] is the next table to yield
-    for start, _, part in _factor_blocks(ns[0] + 1, last, primes, count_omega=False):
+    for start, part in _factor_blocks(ns[0] + 1, last, primes):
         end = start + len(part)
         # m = start + j = part[j] * q, q a prime > isqrt(ns[-1]): d = part[j].
         big = part < np.arange(start, end, dtype=part.dtype)

@@ -9,10 +9,10 @@ semiprimes <= n and r = isqrt(n), the package computes pi2 four ways:
 * ``eq3_grouped`` same value, but the primes beyond r are never
                   enumerated: they are grouped by the shared quotient
                   v = n // p, costing O(sqrt(n)) terms total
-* ``oracle``      factor every m <= n with a sieve and count those with
-                  exactly two prime factors (with multiplicity): the
-                  prime powers of the primes up to sqrt(n), plus at
-                  most one cofactor prime above sqrt(n) per m
+* ``oracle``      count the m <= n with exactly two prime factors (with
+                  multiplicity) by a sieve that counts each m's prime
+                  factors up to r: those m > r with one such factor,
+                  and the products of two primes up to r
 
 All four must agree for every n; the CLI and the test suite treat any
 disagreement as a bug signal.  Agreement proves less than four
@@ -27,25 +27,25 @@ every walked range of the CLI: two or more n ending above 10**7, at a
 stride up to isqrt of the last n), both unless the recurrence tables of
 a - 1 and b share the fault.  The oracle shares only the base-prime
 sieve ``_primes`` with the recurrence; its block sieve
-``primes._factor_blocks`` also gives the steps of ``quotient_tables``.
-It factors in blocks of at most SIEVE_SEGMENT integers,
-and ``oracle_counts``, which the count, the sweep's oracle column and the
+``primes._sieve_blocks`` also finds the smooth parts that step
+``quotient_tables``.  It sieves in blocks of at most SIEVE_SEGMENT
+integers, one uint8 count per integer and no smooth part, and
+``oracle_counts``, which the count, the sweep's oracle column and the
 window check all read, holds one block at a time plus one count per n.
-Each block starts from the 27720-periodic share of 2, 4, 8, 3, 9, 5, 7
-and 11, walks only the other prime powers with a multiple in it, and
-keeps the smooth part in int32 below 2**31, where it cannot overflow.
+Each block starts as a copy of the 27720-periodic share of 2, 4, 8, 3,
+9, 5, 7 and 11, tiled once per call, and walks only the other prime
+powers with a multiple in it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
 from .errors import InternalConsistencyError, RangeError
-from .primes import QuotientPiTable, _factor_blocks, _primes, isqrt
+from .primes import QuotientPiTable, _primes, _sieve_blocks, isqrt
 
 #: eq3_naive enumerates every prime <= n/2; refuse beyond this.
 NAIVE_MAX_N = 10**7
@@ -221,35 +221,68 @@ def count_semiprimes_eq3(n: int, qpi: QuotientPiTable, mode: str = "grouped") ->
     )
 
 
-def _omega_blocks(lo: int, hi: int):
-    """Yield (start, omega) for consecutive blocks covering [lo, hi].
+def _smooth_omega_blocks(lo: int, hi: int, base: np.ndarray):
+    """Yield (start, h) for consecutive blocks covering [lo, hi].
 
-    omega[i] is Omega(start + i), prime factors counted with
-    multiplicity, as uint8; 0 and 1 get 0.  These are the blocks of
-    primes._factor_blocks over the primes <= isqrt(hi), sieved here,
-    without their smooth parts.  map holds no reference to a block once
-    it is passed on, so its smooth part is freed while the next is sieved.
+    h[i] counts the prime factors of start + i among the base primes,
+    with multiplicity, as uint8; 0 and 1 get 0.  These are the blocks of
+    primes._sieve_blocks, which adds 1 at the multiples of every power of
+    a base prime.
     """
-    return map(itemgetter(0, 1), _factor_blocks(lo, hi, _primes(isqrt(hi))))
+    return _sieve_blocks(lo, hi, base, np.add, np.uint8)
+
+
+def _base_pairs(base: np.ndarray, start: int, end: int) -> np.ndarray:
+    """Every product p * q in [start, end) of base primes p <= q.
+
+    For each p with p * p < end, the q form one run of base, found by
+    searchsorted.  The products are distinct integers of [start, end),
+    so there are at most end - start of them.
+    """
+    ps = base[: np.searchsorted(base, isqrt(end - 1), side="right")]
+    first = np.searchsorted(base, np.maximum(ps, -(-start // ps)))
+    took = np.maximum(np.searchsorted(base, (end - 1) // ps, side="right") - first, 0)
+    at = np.repeat(first - np.cumsum(took) + took, took) + np.arange(took.sum())
+    return np.repeat(ps, took) * base[at]
 
 
 def oracle_counts(lo: int, ns: range) -> np.ndarray:
     """out[i] = #{lo <= m <= ns[i] : Omega(m) = 2} for an ascending range ns[0] >= lo >= 1.
 
-    One pass of _omega_blocks(lo, ns[-1]) with a running count: it holds
-    one block and len(ns) counts, and locates semiprimes only in blocks
-    that hold some n.  Reads no quotient table and applies no cap.
+    With R = isqrt(ns[-1]) and h(m) the count of m's prime factors
+    p <= R with multiplicity, an m <= ns[-1] has Omega(m) = 2 exactly
+    when h(m) = 1 and m > R, or m = p * q for primes p <= q <= R:
+
+    * h(m) = 1: m = p * c, where c has no prime factor <= R and
+      c <= ns[-1] / 2 < (R + 1)^2, so c is 1 or one prime.  c = 1 means
+      m = p <= R, and m > R means c is a prime.
+    * h(m) = 2: m is a semiprime exactly when it has no cofactor, that
+      is, when m = p * q.
+    * h(m) = 0 means m is 1 or a prime, and h(m) >= 3 means Omega >= 3.
+
+    One pass of _smooth_omega_blocks(lo, ns[-1]) with a running count: it
+    holds one block and len(ns) counts, adds the products p * q of each
+    block from _base_pairs, and locates semiprimes only in blocks that
+    hold some n.  Reads no quotient table and applies no cap.
     """
     if lo < 1 or len(ns) == 0 or ns.step < 1 or ns[0] < lo:
         raise RangeError(f"need an ascending range of n >= lo >= 1, got lo={lo}, ns={ns}")
+    root = isqrt(ns[-1])
+    base = _primes(root)
     out = np.empty(len(ns), dtype=np.int64)
     total = 0
-    for start, omega in _omega_blocks(lo, ns[-1]):
-        i, j = bisect_left(ns, start), bisect_left(ns, start + len(omega))
+    for start, h in _smooth_omega_blocks(lo, ns[-1], base):
+        end = start + len(h)
+        pairs = _base_pairs(base, start, end)
+        cut = max(root + 1 - start, 0)  # h[cut:] covers the m > R
+        i, j = bisect_left(ns, start), bisect_left(ns, end)
         if i == j:
-            total += int(np.count_nonzero(omega == 2))
+            total += int(np.count_nonzero(h[cut:] == 1)) + len(pairs)
             continue
-        hits = np.flatnonzero(omega == 2)
+        semiprime = h == 1
+        semiprime[:cut] = False
+        semiprime[pairs - start] = True
+        hits = np.flatnonzero(semiprime)
         offsets = np.arange(ns[i], ns[j - 1] + 1, ns.step) - start
         out[i:j] = total + np.searchsorted(hits, offsets, side="right")
         total += len(hits)

@@ -33,6 +33,18 @@ def trial_omega(m: int) -> int:
     return count + (1 if m > 1 else 0)
 
 
+def trial_smooth_omega(m: int, bound: int) -> int:
+    """Prime factors q <= bound of m counted with multiplicity, by trial division."""
+    count, q = 0, 2
+    while q * q <= m and q <= bound:
+        while m % q == 0:
+            m //= q
+            count += 1
+        q += 1
+    # What is left is 1, one prime (when q * q > m), or has no factor <= bound.
+    return count + (1 if 1 < m <= bound else 0)
+
+
 def brute_semiprime_count(n: int) -> int:
     """Count m <= n that are products of exactly two primes."""
     return sum(1 for m in range(4, n + 1) if trial_omega(m) == 2)

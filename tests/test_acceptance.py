@@ -29,7 +29,8 @@ from semipi import (
     quotient_tables,
 )
 from semipi.cli import GOLDEN
-from semipi.semiprimes import _omega_blocks
+from semipi.primes import _primes
+from semipi.semiprimes import _smooth_omega_blocks
 
 SWEEP_LIMIT = 10**5
 
@@ -201,10 +202,17 @@ def test_criterion_7_scale_1e10():
 
 def test_criterion_8_step_property(sweep):
     def body():
-        omega = np.concatenate([om for _, om in _omega_blocks(0, SWEEP_LIMIT)])
+        # Omega(m) = 2 exactly when m > r has one prime factor <= r,
+        # counted with multiplicity, or m is a product of two primes <= r.
+        r = isqrt(SWEEP_LIMIT)
+        base = _primes(r)
+        h = np.concatenate([h for _, h in _smooth_omega_blocks(0, SWEEP_LIMIT, base)])
+        semiprime = h == 1
+        semiprime[: r + 1] = False
+        semiprime[np.outer(base, base)] = True  # every product is <= r^2
         steps = np.diff(sweep["eq3g"][: SWEEP_LIMIT + 1])  # steps at n = 1..limit
         assert set(np.unique(steps).tolist()) <= {0, 1}
-        semiprime_positions = np.flatnonzero(omega == 2)
+        semiprime_positions = np.flatnonzero(semiprime)
         step_positions = np.flatnonzero(steps) + 1
         assert np.array_equal(step_positions, semiprime_positions)
 

@@ -393,6 +393,18 @@ def test_quotient_tables_one_n_and_a_strided_pair():
     check_range(range(1, 3), build_quotient_pi)
 
 
+@pytest.mark.parametrize("ns,dtype", [
+    (range(2**31 - 8, 2**31), np.int32),
+    (range(2**31 - 4, 2**31 + 4), np.int64),
+])
+def test_quotient_tables_across_the_int32_edge(ns, dtype):
+    # The walk's smooth parts are int32 when the range ends below 2**31.
+    base = primes_module._primes(isqrt(ns[-1]))
+    parts = [part for _, part in primes_module._factor_blocks(ns[0] + 1, ns[-1], base)]
+    assert [part.dtype for part in parts] == [dtype]
+    check_range(ns, build_quotient_pi)
+
+
 def test_quotient_tables_build_two_tables(monkeypatch):
     # The anchor and the check at the last n; the tables between are derived.
     built, real = [], primes_module.build_quotient_pi

@@ -11,6 +11,7 @@ from reference_impls import (
     brute_ordered_pair_count,
     brute_semiprime_count,
     trial_omega,
+    trial_smooth_omega,
 )
 from semipi import (
     InternalConsistencyError,
@@ -30,13 +31,34 @@ from semipi import (
     pair_sum_naive,
 )
 from semipi.cli import GOLDEN
-from semipi.primes import _WHEEL, SIEVE_SEGMENT
-from semipi.semiprimes import _omega_blocks
+from semipi.primes import _WHEEL, SIEVE_SEGMENT, _primes
+from semipi.semiprimes import _smooth_omega_blocks
 
 
-def omega_window(lo: int, hi: int) -> np.ndarray:
-    """Omega(m) for m in [lo, hi], the blocks of _omega_blocks joined."""
-    return np.concatenate([omega for _, omega in _omega_blocks(lo, hi)])
+def smooth_omega_blocks(lo: int, hi: int) -> list:
+    """The blocks of _smooth_omega_blocks over [lo, hi], base primes <= isqrt(hi)."""
+    return list(_smooth_omega_blocks(lo, hi, _primes(isqrt(hi))))
+
+
+def oracle_window(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(h, semiprime) for m in [lo, hi].
+
+    h[m - lo] counts m's prime factors <= isqrt(hi) with multiplicity,
+    the blocks of _smooth_omega_blocks joined, and semiprime[m - lo] is
+    the step of oracle_counts at m.
+    """
+    h = np.concatenate([h for _, h in smooth_omega_blocks(lo, hi)])
+    first = max(lo, 1)  # oracle_counts starts at 1; 0 is no semiprime
+    counts = oracle_counts(first, range(first, hi + 1)) if hi >= first else []
+    steps = np.diff(counts, prepend=0)
+    return h, np.concatenate([np.zeros(first - lo, dtype=bool), steps == 1])
+
+
+def assert_window_by_trial_division(h, semiprime, lo: int, hi: int, ms) -> None:
+    """h and the semiprime flags of [lo, hi] at each m of ms, by trial division."""
+    for m in ms:
+        assert int(h[m - lo]) == trial_smooth_omega(m, isqrt(hi)), m
+        assert bool(semiprime[m - lo]) == (trial_omega(m) == 2), m
 
 
 @pytest.fixture(scope="module")
@@ -239,8 +261,8 @@ def test_oracle_golden_25():
 
 
 def test_oracle_semiprime_list_to_25():
-    omega = omega_window(0, 25)
-    semiprimes = [m for m in range(26) if omega[m] == 2]
+    _, semiprime = oracle_window(0, 25)
+    semiprimes = [m for m in range(26) if semiprime[m]]
     assert semiprimes == [4, 6, 9, 10, 14, 15, 21, 22, 25]
 
 
@@ -256,9 +278,8 @@ def test_oracle_cap():
 
 
 def test_omega_table_matches_trial_factoring():
-    omega = omega_window(0, 500)
-    for m in range(501):
-        assert int(omega[m]) == trial_omega(m), m
+    h, semiprime = oracle_window(0, 500)
+    assert_window_by_trial_division(h, semiprime, 0, 500, range(501))
 
 
 @pytest.mark.parametrize(
@@ -268,33 +289,30 @@ def test_omega_table_matches_trial_factoring():
 def test_omega_table_at_block_edges(limit):
     # Every m within 50 of a block boundary (a multiple of SIEVE_SEGMENT)
     # or of the window's end, checked by trial division.
-    omega = omega_window(0, limit)
-    assert omega.dtype == np.uint8 and len(omega) == limit + 1
+    h, semiprime = oracle_window(0, limit)
+    assert h.dtype == np.uint8 and len(h) == len(semiprime) == limit + 1
     edges = [*range(0, limit + 1, SIEVE_SEGMENT), limit + 1]
     near = {m for e in edges for m in range(e - 50, e + 51) if 0 <= m <= limit}
-    for m in sorted(near):
-        assert int(omega[m]) == trial_omega(m), m
+    assert_window_by_trial_division(h, semiprime, 0, limit, sorted(near))
 
 
 @pytest.mark.parametrize("edge", [2**21, 3**13])
 def test_omega_window_with_a_block_edge_on_a_prime_power(edge):
     # A window starting above 1 whose second block starts at a prime power.
     lo, hi = edge - SIEVE_SEGMENT, edge + 100
-    blocks = list(_omega_blocks(lo, hi))
-    assert [start for start, _ in blocks] == [lo, edge]
-    window = np.concatenate([omega for _, omega in blocks])
-    assert np.array_equal(window, omega_window(0, hi)[lo:])
-    for m in range(edge - 50, edge + 51):
-        assert int(window[m - lo]) == trial_omega(m), m
+    assert [start for start, _ in smooth_omega_blocks(lo, hi)] == [lo, edge]
+    h, semiprime = oracle_window(lo, hi)
+    from_zero = oracle_window(0, hi)
+    assert np.array_equal(h, from_zero[0][lo:])
+    assert np.array_equal(semiprime, from_zero[1][lo:])
+    assert_window_by_trial_division(h, semiprime, lo, hi, range(edge - 50, edge + 51))
 
 
 def assert_omega_by_trial_division(lo: int, hi: int, ms) -> None:
-    blocks = list(_omega_blocks(lo, hi))
-    assert all(omega.dtype == np.uint8 for _, omega in blocks)
-    window = np.concatenate([omega for _, omega in blocks])
-    assert len(window) == hi - lo + 1
-    for m in ms:
-        assert int(window[m - lo]) == trial_omega(m), m
+    assert all(h.dtype == np.uint8 for _, h in smooth_omega_blocks(lo, hi))
+    h, semiprime = oracle_window(lo, hi)
+    assert len(h) == len(semiprime) == hi - lo + 1
+    assert_window_by_trial_division(h, semiprime, lo, hi, ms)
 
 
 @pytest.mark.parametrize("lo", [5 * _WHEEL - 1, 5 * _WHEEL, 5 * _WHEEL + 1])
@@ -314,13 +332,13 @@ def test_omega_window_across_wheel_and_segment_edges():
 
 @pytest.mark.parametrize("hi", [3, 8, 24, 48, 120, 121, 122])
 def test_omega_window_with_wheel_primes_above_the_root(hi):
-    # A wheel prime above isqrt(hi) is not in the pattern: it is a cofactor.
+    # A wheel prime above isqrt(hi) is not in the pattern: no base prime.
     assert_omega_by_trial_division(0, hi, range(hi + 1))
 
 
 @pytest.mark.parametrize("hi", [2**31 - 1, 2**31 + 40])
 def test_omega_window_at_the_int32_edge(hi):
-    # The smooth part is int32 below 2**31 and int64 from there on.
+    # Windows that end just below 2**31 and just above it.
     assert_omega_by_trial_division(hi - 1000, hi, range(hi - 40, hi + 1))
 
 
@@ -364,7 +382,7 @@ S = SIEVE_SEGMENT
     ],
 )
 def test_oracle_counts_match_cumsum(lo, ns):
-    is_semiprime = omega_window(0, ns[-1]) == 2
+    _, is_semiprime = oracle_window(0, ns[-1])
     cum = np.cumsum(is_semiprime, dtype=np.int64)
     got = oracle_counts(lo, ns)
     assert got.dtype == np.int64 and len(got) == len(ns)
@@ -375,6 +393,60 @@ def test_oracle_counts_match_cumsum(lo, ns):
 def test_oracle_counts_refuses_n_below_lo(lo, ns):
     with pytest.raises(RangeError):
         oracle_counts(lo, ns)
+
+
+def trial_count(a: int, b: int) -> int:
+    """#{a <= m <= b : Omega(m) = 2}, by trial division."""
+    return sum(trial_omega(m) == 2 for m in range(a, b + 1))
+
+
+@pytest.mark.parametrize("hi", [101**2 - 1, 101**2, 101**2 + 1, 97 * 101])
+def test_oracle_counts_in_windows_that_start_at_or_below_the_root(hi):
+    # An m <= isqrt(hi) with one base-prime factor is that prime, no
+    # semiprime; at 101^2 and 101^2 + 1 the root 101 is itself a prime.
+    # 97 * 101 ends the window with one base-prime factor and a prime
+    # cofactor above the root 98.
+    cum = np.cumsum([trial_omega(m) == 2 for m in range(hi + 1)])
+    r = isqrt(hi)
+    for lo in (2, r - 1, r):
+        got = oracle_counts(lo, range(lo, hi + 1))
+        assert got.tolist() == (cum[lo:] - cum[lo - 1]).tolist(), lo
+
+
+@pytest.mark.parametrize("p", [101, 1009, 10007, 46349, 99991])
+def test_oracle_counts_in_a_window_ending_on_the_square_of_the_largest_base_prime(p):
+    # b = p^2 has two base-prime factors and no cofactor; 46349^2 > 2**31.
+    b = p * p
+    a = b - 10
+    assert oracle_counts(a, range(a, b + 1)).tolist() == [
+        trial_count(a, n) for n in range(a, b + 1)
+    ]
+
+
+@pytest.mark.parametrize("m", [1031 * 1033, 1033**2])
+@pytest.mark.parametrize("shift", [0, SIEVE_SEGMENT, SIEVE_SEGMENT - 1])
+def test_oracle_counts_with_a_base_pair_on_a_block_edge(m, shift):
+    # lo = m - shift puts the product m of two base primes on the first
+    # entry of the first block, on the first entry of the second, or on
+    # the last entry of the first.  The n fall on m and, at stride w, on
+    # 1033^2 as well, so that 1033 is a base prime.
+    w = 1033**2 - 1031 * 1033
+    lo = m - shift
+    ns = range(max(lo, m - w), 1033**2 + 1, w)
+    assert m in ns
+    got = oracle_counts(lo, ns).tolist()
+    if lo == ns[0]:
+        assert got[0] == trial_count(lo, ns[0])
+    steps = [b - a for a, b in zip(got, got[1:])]
+    assert steps == [trial_count(a + 1, b) for a, b in zip(ns, ns[1:])]
+
+
+@pytest.mark.parametrize("lo", [1, 2, 16000, 127 * 139])
+def test_oracle_counts_with_n_on_products_of_base_primes(lo):
+    # ns = 127 * 139, 139^2: both products of two base primes <= 139.
+    ns = range(127 * 139, 139**2 + 1, 12 * 139)
+    assert list(ns) == [127 * 139, 139**2]
+    assert oracle_counts(lo, ns).tolist() == [trial_count(lo, n) for n in ns]
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +477,14 @@ def test_four_way_equality_hypothesis(n):
 
 
 def test_step_property_small(dense_10k):
-    omega = omega_window(0, 3000)
+    _, semiprime = oracle_window(0, 3000)
     prev = 0
     for n in range(1, 3001):
         q = QuotientPiTable.from_dense(n, dense_10k)
         c = count_semiprimes_eq3(n, q, "grouped").count
         step = c - prev
         assert step in (0, 1)
-        assert (step == 1) == (int(omega[n]) == 2), n
+        assert (step == 1) == bool(semiprime[n]), n
         assert c <= n
         prev = c
 
