@@ -369,7 +369,8 @@ def _sieve_blocks(lo: int, hi: int, base: np.ndarray, ufunc: np.ufunc, dtype):
     wheel prime that is not a base prime is no smooth factor) are applied
     once per call to a pattern of _WHEEL residues, tiled once per call to
     min(hi - lo + 1, SIEVE_SEGMENT) + _WHEEL entries; each block starts
-    as a copy of that tiling from start % _WHEEL on.  Every other prime
+    as that tiling from start % _WHEEL on, a copy unless it is the last
+    block, so a one-block call allocates no block.  Every other prime
     power q <= hi is listed once per call; a block walks only the q that
     have a multiple in it, with their first offsets found in one vector op.
     """
@@ -393,7 +394,9 @@ def _sieve_blocks(lo: int, hi: int, base: np.ndarray, ufunc: np.ufunc, dtype):
     for start in range(lo, hi + 1, SIEVE_SEGMENT):
         end = min(start + SIEVE_SEGMENT, hi + 1)
         off = start % _WHEEL
-        block = tiled[off : off + end - start].copy()
+        block = tiled[off : off + end - start]
+        if end <= hi:  # the next block starts from the tiling again
+            block = block.copy()
         m0 = max(start, 1)
         if start == 0:
             block[0] = ufunc.identity
