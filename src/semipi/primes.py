@@ -354,16 +354,17 @@ def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTabl
 _WHEEL = 8 * 9 * 5 * 7 * 11
 
 
-def _sieve_blocks(lo: int, hi: int, base: np.ndarray, ufunc: np.ufunc, dtype):
+def _sieve_blocks(lo: int, hi: int, base: np.ndarray, weights: np.ndarray, ufunc: np.ufunc):
     """Yield (start, block) for consecutive blocks covering [lo, hi].
 
-    Each block holds at most SIEVE_SEGMENT entries of dtype.  block[i]
-    starts as ufunc's identity, and every prime power q = p^e <= hi of a
-    base prime p applies ufunc at the multiples of q: np.multiply by p,
-    which leaves the smooth part of start + i over the base primes, or
-    np.add of 1, which leaves the count of its base-prime factors with
-    multiplicity.  0 is a multiple of every q but no product of primes,
-    so it keeps the identity, as does 1.
+    Each block holds at most SIEVE_SEGMENT entries of weights.dtype.
+    block[i] starts as ufunc's identity, and every prime power
+    q = p^e <= hi of a base prime p = base[k] applies ufunc with
+    weights[k] at the multiples of q: np.multiply with the base primes
+    leaves the smooth part of start + i over them, and np.add with ones
+    the count of its base-prime factors with multiplicity.  0 is a
+    multiple of every q but no product of primes, so it keeps the
+    identity, as does 1.
 
     The prime powers that divide _WHEEL = 27720 (of base primes only: a
     wheel prime that is not a base prime is no smooth factor) are applied
@@ -374,17 +375,15 @@ def _sieve_blocks(lo: int, hi: int, base: np.ndarray, ufunc: np.ufunc, dtype):
     power q <= hi is listed once per call; a block walks only the q that
     have a multiple in it, with their first offsets found in one vector op.
     """
-    p, q = base, base
-    ps, qs = [p], [q]
+    p, q, w = base, base, weights
+    qs, ws = [q], [w]
     while len(p):
         grows = q <= hi // p
-        p, q = p[grows], q[grows] * p[grows]
-        ps.append(p)
+        p, q, w = p[grows], q[grows] * p[grows], w[grows]
         qs.append(q)
-    ps, qs = np.concatenate(ps), np.concatenate(qs)
-    # The operand each prime power applies: p, or 1.
-    ws = ps if ufunc is np.multiply else np.ones_like(ps)
-    pattern = np.full(_WHEEL, ufunc.identity, dtype=dtype)
+        ws.append(w)
+    qs, ws = np.concatenate(qs), np.concatenate(ws)
+    pattern = np.full(_WHEEL, ufunc.identity, dtype=weights.dtype)
     in_wheel = _WHEEL % qs == 0
     for w, q in zip(ws[in_wheel].tolist(), qs[in_wheel].tolist()):
         view = pattern[::q]
@@ -421,7 +420,7 @@ def _factor_blocks(lo: int, hi: int, base: np.ndarray):
     otherwise: it divides m, so part <= m <= hi and every product is exact.
     """
     dtype = np.int32 if hi < 2**31 else np.int64
-    return _sieve_blocks(lo, hi, base, np.multiply, dtype)
+    return _sieve_blocks(lo, hi, base, base.astype(dtype), np.multiply)
 
 
 def _table_at(n: int, smalls: np.ndarray, larges: np.ndarray, primes: np.ndarray):

@@ -229,7 +229,7 @@ def _smooth_omega_blocks(lo: int, hi: int, base: np.ndarray):
     primes._sieve_blocks, which adds 1 at the multiples of every power of
     a base prime.
     """
-    return _sieve_blocks(lo, hi, base, np.add, np.uint8)
+    return _sieve_blocks(lo, hi, base, np.ones(len(base), dtype=np.uint8), np.add)
 
 
 def _base_pairs(base: np.ndarray, start: int, end: int) -> np.ndarray:
