@@ -40,7 +40,8 @@ MAX_DENSE_LIMIT = 2**31
 #: Budget for sqrt(n) when building a quotient table (~0.5 GB).
 MAX_QUOTIENT_ROOT = 2**25
 
-#: Dense sieves are processed in blocks of this many entries.
+#: Sieves run in blocks of at most this many entries: odd numbers in
+#: _primes, integers in _sieve_blocks.
 SIEVE_SEGMENT = 2**20
 
 #: The p > n^(1/3) band of build_quotient_pi is scattered in blocks of
@@ -60,25 +61,62 @@ def isqrt(n: int) -> int:
     return math.isqrt(n)
 
 
+#: The prime sieve's wheel, in odd numbers: the odd primes 3, 5, 7, 11
+#: and 13 that divide it strike the same entries mod _ODD_WHEEL in every
+#: block, and the pattern repeats every 2 * _ODD_WHEEL = 30030 integers.
+_ODD_WHEEL = 3 * 5 * 7 * 11 * 13
+
+
 def _primes(limit: int) -> np.ndarray:
-    """The primes <= limit, ascending, as int64, sieved segment by segment."""
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[: min(2, limit + 1)] = False
+    """The primes <= limit, ascending, as int64.
+
+    Entry i stands for the odd number 2i + 1, and the (limit + 1) // 2
+    entries are sieved in blocks of at most SIEVE_SEGMENT.  The odd
+    primes <= isqrt(limit) come first, from a sieve of the odd numbers up
+    to isqrt(limit).  Those that divide _ODD_WHEEL strike their multiples
+    once per call in a pattern of _ODD_WHEEL entries, which is tiled once
+    per call to min((limit + 1) // 2, SIEVE_SEGMENT) + _ODD_WHEEL entries;
+    each block starts as that tiling from start % _ODD_WHEEL on, a copy
+    unless it is the last block, and the first block restores the wheel
+    primes and clears 1.  Every other base prime p strikes its odd
+    multiples from max(p^2, its first odd multiple in the block) on, at a
+    stride of p entries.  The result is 2 followed by 2i + 1 for every
+    entry i left standing; no limit-sized mask is held, only one block.
+    """
     root = math.isqrt(limit)
-    base: list[int] = []
-    for p in range(2, root + 1):
-        if mask[p]:
-            base.append(p)
-            mask[p * p : root + 1 : p] = False
-    lo = root + 1
-    while lo <= limit:
-        hi = min(lo + SIEVE_SEGMENT, limit + 1)
-        for p in base:
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start < hi:
-                mask[start:hi:p] = False
-        lo = hi
-    return np.flatnonzero(mask).astype(np.int64, copy=False)
+    small = np.ones((root + 1) // 2, dtype=bool)  # the odd numbers <= root
+    small[:1] = False
+    for i in range(1, (math.isqrt(root) + 1) // 2):
+        if small[i]:  # p = 2i + 1 strikes p^2 = 2 * (2i(i + 1)) + 1 on
+            small[2 * i * (i + 1) :: 2 * i + 1] = False
+    odd_primes = 2 * np.flatnonzero(small) + 1
+    in_wheel = _ODD_WHEEL % odd_primes == 0
+    wheel, base = odd_primes[in_wheel], odd_primes[~in_wheel]
+
+    count = (limit + 1) // 2
+    pattern = np.ones(_ODD_WHEEL, dtype=bool)
+    for p in wheel.tolist():
+        pattern[p // 2 :: p] = False
+    tiled = np.resize(pattern, min(count, SIEVE_SEGMENT) + _ODD_WHEEL)
+    found = [np.array([2] if limit >= 2 else [], dtype=np.int64)]
+    for start in range(0, count, SIEVE_SEGMENT):
+        end = min(start + SIEVE_SEGMENT, count)
+        off = start % _ODD_WHEEL
+        block = tiled[off : off + end - start]
+        if end < count:  # the next block starts from the tiling again
+            block = block.copy()
+        if start == 0:
+            block[wheel // 2] = True
+            block[0] = False
+        firsts = np.maximum(base * base // 2, start + (base // 2 - start) % base) - start
+        hit = firsts < end - start
+        for p, first in zip(base[hit].tolist(), firsts[hit].tolist()):
+            block[first::p] = False
+        standing = np.flatnonzero(block).astype(np.int64, copy=False)
+        standing *= 2
+        standing += 2 * start + 1
+        found.append(standing)
+    return np.concatenate(found)
 
 
 @dataclass(frozen=True)
@@ -121,10 +159,11 @@ def build_prime_table(limit: int) -> PrimeTable:
             f"limit {limit} exceeds dense table budget {MAX_DENSE_LIMIT}"
         )
     primes = _primes(limit)
-    # Counted in place, so no second limit-sized array outlives the sieve.
-    pi_dense = np.zeros(limit + 1, dtype=np.int32)
-    pi_dense[primes] = 1
-    np.cumsum(pi_dense, out=pi_dense)
+    # pi_dense is k on [p_k, p_(k+1)): each k repeated over its run, with
+    # p_0 = 0 and the last run ending at limit.  The only limit-sized array
+    # is the one kept.
+    runs = np.diff(primes, prepend=0, append=limit + 1)
+    pi_dense = np.repeat(np.arange(len(primes) + 1, dtype=np.int32), runs)
     return PrimeTable(limit=limit, primes=primes, pi_dense=pi_dense)
 
 
