@@ -9,6 +9,12 @@ Two table types back everything else in the package:
   quotient points in O(n^(3/4)) arithmetic ops and O(sqrt(n)) memory,
   so pi(n/p) sums never require sieving anywhere near n/2.
 
+``_primes`` is the one prime sieve, behind both: the dense table's
+primes and the recurrence's base primes.  It sieves odd numbers only, in
+blocks of SIEVE_SEGMENT, each started from a tiled pattern with the
+multiples of 3, 5, 7, 11 and 13 already struck, and holds one block at a
+time, never a limit-sized mask.
+
 ``quotient_tables`` yields the QuotientPiTable of every n of an ascending
 range from one anchor build: table(m) follows from table(m - 1) by the
 smooth parts of ``_factor_blocks``, and the last table is checked against
@@ -71,18 +77,24 @@ def _primes(limit: int) -> np.ndarray:
     """The primes <= limit, ascending, as int64.
 
     Entry i stands for the odd number 2i + 1, and the (limit + 1) // 2
-    entries are sieved in blocks of at most SIEVE_SEGMENT.  The odd
-    primes <= isqrt(limit) come first, from a sieve of the odd numbers up
-    to isqrt(limit).  Those that divide _ODD_WHEEL strike their multiples
-    once per call in a pattern of _ODD_WHEEL entries, which is tiled once
-    per call to min((limit + 1) // 2, SIEVE_SEGMENT) + _ODD_WHEEL entries;
-    each block starts as that tiling from start % _ODD_WHEEL on, a copy
-    unless it is the last block, and the first block restores the wheel
-    primes and clears 1.  Every other base prime p strikes its odd
-    multiples from max(p^2, its first odd multiple in the block) on, at a
-    stride of p entries.  The result is 2 followed by 2i + 1 for every
-    entry i left standing; no limit-sized mask is held, only one block.
+    entries are sieved in blocks of at most SIEVE_SEGMENT.  The base
+    primes, the odd primes <= isqrt(limit), come first, from a sieve of
+    the odd numbers up to isqrt(limit).  Those that divide _ODD_WHEEL
+    strike their multiples once per call in a pattern of _ODD_WHEEL
+    entries, tiled once per call to min((limit + 1) // 2, SIEVE_SEGMENT)
+    + _ODD_WHEEL entries; each block starts as that tiling from
+    start % _ODD_WHEEL on, a copy unless it is the last block, and the
+    first block restores the wheel primes.  Every other base prime p
+    strikes its odd multiples from max(p^2, its first odd multiple in the
+    block) on, at a stride of p entries.
+
+    The result is 2i + 1 for every entry i left standing, except that
+    entry 0, the number 1, which nothing strikes, reads 2.  So a one-block
+    result is that block's standing entries, not a copy of them behind a
+    leading 2.  No limit-sized mask is held, only one block.
     """
+    if limit < 2:
+        return np.zeros(0, dtype=np.int64)
     root = math.isqrt(limit)
     small = np.ones((root + 1) // 2, dtype=bool)  # the odd numbers <= root
     small[:1] = False
@@ -98,7 +110,7 @@ def _primes(limit: int) -> np.ndarray:
     for p in wheel.tolist():
         pattern[p // 2 :: p] = False
     tiled = np.resize(pattern, min(count, SIEVE_SEGMENT) + _ODD_WHEEL)
-    found = [np.array([2] if limit >= 2 else [], dtype=np.int64)]
+    found = []
     for start in range(0, count, SIEVE_SEGMENT):
         end = min(start + SIEVE_SEGMENT, count)
         off = start % _ODD_WHEEL
@@ -107,7 +119,6 @@ def _primes(limit: int) -> np.ndarray:
             block = block.copy()
         if start == 0:
             block[wheel // 2] = True
-            block[0] = False
         firsts = np.maximum(base * base // 2, start + (base // 2 - start) % base) - start
         hit = firsts < end - start
         for p, first in zip(base[hit].tolist(), firsts[hit].tolist()):
@@ -116,7 +127,9 @@ def _primes(limit: int) -> np.ndarray:
         standing *= 2
         standing += 2 * start + 1
         found.append(standing)
-    return np.concatenate(found)
+    primes = found[0] if len(found) == 1 else np.concatenate(found)
+    primes[0] = 2  # in place of 1
+    return primes
 
 
 @dataclass(frozen=True)
@@ -149,8 +162,11 @@ class PrimeTable:
 def build_prime_table(limit: int) -> PrimeTable:
     """Sieve all primes <= limit and the dense pi array.
 
-    Deterministic for a given limit.  Raises ResourceLimitError, before
-    allocating, if the limit exceeds MAX_DENSE_LIMIT.
+    pi_dense repeats k over each run [p_k, p_(k+1)) between consecutive
+    primes, so the table itself is the only limit-sized array the build
+    holds.  Deterministic for a given limit.
+    Raises ResourceLimitError, before allocating, if the limit exceeds
+    MAX_DENSE_LIMIT.
     """
     if limit < 1:
         raise RangeError(f"limit must be >= 1, got {limit}")
@@ -159,9 +175,7 @@ def build_prime_table(limit: int) -> PrimeTable:
             f"limit {limit} exceeds dense table budget {MAX_DENSE_LIMIT}"
         )
     primes = _primes(limit)
-    # pi_dense is k on [p_k, p_(k+1)): each k repeated over its run, with
-    # p_0 = 0 and the last run ending at limit.  The only limit-sized array
-    # is the one kept.
+    # With p_0 = 0, run k repeats k; the last run ends at limit.
     runs = np.diff(primes, prepend=0, append=limit + 1)
     pi_dense = np.repeat(np.arange(len(primes) + 1, dtype=np.int32), runs)
     return PrimeTable(limit=limit, primes=primes, pi_dense=pi_dense)
