@@ -9,8 +9,8 @@ Two table types back everything else in the package:
   quotient points in O(n^(3/4)) arithmetic ops and O(sqrt(n)) memory,
   so pi(n/p) sums never require sieving anywhere near n/2.
 
-``_primes`` is the one prime sieve, behind both: the dense table's
-primes and the recurrence's base primes.  It sieves odd numbers only, in
+``_primes`` is the one prime sieve: it gives the dense table its primes
+and the recurrence its base primes.  It sieves odd numbers only, in
 blocks of SIEVE_SEGMENT, each started from a tiled pattern with the
 multiples of 3, 5, 7, 11 and 13 already struck, and holds one block at a
 time, never a limit-sized mask.

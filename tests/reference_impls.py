@@ -1,11 +1,13 @@
 """Independent brute-force reference implementations for the tests.
 
-Everything here is deliberately naive (trial division, double loops) and
-shares no code with the package, so test expectations derived from these
-functions are independent oracles.
+Everything here is deliberately naive (trial division, double loops, a
+sieve over one full-range mask) and shares no code with the package, so
+test expectations derived from these functions are independent oracles.
 """
 
 import math
+
+import numpy as np
 
 
 def trial_is_prime(m: int) -> bool:
@@ -16,6 +18,16 @@ def trial_is_prime(m: int) -> bool:
 
 def trial_primes(limit: int) -> list[int]:
     return [m for m in range(2, limit + 1) if trial_is_prime(m)]
+
+
+def textbook_primes(limit: int) -> np.ndarray:
+    """The primes <= limit by the sieve of Eratosthenes over one mask of 0..limit."""
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    return np.flatnonzero(is_prime)
 
 
 def trial_pi(x: int) -> int:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semipi.primes as primes_module
-from reference_impls import trial_is_prime, trial_pi, trial_primes
+from reference_impls import textbook_primes, trial_is_prime, trial_pi, trial_primes
 from semipi import (
     InternalConsistencyError,
     QuotientPiTable,
@@ -73,8 +73,9 @@ def test_build_prime_table_limit_one():
 
 
 def test_build_prime_table_peak_is_the_table_it_keeps():
-    # pi_dense is counted in place from the primes, so the peak is the
-    # table kept, with no second limit-sized array (a mask's cumsum) beside it.
+    # pi_dense is repeated over the runs between primes, and the sieve holds
+    # one block, so the peak is the table kept plus a few prime-sized
+    # temporaries, with no second limit-sized array (a mask) beside it.
     tracemalloc.start()
     try:
         t = build_prime_table(10**6)
@@ -98,6 +99,46 @@ def test_prime_table_matches_trial_division_exhaustively():
     assert set(np.unique(diffs).tolist()) <= {0, 1}
     step_positions = (np.flatnonzero(diffs) + 1).tolist()
     assert step_positions == t.primes.tolist()
+
+
+# The odd-only sieve holds one bool per odd number, in blocks of S entries,
+# each a slice of a pattern that repeats every 2 * _ODD_WHEEL integers.
+S = primes_module.SIEVE_SEGMENT
+WHEEL_SPAN = 2 * primes_module._ODD_WHEEL
+# The largest base prime of a limit past the first block: 2039^2 > 2 * S.
+LAST_BASE = trial_primes(isqrt(4 * S + 1))[-1]
+SIEVE_EDGES = sorted({
+    # Pattern periods, the last one in the second block.
+    *(k * WHEEL_SPAN + e for k in (1, 2, 3, 70) for e in (-2, -1, 0, 1, 2)),
+    # The odd number 2 * S + 1 is the second block's first entry.
+    *range(2 * S - 1, 2 * S + 4),
+    4 * S - 1,
+    4 * S + 1,
+    # Squares of the first base primes above the pattern, and of the last.
+    *(p * p + e for p in (17, 19, 23, LAST_BASE) for e in (-1, 0, 1, 2)),
+})
+
+
+def test_primes_match_trial_division_up_to_3000():
+    want = trial_primes(3000)
+    for limit in range(3001):
+        got = primes_module._primes(limit)
+        assert got.dtype == np.int64, limit
+        assert got.tolist() == want[: bisect.bisect_right(want, limit)], limit
+
+
+@pytest.mark.parametrize("limit", SIEVE_EDGES)
+def test_primes_and_dense_table_at_sieve_edges(limit):
+    got = primes_module._primes(limit)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, textbook_primes(limit))
+    t = build_prime_table(limit)
+    assert np.array_equal(t.primes, got)
+    # pi_dense starts at 0 and steps by 1 exactly at the primes.
+    steps = np.diff(t.pi_dense)
+    assert t.pi_dense[0] == 0 and set(np.unique(steps).tolist()) <= {0, 1}
+    assert np.array_equal(np.flatnonzero(steps) + 1, got)
+    assert len(t.pi_dense) == limit + 1 and t.pi_dense[-1] == len(got)
 
 
 def test_prime_table_primes_strictly_increasing_and_prime(dense_10k):
