@@ -50,6 +50,11 @@ MAX_QUOTIENT_ROOT = 2**25
 #: _primes, integers in _sieve_blocks.
 SIEVE_SEGMENT = 2**20
 
+#: build_prime_table writes pi_dense this many runs between primes at a
+#: time, about 2**16 int32 entries (256 KiB) near 10**7, where primes lie
+#: about 16 apart: the build holds the table plus one such chunk.
+RUN_CHUNK = 2**12
+
 #: The p > n^(1/3) band of build_quotient_pi is scattered in blocks of
 #: at most this many (p, d) pairs.
 BAND_BLOCK = 2**16
@@ -163,8 +168,9 @@ def build_prime_table(limit: int) -> PrimeTable:
     """Sieve all primes <= limit and the dense pi array.
 
     pi_dense repeats k over each run [p_k, p_(k+1)) between consecutive
-    primes, so the table itself is the only limit-sized array the build
-    holds.  Deterministic for a given limit.
+    primes, written into the table RUN_CHUNK runs at a time, so the
+    build holds the table and one chunk's repeat, never a second
+    limit-sized array.  Deterministic for a given limit.
     Raises ResourceLimitError, before allocating, if the limit exceeds
     MAX_DENSE_LIMIT.
     """
@@ -175,9 +181,17 @@ def build_prime_table(limit: int) -> PrimeTable:
             f"limit {limit} exceeds dense table budget {MAX_DENSE_LIMIT}"
         )
     primes = _primes(limit)
-    # With p_0 = 0, run k repeats k; the last run ends at limit.
-    runs = np.diff(primes, prepend=0, append=limit + 1)
-    pi_dense = np.repeat(np.arange(len(primes) + 1, dtype=np.int32), runs)
+    pi_dense = np.empty(limit + 1, dtype=np.int32)
+    # With p_0 = 0, run k = [p_k, p_(k+1)) repeats k, and the last run
+    # ends at limit + 1.  Runs k .. k + RUN_CHUNK - 1 end at the primes
+    # p_(k+1) .. p_(k+RUN_CHUNK) = primes[k : k + RUN_CHUNK].
+    for k in range(0, len(primes) + 1, RUN_CHUNK):
+        ends = primes[k : k + RUN_CHUNK]
+        if k + RUN_CHUNK > len(primes):
+            ends = np.append(ends, limit + 1)
+        first = int(primes[k - 1]) if k else 0
+        runs = np.diff(ends, prepend=first)
+        pi_dense[first : ends[-1]] = np.repeat(np.arange(k, k + len(runs), dtype=np.int32), runs)
     return PrimeTable(limit=limit, primes=primes, pi_dense=pi_dense)
 
 
@@ -407,26 +421,37 @@ def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTabl
 _WHEEL = 8 * 9 * 5 * 7 * 11
 
 
-def _sieve_blocks(lo: int, hi: int, base: np.ndarray, weights: np.ndarray, ufunc: np.ufunc):
-    """Yield (start, block) for consecutive blocks covering [lo, hi].
+def _sieve_blocks(
+    lo: int, hi: int, base: np.ndarray, weights: np.ndarray, ufunc: np.ufunc, step: int = 1
+):
+    """Yield (start, block) for consecutive blocks covering [lo, hi] at a step.
 
-    Each block holds at most SIEVE_SEGMENT entries of weights.dtype.
-    block[i] starts as ufunc's identity, and every prime power
-    q = p^e <= hi of a base prime p = base[k] applies ufunc with
-    weights[k] at the multiples of q: np.multiply with the base primes
-    leaves the smooth part of start + i over them, and np.add with ones
-    the count of its base-prime factors with multiplicity.  0 is a
-    multiple of every q but no product of primes, so it keeps the
-    identity, as does 1.
+    block[i] stands for m = start + step * i, and each block holds at
+    most SIEVE_SEGMENT entries of weights.dtype.  step is 1, every
+    integer, or 2, the odd numbers: then lo must be odd and the base
+    primes odd, since no power of 2 divides an odd m.  block[i] starts as
+    ufunc's identity, and every prime power q = p^e <= hi of a base prime
+    p = base[k] applies ufunc with weights[k] at the multiples of q:
+    np.multiply with the base primes leaves the smooth part of m over
+    them, and np.add with ones the count of its base-prime factors with
+    multiplicity.  0 is a multiple of every q but no product of primes,
+    so it keeps the identity, as does 1.
 
     The prime powers that divide _WHEEL = 27720 (of base primes only: a
     wheel prime that is not a base prime is no smooth factor) are applied
-    once per call to a pattern of _WHEEL residues, tiled once per call to
-    min(hi - lo + 1, SIEVE_SEGMENT) + _WHEEL entries; each block starts
-    as that tiling from start % _WHEEL on, a copy unless it is the last
-    block, so a one-block call allocates no block.  Every other prime
-    power q <= hi is listed once per call; a block walks only the q that
-    have a multiple in it, with their first offsets found in one vector op.
+    once per call to a pattern of _WHEEL entries, tiled once per call to
+    min(entries, SIEVE_SEGMENT) + _WHEEL entries.  Pattern entry j
+    stands for step * j + step - 1: the integer j, or the odd number
+    2j + 1, whose multiples of an odd q start at j = q // 2.  Every odd
+    q of the wheel divides 3465 = 27720 / 8, so over odd numbers the
+    pattern repeats every 3465 entries and _WHEEL entries hold whole
+    periods.  Each block starts as that tiling from entry start // step
+    mod _WHEEL on, a copy unless it is the last block, so a one-block
+    call allocates no block.  Every other prime power q <= hi is listed
+    once per call; a block walks only the q with a multiple among its
+    entries, with their first offsets found in one vector op: the first
+    multiple at or above start, or the next one when that has the other
+    parity, q being odd.
     """
     p, q, w = base, base, weights
     qs, ws = [q], [w]
@@ -439,23 +464,25 @@ def _sieve_blocks(lo: int, hi: int, base: np.ndarray, weights: np.ndarray, ufunc
     pattern = np.full(_WHEEL, ufunc.identity, dtype=weights.dtype)
     in_wheel = _WHEEL % qs == 0
     for w, q in zip(ws[in_wheel].tolist(), qs[in_wheel].tolist()):
-        view = pattern[::q]
+        view = pattern[(step - 1) * (q // 2) :: q]
         ufunc(view, w, out=view)
     ws, qs = ws[~in_wheel], qs[~in_wheel]
-    tiled = np.resize(pattern, min(hi - lo + 1, SIEVE_SEGMENT) + _WHEEL)
-    for start in range(lo, hi + 1, SIEVE_SEGMENT):
-        end = min(start + SIEVE_SEGMENT, hi + 1)
-        off = start % _WHEEL
-        block = tiled[off : off + end - start]
-        if end <= hi:  # the next block starts from the tiling again
+    span = step * SIEVE_SEGMENT  # the integers a full block covers
+    tiled = np.resize(pattern, min((hi - lo) // step + 1, SIEVE_SEGMENT) + _WHEEL)
+    for start in range(lo, hi + 1, span):
+        size = min(SIEVE_SEGMENT, (hi - start) // step + 1)
+        off = start // step % _WHEEL
+        block = tiled[off : off + size]
+        if start + span <= hi:  # the next block starts from the tiling again
             block = block.copy()
         m0 = max(start, 1)
         if start == 0:
             block[0] = ufunc.identity
-        hit = (end - 1) // qs > (m0 - 1) // qs
-        hit_q = qs[hit]
-        firsts = (m0 - start) + (-m0) % hit_q
-        for w, q, first in zip(ws[hit].tolist(), hit_q.tolist(), firsts.tolist()):
+        gap = (-m0) % qs  # from m0 to the first multiple of q
+        gap += qs * (gap % step)  # the next multiple when that one is even
+        firsts = (m0 - start + gap) // step
+        hit = firsts < size
+        for w, q, first in zip(ws[hit].tolist(), qs[hit].tolist(), firsts[hit].tolist()):
             view = block[first::q]
             ufunc(view, w, out=view)
         yield start, block

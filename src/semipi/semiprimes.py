@@ -12,7 +12,8 @@ semiprimes <= n and r = isqrt(n), the package computes pi2 four ways:
 * ``oracle``      count the m <= n with exactly two prime factors (with
                   multiplicity) by a sieve that counts each m's prime
                   factors up to r: those m > r with one such factor,
-                  and the products of two primes up to r
+                  and the products of two primes up to r; an even m
+                  counts as 4 or twice an odd prime
 
 All four must agree for every n; the CLI and the test suite treat any
 disagreement as a bug signal.  Agreement proves less than four
@@ -28,13 +29,16 @@ stride up to isqrt of the last n), both unless the recurrence tables of
 a - 1 and b share the fault.  The oracle shares only the base-prime
 sieve ``_primes`` with the recurrence; its block sieve
 ``primes._sieve_blocks`` also finds the smooth parts that step
-``quotient_tables``.  It sieves in blocks of at most SIEVE_SEGMENT
-integers, one uint8 count per integer and no smooth part, and
-``oracle_counts``, which the count, the sweep's oracle column and the
-window check all read, holds one block at a time plus one count per n.
-Each block starts as a copy of the 27720-periodic share of 2, 4, 8, 3,
-9, 5, 7 and 11, tiled once per call, and walks only the other prime
-powers with a multiple in it.
+``quotient_tables``.  ``oracle_counts``, which the count, the sweep's
+oracle column and the window check all read, holds one block at a time
+plus one count per n, one uint8 count of small prime factors per entry
+and no smooth part.  A count from 1 sieves only the odd numbers, in
+blocks of SIEVE_SEGMENT of them, and counts an even semiprime 2o by the
+odd prime o; a window near n sieves every integer, in blocks of at most
+SIEVE_SEGMENT.  Each block starts as a copy of the share of 2, 4, 8, 3,
+9, 5, 7 and 11 (only the odd ones over odd numbers), tiled once per call
+from a 27720-entry pattern, and walks only the other prime powers with a
+multiple in it.
 """
 
 from __future__ import annotations
@@ -222,12 +226,13 @@ def count_semiprimes_eq3(n: int, qpi: QuotientPiTable, mode: str = "grouped") ->
 
 
 def _smooth_omega_blocks(lo: int, hi: int, base: np.ndarray):
-    """Yield (start, h) for consecutive blocks covering [lo, hi].
+    """Yield (start, h) for consecutive blocks covering every integer of [lo, hi].
 
     h[i] counts the prime factors of start + i among the base primes,
     with multiplicity, as uint8; 0 and 1 get 0.  These are the blocks of
-    primes._sieve_blocks, which adds 1 at the multiples of every power of
-    a base prime.
+    primes._sieve_blocks at step 1, which adds 1 at the multiples of
+    every power of a base prime; the every-integer pass of oracle_counts
+    reads them, and its odd pass reads the same sieve at step 2.
     """
     return _sieve_blocks(lo, hi, base, np.ones(len(base), dtype=np.uint8), np.add)
 
@@ -246,6 +251,48 @@ def _base_pairs(base: np.ndarray, start: int, end: int) -> np.ndarray:
     return np.repeat(ps, took) * base[at]
 
 
+#: A block reads the counts of its n from its flags in one of three ways,
+#: by how many entries it holds per n: a count_nonzero between each two n
+#: when it holds at least _SPARSE, one cumulative sum when it holds fewer
+#: than _DENSE, and a binary search of its flagged entries between.  A
+#: cumulative sum costs about 4 times a flatnonzero, which costs about 15
+#: times a count_nonzero.
+_SPARSE, _DENSE = 1024, 8
+
+
+def _tally(
+    out: np.ndarray, ns: range, scale: int, flags: np.ndarray, start: int, step: int, total: int
+) -> int:
+    """Add to out[i] the flagged m <= ns[i] // scale, for each such bound in the block.
+
+    flags[k] stands for m = start + step * k, and total counts the flags
+    before the block; each n whose bound ns[i] // scale lies in the
+    block, [start, start + step * len(flags)), gets total plus the flags
+    up to its bound.  Returns the count after the block.
+    """
+    i = bisect_left(ns, scale * start)
+    j = bisect_left(ns, scale * (start + step * len(flags)))
+    if i == j:
+        return total + int(np.count_nonzero(flags))
+    at = (np.arange(ns[i], ns[j - 1] + 1, ns.step) // scale - start) // step
+    if (j - i) * _SPARSE <= len(flags):
+        cuts = [0, *(at + 1).tolist(), len(flags)]
+        counts = np.cumsum([np.count_nonzero(flags[a:b]) for a, b in zip(cuts, cuts[1:])])
+        after = int(counts[-1])
+        counts = counts[:-1]
+    elif (j - i) * _DENSE > len(flags):
+        counts = np.cumsum(flags, dtype=np.int32)  # a block holds < 2**31 entries
+        after = int(counts[-1])
+        counts = counts[at]
+    else:
+        hits = np.flatnonzero(flags)
+        after = len(hits)
+        counts = np.searchsorted(hits, at, side="right")
+    out[i:j] += counts
+    out[i:j] += total
+    return total + after
+
+
 def oracle_counts(lo: int, ns: range) -> np.ndarray:
     """out[i] = #{lo <= m <= ns[i] : Omega(m) = 2} for an ascending range ns[0] >= lo >= 1.
 
@@ -260,41 +307,65 @@ def oracle_counts(lo: int, ns: range) -> np.ndarray:
       is, when m = p * q.
     * h(m) = 0 means m is 1 or a prime, and h(m) >= 3 means Omega >= 3.
 
-    One pass of _smooth_omega_blocks(lo, ns[-1]) with a running count: it
-    holds one block and len(ns) counts, adds the products p * q of each
-    block from _base_pairs, and locates semiprimes only in blocks that
-    hold some n.  Reads no quotient table and applies no cap.
+    An even m = 2k has Omega(m) = 2 exactly when Omega(k) = 1, that is,
+    when k is prime: m = 4, or m = 2o for an odd prime o, and lo <= 2o <= n
+    exactly when (lo + 1) // 2 <= o <= n // 2.  By the same rules, an odd
+    o <= ns[-1] // 2 is prime exactly when h(o) = 1 and o <= R (its one
+    factor <= R is all of it) or h(o) = 0 and o > R (1, with h(1) = 0,
+    is <= R).  So the odd pass sieves h only over the odd m of
+    [(lo + 1) // 2, ns[-1]], with the odd base primes, and counts for
+    each n the odd semiprimes in [lo, n], the odd primes up to n // 2,
+    and 4.  It runs whenever those odd m are fewer than the integers of
+    [lo, ns[-1]], as for every count from 1; a window near ns[-1] takes
+    the every-integer pass of _smooth_omega_blocks(lo, ns[-1]), which
+    counts its semiprimes, the even ones too, by the first rules alone.
+
+    Either pass holds one block and len(ns) counts, adds the products
+    p * q of each block from _base_pairs, and reads each n's count from
+    a running count plus the block's flags (_tally).  Reads no quotient
+    table and applies no cap.
     """
     if lo < 1 or len(ns) == 0 or ns.step < 1 or ns[0] < lo:
         raise RangeError(f"need an ascending range of n >= lo >= 1, got lo={lo}, ns={ns}")
-    root = isqrt(ns[-1])
+    last = ns[-1]
+    root = isqrt(last)
     base = _primes(root)
-    out = np.empty(len(ns), dtype=np.int64)
-    total = 0
-    for start, h in _smooth_omega_blocks(lo, ns[-1], base):
-        end = start + len(h)
-        pairs = _base_pairs(base, start, end)
-        cut = max(root + 1 - start, 0)  # h[cut:] covers the m > R
-        i, j = bisect_left(ns, start), bisect_left(ns, end)
-        if i == j:
-            total += int(np.count_nonzero(h[cut:] == 1)) + len(pairs)
-            continue
+    half = (lo + 1) // 2  # the least o with 2 * o >= lo
+    out = np.zeros(len(ns), dtype=np.int64)
+    if (last + 1) // 2 - half // 2 < last - lo + 1:  # odd m of [half, last] are fewer
+        step, base = 2, base[1:]
+        ones = np.ones(len(base), dtype=np.uint8)
+        blocks = _sieve_blocks(half | 1, last, base, ones, np.add, step)
+        if lo <= 4:
+            out[bisect_left(ns, 4) :] = 1
+    else:
+        step = 1
+        blocks = _smooth_omega_blocks(lo, last, base)
+    semiprime_count = prime_count = 0
+    for start, h in blocks:
+        end = start + step * len(h)
+        # Entries below `small` hold the m <= R, and below `cut` the m <= R or m < lo.
+        small = max((root - start) // step + 1, 0)
+        cut = max(small, -(-(lo - start) // step))
         semiprime = h == 1
         semiprime[:cut] = False
-        semiprime[pairs - start] = True
-        hits = np.flatnonzero(semiprime)
-        offsets = np.arange(ns[i], ns[j - 1] + 1, ns.step) - start
-        out[i:j] = total + np.searchsorted(hits, offsets, side="right")
-        total += len(hits)
+        semiprime[(_base_pairs(base, max(start, lo), end) - start) // step] = True
+        semiprime_count = _tally(out, ns, 1, semiprime, start, step, semiprime_count)
+        if step == 2 and start <= last // 2:
+            prime = h == 0
+            prime[:small] = h[:small] == 1
+            prime_count = _tally(out, ns, 2, prime, start, step, prime_count)
     return out
 
 
 def count_semiprimes_oracle(n: int) -> SemiprimeCount:
-    """Count semiprimes <= n by factoring every integer up to n.
+    """Count semiprimes <= n by the small prime factors of every odd number up to n.
 
     Reads no pi table and none of the counting formulas; used for
-    differential testing.  It counts Omega == 2 block by block, so its
-    memory is bounded by one block, not by n.  Capped at ORACLE_MAX_N.
+    differential testing.  It is the odd pass of oracle_counts(1, ...),
+    which counts the odd semiprimes <= n, the odd primes <= n // 2 and 4
+    block by block, so its memory is bounded by one block, not by n.
+    Capped at ORACLE_MAX_N.
     """
     if n > ORACLE_MAX_N:
         raise RangeError(f"n={n} exceeds the oracle cap {ORACLE_MAX_N}")

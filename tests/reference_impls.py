@@ -30,6 +30,18 @@ def textbook_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(is_prime)
 
 
+def textbook_semiprimes(limit: int) -> np.ndarray:
+    """is_semiprime[m] for 0 <= m <= limit: every product p * q <= limit of primes p <= q marked."""
+    is_semiprime = np.zeros(limit + 1, dtype=bool)
+    primes = textbook_primes(limit // 2)
+    for i, p in enumerate(primes.tolist()):
+        if p * p > limit:
+            break
+        qs = primes[i:]
+        is_semiprime[p * qs[qs <= limit // p]] = True
+    return is_semiprime
+
+
 def trial_pi(x: int) -> int:
     return len(trial_primes(x))
 

@@ -73,16 +73,19 @@ def test_build_prime_table_limit_one():
 
 
 def test_build_prime_table_peak_is_the_table_it_keeps():
-    # pi_dense is repeated over the runs between primes, and the sieve holds
-    # one block, so the peak is the table kept plus a few prime-sized
-    # temporaries, with no second limit-sized array (a mask) beside it.
-    tracemalloc.start()
-    try:
-        t = build_prime_table(10**6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * (t.pi_dense.nbytes + t.primes.nbytes)
+    # pi_dense is written RUN_CHUNK runs between primes at a time, and the
+    # sieve holds one block, so the peak is the table kept plus one chunk's
+    # temporaries, with no second limit-sized array (a mask or a full
+    # repeat) beside it.  At 10**7 a full repeat's counts and values alone
+    # would be 7.6 MiB.
+    for limit, scale, extra in ((10**6, 1.25, 0), (10**7, 1, 2 * 2**20)):
+        tracemalloc.start()
+        try:
+            t = build_prime_table(limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= scale * (t.pi_dense.nbytes + t.primes.nbytes) + extra, limit
 
 
 def test_prime_table_pi_100():
@@ -107,6 +110,9 @@ S = primes_module.SIEVE_SEGMENT
 WHEEL_SPAN = 2 * primes_module._ODD_WHEEL
 # The largest base prime of a limit past the first block: 2039^2 > 2 * S.
 LAST_BASE = trial_primes(isqrt(4 * S + 1))[-1]
+# The primes that end the first and second chunk of runs of pi_dense, where
+# a limit's prime count is a multiple of RUN_CHUNK.
+CHUNK_ENDS = textbook_primes(10**5)[[primes_module.RUN_CHUNK - 1, 2 * primes_module.RUN_CHUNK - 1]]
 SIEVE_EDGES = sorted({
     # Pattern periods, the last one in the second block.
     *(k * WHEEL_SPAN + e for k in (1, 2, 3, 70) for e in (-2, -1, 0, 1, 2)),
@@ -116,6 +122,7 @@ SIEVE_EDGES = sorted({
     4 * S + 1,
     # Squares of the first base primes above the pattern, and of the last.
     *(p * p + e for p in (17, 19, 23, LAST_BASE) for e in (-1, 0, 1, 2)),
+    *(int(p) + e for p in CHUNK_ENDS for e in (-1, 0, 1)),
 })
 
 

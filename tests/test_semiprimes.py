@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from reference_impls import (
     brute_ordered_pair_count,
     brute_semiprime_count,
+    textbook_semiprimes,
     trial_omega,
     trial_smooth_omega,
 )
@@ -31,6 +32,7 @@ from semipi import (
     pair_sum_naive,
 )
 from semipi.cli import GOLDEN
+from semipi import semiprimes
 from semipi.primes import _WHEEL, SIEVE_SEGMENT, _primes
 from semipi.semiprimes import _smooth_omega_blocks
 
@@ -360,6 +362,19 @@ def test_oracle_count_table_prefix():
 
 
 S = SIEVE_SEGMENT
+# The odd pass of a count from 1 sieves the odd numbers in blocks of S,
+# which start at 1, 1 + 2S, 1 + 4S, ...; BELOW_EDGE is the largest prime
+# below the second start, so 2 * BELOW_EDGE is counted by the odd prime
+# on the last entry of the first block.
+BELOW_EDGE = 2 * S + 1 - 10
+# The semiprimes up to 4S + 3, by a sieve that shares no code with the
+# package: oracle_counts(lo, ns)[i] must equal cum[ns[i]] - cum[lo - 1].
+TEXTBOOK_LIMIT = 4 * S + 3
+
+
+@pytest.fixture(scope="module")
+def textbook_cum():
+    return np.cumsum(textbook_semiprimes(TEXTBOOK_LIMIT), dtype=np.int64)
 
 
 @pytest.mark.parametrize(
@@ -379,14 +394,59 @@ S = SIEVE_SEGMENT
         # windows above 1 whose second block starts at a prime power
         (2**21 - S, range(2**21 - 50, 2**21 + 51)),
         (3**13 - S, range(3**13 - S, 3**13 + 100, 7)),
+        # n and n // 2 on the edges of the odd pass's blocks of odd numbers
+        (1, range(2 * S - 3, 2 * S + 4)),
+        (1, range(4 * S - 3, 4 * S + 4)),
+        # 2p for the largest prime p below an odd block's edge
+        (1, range(2 * BELOW_EDGE - 1, 2 * BELOW_EDGE + 2)),
+        # every n from lo up to 40: m = 4 and m = 6 = 2 * 3 at the edge of [lo, n]
+        *((lo, range(lo, 41)) for lo in range(2, 8)),
+        # the squares of odd base primes, 1009 the largest
+        (1, range(8, 11)),
+        (1, range(1009**2 - 1, 1009**2 + 2)),
+        (5, range(9, 1009**2 + 2, 1009**2 - 8)),
+        # from a few n per block to one n per entry, and every n
+        (1, range(1, 3 * S, 997)),
+        (1, range(10, 3 * S, 53)),
+        (1, range(1, 300001)),
     ],
 )
-def test_oracle_counts_match_cumsum(lo, ns):
-    _, is_semiprime = oracle_window(0, ns[-1])
-    cum = np.cumsum(is_semiprime, dtype=np.int64)
+def test_oracle_counts_match_cumsum(lo, ns, textbook_cum):
     got = oracle_counts(lo, ns)
     assert got.dtype == np.int64 and len(got) == len(ns)
-    assert got.tolist() == [int(cum[n] - cum[lo - 1]) for n in ns]
+    assert got.tolist() == [int(textbook_cum[n] - textbook_cum[lo - 1]) for n in ns]
+
+
+def test_textbook_reference_is_exact_at_the_edges(textbook_cum):
+    assert trial_omega(BELOW_EDGE) == 1 and 2 * S + 1 - BELOW_EDGE == 10
+    assert all(trial_omega(m) != 1 for m in range(BELOW_EDGE + 1, 2 * S + 1))
+    assert [int(textbook_cum[10**k]) for k in range(1, 7)] == [
+        GOLDEN["oeis"][k][1] for k in range(1, 7)
+    ]
+
+
+def _passes(monkeypatch) -> list:
+    """The step of every _sieve_blocks call that oracle_counts makes."""
+    steps, real = [], semiprimes._sieve_blocks
+
+    def spy(*args, **kwargs):
+        steps.append(args[5] if len(args) > 5 else kwargs.get("step", 1))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(semiprimes, "_sieve_blocks", spy)
+    return steps
+
+
+@pytest.mark.parametrize("lo,step", [(666668, 2), (666669, 1)])
+def test_oracle_counts_on_both_sides_of_the_pass_choice(lo, step, monkeypatch, textbook_cum):
+    # N = 10**6 + 3: the odd m of [(lo + 1) // 2, N] are fewer than the
+    # integers of [lo, N] up to lo = 666668, and not from 666669 on.
+    n = 10**6 + 3
+    steps = _passes(monkeypatch)
+    for ns in (range(n, n + 1), range(lo + (n - lo) % 997, n + 1, 997)):
+        got = oracle_counts(lo, ns)
+        assert got.tolist() == [int(textbook_cum[m] - textbook_cum[lo - 1]) for m in ns]
+    assert steps == [step, step]
 
 
 @pytest.mark.parametrize("lo,ns", [(5, range(4, 10)), (0, range(1, 2)), (1, range(1, 1))])
