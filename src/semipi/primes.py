@@ -19,7 +19,8 @@ time, never a limit-sized mask.
 range from one anchor build: table(m) follows from table(m - 1) by the
 smooth parts of ``_factor_blocks``, and the last table is checked against
 its own build entry by entry.  Its block sieve ``_sieve_blocks`` also
-counts the small prime factors that the oracle in ``semiprimes`` reads.
+counts the small prime factors that the oracle in ``semiprimes`` reads,
+of every integer or of the odd numbers only.
 
 All values are exact integers; no floating point is involved anywhere.
 Both table types make their arrays read-only in ``__post_init__``, and
@@ -47,7 +48,7 @@ MAX_DENSE_LIMIT = 2**31
 MAX_QUOTIENT_ROOT = 2**25
 
 #: Sieves run in blocks of at most this many entries: odd numbers in
-#: _primes, integers in _sieve_blocks.
+#: _primes, integers or odd numbers in _sieve_blocks.
 SIEVE_SEGMENT = 2**20
 
 #: build_prime_table writes pi_dense this many runs between primes at a

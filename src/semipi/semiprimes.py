@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError, RangeError
-from .primes import QuotientPiTable, _primes, _sieve_blocks, isqrt
+from .primes import SIEVE_SEGMENT, QuotientPiTable, _primes, _sieve_blocks, isqrt
 
 #: eq3_naive enumerates every prime <= n/2; refuse beyond this.
 NAIVE_MAX_N = 10**7
@@ -254,9 +254,10 @@ def _base_pairs(base: np.ndarray, start: int, end: int) -> np.ndarray:
 #: A block reads the counts of its n from its flags in one of three ways,
 #: by how many entries it holds per n: a count_nonzero between each two n
 #: when it holds at least _SPARSE, one cumulative sum when it holds fewer
-#: than _DENSE, and a binary search of its flagged entries between.  A
-#: cumulative sum costs about 4 times a flatnonzero, which costs about 15
-#: times a count_nonzero.
+#: than _DENSE, and a binary search of its flagged entries between.  Over
+#: 2**20 flags on a 2-vCPU Xeon, a count_nonzero took 0.06 ms, the
+#: flatnonzero that a binary search needs 1.0-1.3 ms and an int32 cumsum
+#: 4 ms; 10**5 binary searches took 4.4 ms.
 _SPARSE, _DENSE = 1024, 8
 
 
@@ -342,18 +343,19 @@ def oracle_counts(lo: int, ns: range) -> np.ndarray:
         step = 1
         blocks = _smooth_omega_blocks(lo, last, base)
     semiprime_count = prime_count = 0
+    buffer = np.empty(SIEVE_SEGMENT, dtype=bool)  # each block's flags, one set at a time
     for start, h in blocks:
         end = start + step * len(h)
         # Entries below `small` hold the m <= R, and below `cut` the m <= R or m < lo.
         small = max((root - start) // step + 1, 0)
         cut = max(small, -(-(lo - start) // step))
-        semiprime = h == 1
+        semiprime = np.equal(h, 1, out=buffer[: len(h)])
         semiprime[:cut] = False
         semiprime[(_base_pairs(base, max(start, lo), end) - start) // step] = True
         semiprime_count = _tally(out, ns, 1, semiprime, start, step, semiprime_count)
         if step == 2 and start <= last // 2:
-            prime = h == 0
-            prime[:small] = h[:small] == 1
+            prime = np.equal(h, 0, out=buffer[: len(h)])
+            np.equal(h[:small], 1, out=prime[:small])
             prime_count = _tally(out, ns, 2, prime, start, step, prime_count)
     return out
 
