@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError, RangeError
-from .primes import SIEVE_SEGMENT, QuotientPiTable, _primes, _sieve_blocks, isqrt
+from .primes import QuotientPiTable, _primes, _sieve_blocks, isqrt
 
 #: eq3_naive enumerates every prime <= n/2; refuse beyond this.
 NAIVE_MAX_N = 10**7
@@ -343,19 +343,18 @@ def oracle_counts(lo: int, ns: range) -> np.ndarray:
         step = 1
         blocks = _smooth_omega_blocks(lo, last, base)
     semiprime_count = prime_count = 0
-    buffer = np.empty(SIEVE_SEGMENT, dtype=bool)  # each block's flags, one set at a time
     for start, h in blocks:
         end = start + step * len(h)
         # Entries below `small` hold the m <= R, and below `cut` the m <= R or m < lo.
         small = max((root - start) // step + 1, 0)
         cut = max(small, -(-(lo - start) // step))
-        semiprime = np.equal(h, 1, out=buffer[: len(h)])
+        semiprime = h == 1
         semiprime[:cut] = False
         semiprime[(_base_pairs(base, max(start, lo), end) - start) // step] = True
         semiprime_count = _tally(out, ns, 1, semiprime, start, step, semiprime_count)
         if step == 2 and start <= last // 2:
-            prime = np.equal(h, 0, out=buffer[: len(h)])
-            np.equal(h[:small], 1, out=prime[:small])
+            prime = h == 0
+            prime[:small] = h[:small] == 1
             prime_count = _tally(out, ns, 2, prime, start, step, prime_count)
     return out
 
