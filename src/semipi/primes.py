@@ -449,10 +449,10 @@ def _sieve_blocks(
     periods.  Each block starts as that tiling from entry start // step
     mod _WHEEL on, a copy unless it is the last block, so a one-block
     call allocates no block.  Every other prime power q <= hi is listed
-    once per call; a block walks only the q with a multiple among its
-    entries, with their first offsets found in one vector op: the first
-    multiple at or above start, or the next one when that has the other
-    parity, q being odd.
+    once per call; a block walks only the q with a multiple in the
+    integers it spans, with their first offsets found in one vector op:
+    the first multiple at or above start, or at step 2 the next one when
+    that is even, q being odd.
     """
     p, q, w = base, base, weights
     qs, ws = [q], [w]
@@ -479,12 +479,15 @@ def _sieve_blocks(
         m0 = max(start, 1)
         if start == 0:
             block[0] = ufunc.identity
-        gap = (-m0) % qs  # from m0 to the first multiple of q
-        gap += qs * (gap % step)  # the next multiple when that one is even
-        firsts = (m0 - start + gap) // step
-        hit = firsts < size
-        for w, q, first in zip(ws[hit].tolist(), qs[hit].tolist(), firsts[hit].tolist()):
-            view = block[first::q]
+        hit = (start + step * (size - 1)) // qs > (m0 - 1) // qs
+        hit_q = qs[hit]
+        firsts = (-m0) % hit_q  # from m0 to the first multiple of q
+        if step == 2:  # odd numbers: pass an even multiple, and count in entries
+            firsts += hit_q * (firsts & 1)
+            firsts >>= 1
+        firsts += (m0 - start) // step
+        for w, q, first in zip(ws[hit].tolist(), hit_q.tolist(), firsts.tolist()):
+            view = block[first::q]  # empty if q's only multiples here are even
             ufunc(view, w, out=view)
         yield start, block
 
