@@ -112,7 +112,7 @@ WHEEL_SPAN = 2 * primes_module._ODD_WHEEL
 LAST_BASE = trial_primes(isqrt(4 * S + 1))[-1]
 # The primes that end the first and second chunk of runs of pi_dense, where
 # a limit's prime count is a multiple of RUN_CHUNK.
-CHUNK_ENDS = textbook_primes(10**5)[[primes_module.RUN_CHUNK - 1, 2 * primes_module.RUN_CHUNK - 1]]
+CHUNK_ENDS = textbook_primes(10**5)[[k * primes_module.RUN_CHUNK - 1 for k in (1, 2)]]
 SIEVE_EDGES = sorted({
     # Pattern periods, the last one in the second block.
     *(k * WHEEL_SPAN + e for k in (1, 2, 3, 70) for e in (-2, -1, 0, 1, 2)),

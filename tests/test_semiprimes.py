@@ -31,8 +31,8 @@ from semipi import (
     pair_sum_grouped,
     pair_sum_naive,
 )
-from semipi.cli import GOLDEN
 from semipi import semiprimes
+from semipi.cli import GOLDEN
 from semipi.primes import _WHEEL, SIEVE_SEGMENT, _primes
 from semipi.semiprimes import _smooth_omega_blocks
 
