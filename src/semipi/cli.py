@@ -286,19 +286,22 @@ def _needs_qpi(methods: tuple[str, ...]) -> bool:
     return not methods or any(m != "oracle" for m in methods)
 
 
-def _timed_counts(n: int, methods: tuple[str, ...], max_n: int) -> tuple[list[dict], int]:
+def _timed_counts(n: int, methods: tuple[str, ...], max_n: int) -> tuple[list[dict], int, int]:
     """One COUNT_COLUMNS row per method at n, each timed from n alone.
 
     The quotient table is built once, and only if a method reads it.  Its
     build time, also returned, is added to the formula time of every
     method that reads it, so elapsed_ns is the wall time of that count
     from n alone; the oracle reads no table and is charged its own call only.
+    The bytes of the table's smalls and larges are returned last (0 with
+    no table).
     """
-    qpi, build_ns = None, 0
+    qpi, build_ns, table_bytes = None, 0, 0
     if _needs_qpi(methods):
         t0 = time.perf_counter_ns()
         qpi = build_quotient_pi(n, max_n=max_n)
         build_ns = time.perf_counter_ns() - t0
+        table_bytes = qpi.smalls.nbytes + qpi.larges.nbytes
     rows = []
     for m in methods:
         t0 = time.perf_counter_ns()
@@ -306,7 +309,7 @@ def _timed_counts(n: int, methods: tuple[str, ...], max_n: int) -> tuple[list[di
         elapsed = time.perf_counter_ns() - t0 + (build_ns if m != "oracle" else 0)
         values = (rec.n, rec.method, rec.count, rec.term_count, elapsed)
         rows.append(dict(zip(COUNT_COLUMNS, values)))
-    return rows, build_ns
+    return rows, build_ns, table_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +422,9 @@ def cmd_count(args) -> int:
     exit_code = EXIT_OK
     for n in ns:
         counts: dict[str, int] = {}
-        runs, builds = zip(*(_timed_counts(n, methods, args.max_n) for _ in range(args.reps)))
+        runs, builds, sizes = zip(
+            *(_timed_counts(n, methods, args.max_n) for _ in range(args.reps))
+        )
         for per_rep in zip(*runs):
             row = per_rep[0]
             seen = sorted({r["count"] for r in per_rep})
@@ -432,7 +437,11 @@ def cmd_count(args) -> int:
             rows.append(dict(row, elapsed_ns=int(median)))
         if _needs_qpi(methods):
             ms = statistics.median(builds) / 1e6
-            print(f"build: build_quotient_pi({n}) took {ms:.3f} ms (median)", file=sys.stderr)
+            print(
+                f"build: build_quotient_pi({n}) took {ms:.3f} ms (median), "
+                f"tables {sizes[0] / 2**20:.3g} MiB",
+                file=sys.stderr,
+            )
         if len(set(counts.values())) == 1:
             print(f"agree: pi2({n}) = {row['count']} by {', '.join(methods)}", file=sys.stderr)
         else:

@@ -44,7 +44,8 @@ SUPPORTED_MAX_N = 10**11
 #: Budget for dense tables (index range of pi_dense).
 MAX_DENSE_LIMIT = 2**31
 
-#: Budget for sqrt(n) when building a quotient table (~0.5 GB).
+#: Budget for sqrt(n) when building a quotient table.  Its two tables
+#: take 512 MiB at 2**25, and build_quotient_pi peaks near 0.7 GiB.
 MAX_QUOTIENT_ROOT = 2**25
 
 #: Sieves run in blocks of at most this many entries: odd numbers in
@@ -57,8 +58,12 @@ SIEVE_SEGMENT = 2**20
 RUN_CHUNK = 2**12
 
 #: The p > n^(1/3) band of build_quotient_pi is scattered in blocks of
-#: at most this many (p, d) pairs.
-BAND_BLOCK = 2**16
+#: at most this many (p, d) pairs, about 64 KiB per int64 temporary.
+BAND_BLOCK = 2**13
+
+#: build_quotient_pi's near and far steps run in blocks of at most this
+#: many entries of d, through scratch rows of that size.
+FAR_BLOCK = 2**15
 
 
 def isqrt(n: int) -> int:
@@ -304,6 +309,57 @@ def _quotient_root(n: int, max_n: int) -> int:
     return r
 
 
+def _prime_steps(n: int, r: int, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """smalls (int32) and larges after the steps of primes, the p^3 <= n.
+
+    The steps of build_quotient_pi one prime at a time.  quot and the
+    scratch rows are locals, so they, and every view of them, are freed
+    on return, before the cast and the band, which read none of them.
+    """
+    # smalls[v] tracks S(v) for v <= r; larges[d] tracks S(n // d).
+    # quot[d - 1] = n // d, so S(n // (d*p)) at d*p > r is
+    # smalls[quot[d - 1] // p], a division by a scalar.
+    quot = np.arange(1, r + 1, dtype=np.int64)
+    np.floor_divide(n, quot, out=quot)
+    smalls = np.arange(-1, r, dtype=np.int32)
+    larges = np.empty(r + 2, dtype=np.int64)
+    larges[0] = 0
+    np.subtract(quot, 1, out=larges[1 : r + 1])
+    # The scratch rows that every step writes its right-hand side into.
+    block = min(r, FAR_BLOCK)
+    wide = np.empty(block, dtype=np.int64)
+    narrow = np.empty(block, dtype=np.int32)
+    row = np.empty(r // 2 + 1, dtype=np.int32)
+
+    for p in primes.tolist():
+        sp = int(smalls[p - 1])  # pi(p - 1): final, since p - 1 < p^2
+        p2 = p * p
+        dmax = min(r, n // p2)
+        k = r // p  # <= dmax, since r * p <= r^2 <= n
+        for d0 in range(1, k + 1, block):  # near, in ascending d
+            d1 = min(d0 + block, k + 1)
+            np.subtract(larges[d0 * p : (d1 - 1) * p + 1 : p], sp, out=wide[: d1 - d0])
+            larges[d0:d1] -= wide[: d1 - d0]
+        for d0 in range(k + 1, dmax + 1, block):  # far
+            d1 = min(d0 + block, dmax + 1)
+            idx, rhs = wide[: d1 - d0], narrow[: d1 - d0]
+            np.floor_divide(quot[d0 - 1 : d1 - 1], p, out=idx)
+            smalls.take(idx, out=rhs, mode="clip")
+            rhs -= sp
+            larges[d0:d1] -= rhs
+        if p2 <= r:
+            # smalls[v // p] for v = p^2..r is smalls[j] for j = p..r // p,
+            # p times each in rows of p, and fewer times for the last j
+            # when p does not divide r + 1.
+            j = r // p + 1 - p
+            np.subtract(smalls[p : r // p + 1], sp, out=row[:j])
+            f = (r + 1) // p - p  # full rows
+            rows = smalls[p2 : p2 + f * p].reshape(f, p)
+            rows -= row[:f, None]
+            smalls[p2 + f * p :] -= row[f:j]
+    return smalls, larges
+
+
 def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTable:
     """Compute pi at all quotient points of n in O(n^(3/4)) time.
 
@@ -329,27 +385,43 @@ def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTabl
       one scatter over all (p, d) pairs, in blocks of at most
       BAND_BLOCK pairs to keep memory flat.
 
-    No per-prime step allocates.  The build allocates two (r + 1)-entry
-    int64 scratch rows, idx and rhs, once, and each step writes its
-    right-hand side into them through out= before subtracting it in place:
+    Every S(v) with v <= r lies in [-1, r], and r <= MAX_QUOTIENT_ROOT =
+    2**25, so smalls is int32 through the per-prime loop and is cast to
+    int64 once, before the band.  larges stays int64: pi(10**12) > 2**31.
+
+    No per-prime step allocates.  Each writes its right-hand side into
+    scratch rows allocated once per build, through out=, before
+    subtracting it in place.  The larges steps run in blocks of at most
+    FAR_BLOCK entries of d, through one int64 and one int32 row of that
+    size:
 
     * near, d <= r // p: rhs = larges[d*p] - pi(p - 1), a strided copy.
+      The blocks run in ascending d.  A block of d >= d0 writes
+      larges[d0..] and reads larges[d*p] with d*p >= 2*d0, so it never
+      reads an entry that an earlier block wrote; within a block the
+      right-hand side is gathered before the write.
     * far, r // p < d <= min(r, n // p^2): idx = (n // d) // p, then
-      rhs = np.take(smalls, idx, mode="clip").  d*p > r gives
+      rhs = smalls.take(idx, mode="clip").  d*p > r gives
       idx <= n // (r + 1) <= r and d <= n // p^2 gives idx >= p, so
       idx lies in [p, r] and the clip never clips; take's default
-      mode="raise" would buffer out and allocate again.
+      mode="raise" would buffer out and allocate again.  These blocks
+      read only smalls, so their order is free.
     * smalls, p^2 <= r: smalls[v // p] for v = p^2..r is each of
       smalls[p..r // p] p times in a row, so rhs = smalls[p..r // p] -
-      pi(p - 1) is subtracted as a broadcast over rows of p entries, plus
-      a partial last row when p does not divide r + 1.
+      pi(p - 1) goes into an int32 row of r // 2 + 1 entries and is
+      subtracted as a broadcast over rows of p entries, plus a partial
+      last row when p does not divide r + 1.
 
     The scratch rows do not save arithmetic; they save page faults.  A
     fresh r-entry temporary is mapped anew by the allocator and faulted
     in page by page on every step: a fresh `semipi count 10**11` process
     took about 118k minor faults with such temporaries and 9k without.
-    quot and the scratch rows are freed before the p > n^(1/3) band,
-    which reads none of them.
+    The set-up writes quot, larges and smalls in place, with no r-sized
+    temporary beside them.  So the build's peak is about 22 bytes per
+    root entry (quot and larges 8 each, smalls 4, the smalls row 2) plus
+    the block rows, against the 16 of the tables it returns: about 0.7
+    GiB at r = MAX_QUOTIENT_ROOT.  The root primes are sieved before
+    any of these is allocated.
 
     n beyond max_n (default 10**11) is rejected with RangeError rather
     than silently degrading; the cap can be overridden by callers that
@@ -357,47 +429,11 @@ def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTabl
     ResourceLimitError before anything is allocated.
     """
     r = _quotient_root(n, max_n)
-
-    # smalls[v] tracks S(v) for v <= r; larges[d] tracks S(n // d).
-    # quot[d - 1] = n // d, so S(n // (d*p)) at d*p > r is
-    # smalls[quot[d - 1] // p], a division by a scalar.
-    quot = n // np.arange(1, r + 1, dtype=np.int64)
-    smalls = np.arange(r + 1, dtype=np.int64) - 1
-    larges = np.zeros(r + 2, dtype=np.int64)
-    larges[1 : r + 1] = quot - 1
-    # The scratch rows that every step writes its right-hand side into.
-    idx = np.empty(r + 1, dtype=np.int64)
-    rhs = np.empty(r + 1, dtype=np.int64)
-
     root_primes = _primes(r)
     # p^3 <= n exactly when p^2 <= n // p: these primes step one by one.
     cut = int(np.count_nonzero(root_primes * root_primes <= n // root_primes))
-
-    for p in root_primes[:cut].tolist():
-        sp = int(smalls[p - 1])  # pi(p - 1): final, since p - 1 < p^2
-        p2 = p * p
-        dmax = min(r, n // p2)
-        # Each right-hand side is gathered into rhs before its write, so
-        # the recurrence sees pre-update values throughout.
-        k = r // p  # <= dmax, since r * p <= r^2 <= n
-        np.subtract(larges[p : k * p + 1 : p], sp, out=rhs[:k])
-        larges[1 : k + 1] -= rhs[:k]
-        m = dmax - k
-        np.floor_divide(quot[k:dmax], p, out=idx[:m])
-        np.take(smalls, idx[:m], out=rhs[:m], mode="clip")
-        rhs[:m] -= sp
-        larges[k + 1 : dmax + 1] -= rhs[:m]
-        if p2 <= r:
-            # smalls[v // p] for v = p^2..r is smalls[j] for j = p..r // p,
-            # p times each in rows of p, and fewer times for the last j
-            # when p does not divide r + 1.
-            j = r // p + 1 - p
-            np.subtract(smalls[p : r // p + 1], sp, out=rhs[:j])
-            f = (r + 1) // p - p  # full rows
-            rows = smalls[p2 : p2 + f * p].reshape(f, p)
-            rows -= rhs[:f, None]
-            smalls[p2 + f * p :] -= rhs[f:j]
-    del quot, idx, rhs  # the band below reads none of them
+    smalls, larges = _prime_steps(n, r, root_primes[:cut])
+    smalls = smalls.astype(np.int64)
 
     # The p > n^(1/3) band in one scatter.  For each p it covers
     # d = 1..n // p^2, reading larges[d*p] up to d = r // p and
@@ -408,7 +444,7 @@ def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTabl
     for i, d in _pair_blocks(np.ones_like(band), near):
         np.subtract.at(larges, d, larges[d * band[i]] - sp[i])
     for i, d in _pair_blocks(near + 1, n // (band * band)):
-        np.subtract.at(larges, d, smalls[n // (d * band[i])] - sp[i])
+        np.subtract.at(larges, d, smalls.take(n // (d * band[i])) - sp[i])
 
     smalls[0] = 0
     larges[r + 1] = smalls[n // (r + 1)]

@@ -42,6 +42,33 @@ def textbook_semiprimes(limit: int) -> np.ndarray:
     return is_semiprime
 
 
+def textbook_quotient_pi(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(smalls, larges) of n by Lucy's recurrence, r = isqrt(n).
+
+    smalls[v] = pi(v) for v <= r, larges[d] = pi(n // d) for 1 <= d <= r + 1
+    and larges[0] = 0, both int64.  For each prime p <= r, every tracked
+    S(v) with v >= p^2 drops by S(v // p) - S(p - 1), each right-hand side
+    read into a fresh array before any entry is written.
+    """
+    r = math.isqrt(n)
+    smalls = np.arange(r + 1, dtype=np.int64) - 1
+    d = np.arange(1, r + 2, dtype=np.int64)
+    larges = np.concatenate(([0], n // d - 1))
+    for p in range(2, r + 1):
+        if smalls[p] == smalls[p - 1]:
+            continue  # p is composite
+        sp = smalls[p - 1]
+        ds = d[: n // (p * p)]  # the d with n // d >= p^2
+        q = n // (ds * p)
+        # q > r only when d * p <= r, whose pi(q) is larges[d * p].
+        rhs = np.where(q > r, larges[np.minimum(ds * p, r + 1)], smalls[np.minimum(q, r)])
+        larges[ds] -= rhs - sp
+        vs = np.arange(p * p, r + 1)
+        smalls[vs] -= smalls[vs // p] - sp
+    smalls[0] = 0
+    return smalls, larges
+
+
 def trial_pi(x: int) -> int:
     return len(trial_primes(x))
 

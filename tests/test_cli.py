@@ -189,9 +189,13 @@ def test_count_names_the_table_build_on_stderr(capsys, monkeypatch):
     lines = err.splitlines()
     for n in (10**4, 25):
         # one build line per n, right before its agree line, reading >= 50 ms
+        # and the MiB of the table's smalls and larges to 3 digits
         (i,) = [i for i, s in enumerate(lines) if s.startswith(f"build: build_quotient_pi({n})")]
         assert lines[i + 1].startswith(f"agree: pi2({n})")
         assert float(lines[i].split(" took ")[1].split(" ms")[0]) >= 50
+        q = primes.build_quotient_pi(n)
+        mib = float(lines[i].split(", tables ")[1].removesuffix(" MiB"))
+        assert mib == pytest.approx((q.smalls.nbytes + q.larges.nbytes) / 2**20, rel=5e-3)
     # no method reads the table: no build line
     code, _, err = run(capsys, "count", "10^4", "--methods", "oracle")
     assert code == EXIT_OK

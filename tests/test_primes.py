@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semipi.primes as primes_module
-from reference_impls import textbook_primes, trial_is_prime, trial_pi, trial_primes
+from reference_impls import (
+    textbook_primes,
+    textbook_quotient_pi,
+    trial_is_prime,
+    trial_pi,
+    trial_primes,
+)
 from semipi import (
     InternalConsistencyError,
     QuotientPiTable,
@@ -86,6 +92,21 @@ def test_build_prime_table_peak_is_the_table_it_keeps():
         finally:
             tracemalloc.stop()
         assert peak <= scale * (t.pi_dense.nbytes + t.primes.nbytes) + extra, limit
+
+
+def test_build_quotient_pi_peak_is_about_its_tables():
+    # The build holds quot and larges (int64), smalls (int32) and an int32
+    # row of r // 2 + 1 entries, about 22 bytes per root entry, plus
+    # scratch rows of at most FAR_BLOCK entries, against the 16 bytes per
+    # root entry of the tables it returns.
+    for n in (10**8, 10**10, 10**11):
+        tracemalloc.start()
+        try:
+            q = build_quotient_pi(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (q.smalls.nbytes + q.larges.nbytes) + 2**20, n
 
 
 def test_prime_table_pi_100():
@@ -281,8 +302,8 @@ def test_quotient_table_nondecreasing_and_zero_at_one():
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
-def test_from_dense_is_bit_identical_to_recurrence(dense_10m):
-    limit = dense_10m.limit
+def recurrence_edge_ns(limit: int) -> list[int]:
+    """n <= limit at the edges of the recurrence, plus seeded random n."""
     rng = random.Random(11)
     ns = [1, 2, 3, 4, 25, 10**5, limit]
     ns += [rng.randrange(1, 10**5) for _ in range(50)]
@@ -300,17 +321,57 @@ def test_from_dense_is_bit_identical_to_recurrence(dense_10m):
     for p in trial_primes(math.isqrt(math.isqrt(limit))):
         r = (math.isqrt(limit) + 1) // p * p - 1  # largest r with p | r + 1
         ns += [r * r, min((r + 1) ** 2 - 1, limit), p**4, (p * p + 1) ** 2 - 1]
-    for n in ns:
+    return ns
+
+
+def assert_same_table(a: QuotientPiTable, b: QuotientPiTable) -> None:
+    """Equal n and root, and arrays equal in values, int64 and read-only."""
+    assert a.n == b.n and a.root == b.root
+    for name in ("smalls", "larges", "root_primes"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype == np.int64, (a.n, name)
+        assert not x.flags.writeable and not y.flags.writeable, (a.n, name)
+        assert np.array_equal(x, y), (a.n, name)
+
+
+def test_from_dense_is_bit_identical_to_recurrence(dense_10m):
+    for n in recurrence_edge_ns(dense_10m.limit):
         a = build_quotient_pi(n)
         b = QuotientPiTable.from_dense(n, dense_10m)
-        assert a.n == b.n and a.root == b.root
-        assert np.array_equal(a.smalls, b.smalls)
-        assert np.array_equal(a.larges, b.larges)
-        assert np.array_equal(a.root_primes, b.root_primes)
+        assert_same_table(a, b)
         assert b.dense is dense_10m and a.dense is None
     # dense is kept out of repr and ==.
     assert "dense" not in repr(b)
     assert dataclasses.replace(b, dense=None) == b
+
+
+@pytest.mark.parametrize(
+    "far,band,start,stride", [(2, 3, 0, 64), (3, 2, 1, 64), (7, 5, 2, 16), (61, 127, 3, 4)]
+)
+def test_recurrence_is_bit_identical_across_block_edges(
+    dense_10m, monkeypatch, far, band, start, stride
+):
+    # At the real sizes the near and far steps leave their first block
+    # only above n = 2**32.  With blocks of a few entries the inputs here
+    # cross block edges; the smaller the blocks, the slower the build, so
+    # the fewer of the inputs each case takes.
+    monkeypatch.setattr(primes_module, "FAR_BLOCK", far)
+    monkeypatch.setattr(primes_module, "BAND_BLOCK", band)
+    for n in recurrence_edge_ns(dense_10m.limit)[start::stride]:
+        assert_same_table(build_quotient_pi(n), QuotientPiTable.from_dense(n, dense_10m))
+
+
+@pytest.mark.parametrize("n", [2**30 - 1, 2**30, 2**30 + 1, 2**32 + 15])
+def test_recurrence_matches_the_textbook_recurrence_at_real_block_sizes(n):
+    # r = 2**15 = FAR_BLOCK at 2**30; at 2**32 + 15, r = 2**16 and the
+    # p = 2 steps fill one block each exactly, and p = 3's far step
+    # crosses a block edge.
+    q = build_quotient_pi(n, max_n=n)
+    smalls, larges = textbook_quotient_pi(n)
+    for got, want in ((q.smalls, smalls), (q.larges, larges)):
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert np.array_equal(got, want)
+    assert np.array_equal(q.root_primes, textbook_primes(q.root))
 
 
 def test_from_dense_requires_coverage(dense_10k):
