@@ -352,9 +352,10 @@ def test_recurrence_is_bit_identical_across_block_edges(
     dense_10m, monkeypatch, far, band, start, stride
 ):
     # At the real sizes the near and far steps leave their first block
-    # only above n = 2**32.  With blocks of a few entries the inputs here
-    # cross block edges; the smaller the blocks, the slower the build, so
-    # the fewer of the inputs each case takes.
+    # only when p = 3's far step, r - r // 3 entries, exceeds FAR_BLOCK:
+    # from about n = 2.4 * 10**9.  With blocks of a few entries the
+    # inputs here cross block edges; the smaller the blocks, the slower
+    # the build, so the fewer of the inputs each case takes.
     monkeypatch.setattr(primes_module, "FAR_BLOCK", far)
     monkeypatch.setattr(primes_module, "BAND_BLOCK", band)
     for n in recurrence_edge_ns(dense_10m.limit)[start::stride]:
