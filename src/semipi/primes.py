@@ -22,8 +22,10 @@ its own build entry by entry.  Its block sieve ``_sieve_blocks`` also
 counts the small prime factors that the oracle in ``semiprimes`` reads,
 of every integer or of the odd numbers only.
 
-All values are exact integers; no floating point is involved anywhere.
-Both table types make their arrays read-only in ``__post_init__``, and
+All values are exact integers.  The one floating-point operation is
+``from_dense``'s quotient row, n / d rounded and truncated, which equals
+n // d for every n < 2**53, so for every n a dense table covers.  Both
+table types make their arrays read-only in ``__post_init__``, and
 again when unpickled, so tables are safe to share between threads or
 workers of any start method.
 """
@@ -149,19 +151,39 @@ class PrimeTable:
 
     pi_dense[x] = number of primes <= x, for 0 <= x <= limit.
     primes[k-1] is the k-th prime (1-indexed).
+
+    Two rows sized by isqrt(limit) are made once per table, for the
+    QuotientPiTable.from_dense of every n the table covers:
+
+    * pi_prefix[v] = pi(v) as int64, for 0 <= v <= isqrt(limit); each
+      table's smalls is a view of it, not a copy.
+    * divisors[d - 1] = d as float64, for 1 <= d <= isqrt(limit) + 1;
+      n / divisors floors to n // d exactly while n < 2**53, and
+      MAX_DENSE_LIMIT = 2**31 keeps every covered n far below that.
+
+    Both are left out of __init__, repr and ==, and are pickled with the
+    table.
     """
 
     limit: int
     primes: np.ndarray = field(repr=False)
     pi_dense: np.ndarray = field(repr=False)
+    pi_prefix: np.ndarray = field(init=False, repr=False, compare=False)
+    divisors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.primes.setflags(write=False)
-        self.pi_dense.setflags(write=False)
+        root = math.isqrt(self.limit)
+        object.__setattr__(self, "pi_prefix", self.pi_dense[: root + 1].astype(np.int64))
+        object.__setattr__(self, "divisors", np.arange(1, root + 2, dtype=np.float64))
+        self._set_read_only()
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)  # unpickling skips __post_init__
-        self.__post_init__()
+        self._set_read_only()
+
+    def _set_read_only(self) -> None:
+        for a in (self.primes, self.pi_dense, self.pi_prefix, self.divisors):
+            a.setflags(write=False)
 
     def pi(self, x: int) -> int:
         """pi(x) for 0 <= x <= limit."""
@@ -252,8 +274,12 @@ class QuotientPiTable:
         """Fast-path construction by direct lookup in a covering dense table.
 
         Requires table.limit >= n.  Bit-identical to build_quotient_pi(n)
-        and keeps table as ``dense``, whose read-only primes root_primes
-        views; used by sweeps where thousands of tables are needed.
+        and keeps table as ``dense``; used by sweeps where thousands of
+        tables are needed, so it does only the work that depends on n.
+        smalls views the table's read-only int64 pi_prefix and root_primes
+        its primes.  larges is the one fresh array: pi_dense read at the
+        quotients n // d, d = 1..isqrt(n) + 1, which _dense_quotients
+        divides in float64, exact since n <= MAX_DENSE_LIMIT < 2**53.
         """
         if n < 1:
             raise RangeError(f"n must be >= 1, got {n}")
@@ -262,13 +288,27 @@ class QuotientPiTable:
                 f"dense table limit {table.limit} does not cover n={n}"
             )
         r = math.isqrt(n)
-        smalls = table.pi_dense[: r + 1].astype(np.int64)
-        larges = np.zeros(r + 2, dtype=np.int64)
-        larges[1:] = table.pi_dense[n // np.arange(1, r + 2)]
+        smalls = table.pi_prefix[: r + 1]
+        larges = np.empty(r + 2, dtype=np.int64)
+        larges[0] = 0
+        larges[1:] = table.pi_dense[_dense_quotients(n, table.divisors[: r + 1])]
         root_primes = table.primes[: int(smalls[r])]
         return cls(
             n=n, root=r, smalls=smalls, larges=larges, root_primes=root_primes, dense=table
         )
+
+
+def _dense_quotients(n: int, divisors: np.ndarray) -> np.ndarray:
+    """n // d as int64 for each d of divisors, a float64 row of integers.
+
+    Exact for integers n >= 0 and d >= 1 below 2**53.  n and d are then
+    exact floats, and
+    n = q*d + s with 0 <= s < d puts n / d in [q, q + 1 - 1/d].  Rounding
+    to nearest moves it by at most half an ulp, at most (n / d) * 2**-53
+    < 1/d, so it stays below q + 1; it cannot fall below q, a float
+    itself.  The cast to int64 truncates, and truncation is floor here.
+    """
+    return np.divide(n, divisors).astype(np.int64)
 
 
 def _pair_blocks(lo: np.ndarray, hi: np.ndarray):

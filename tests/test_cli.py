@@ -431,6 +431,39 @@ def test_sweep_csv_json_same_values(capsys):
             assert c["agree"] == ("true" if j["agree"] else "false")
 
 
+def test_csv_bytes_are_what_csv_writer_writes():
+    # emit_rows joins cells itself; the bytes must be those of a
+    # minimally quoting csv.writer, for every kind of row the CLI emits.
+    big = 2**53 + 1
+    sweep_columns = ("n", "eq1", "eq3_grouped", "oracle", "agree")
+    cases = [
+        (cli.COUNT_COLUMNS, [
+            {"n": 10**17, "method": m, "count": big + i, "terms": 2**40, "elapsed_ns": 10**15}
+            for i, m in enumerate(METHODS)
+        ]),
+        (sweep_columns, [
+            {"n": big + i, "eq1": 10**16 + i, "eq3_grouped": 10**16 + i,
+             "oracle": 10**16 + i - (i == 1), "agree": i != 1}
+            for i in range(3)
+        ]),
+        (cli.IDENTITY_COLUMNS, [
+            {"n": 10**18, "head_sum": 3 * 2**60, "tail_sum": big, "lhs": 3 * 2**60 - big,
+             "rhs": 2**62, "residual": 3 * 2**60 - big - 2**62},
+            {"n": 1, "head_sum": 0, "tail_sum": 0, "lhs": 0, "rhs": 0, "residual": 0},
+        ]),
+        (sweep_columns, []),
+    ]
+    for columns, rows in cases:
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([cli._cell(row[c]) for c in columns])
+        got = io.StringIO()
+        cli.emit_rows(rows, columns, "csv", got)
+        assert got.getvalue().encode() == want.getvalue().encode()
+
+
 def test_sweep_caps_rejected_before_work(capsys):
     code, _, err = run(capsys, "sweep", "1:10^8:1", "--methods", "oracle")
     assert code == EXIT_USAGE

@@ -20,6 +20,7 @@ from reference_impls import (
 )
 from semipi import (
     InternalConsistencyError,
+    PrimeTable,
     QuotientPiTable,
     RangeError,
     ResourceLimitError,
@@ -324,25 +325,58 @@ def recurrence_edge_ns(limit: int) -> list[int]:
     return ns
 
 
-def assert_same_table(a: QuotientPiTable, b: QuotientPiTable) -> None:
-    """Equal n and root, and arrays equal in values, int64 and read-only."""
-    assert a.n == b.n and a.root == b.root
-    for name in ("smalls", "larges", "root_primes"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype == np.int64, (a.n, name)
-        assert not x.flags.writeable and not y.flags.writeable, (a.n, name)
-        assert np.array_equal(x, y), (a.n, name)
-
-
 def test_from_dense_is_bit_identical_to_recurrence(dense_10m):
     for n in recurrence_edge_ns(dense_10m.limit):
         a = build_quotient_pi(n)
         b = QuotientPiTable.from_dense(n, dense_10m)
-        assert_same_table(a, b)
+        assert_same_table(b, a)
         assert b.dense is dense_10m and a.dense is None
     # dense is kept out of repr and ==.
     assert "dense" not in repr(b)
     assert dataclasses.replace(b, dense=None) == b
+
+
+def test_from_dense_views_the_shared_prefix_on_both_sides_of_squares(dense_10m):
+    # A root prime joins at n = p^2 and the root steps at n = (r + 1)^2;
+    # on both sides of each, up to 10**7, the table equals the recurrence's
+    # and its smalls is a view of the dense table's one int64 prefix, not a
+    # copy made per n.
+    limit = dense_10m.limit
+    ns = {p * p + e for p in trial_primes(isqrt(limit)) for e in (-1, 0, 1)}
+    ns |= {(r + 1) ** 2 - 1 + e for r in range(1, isqrt(limit), 7) for e in (-1, 0, 1)}
+    for n in sorted(m for m in ns if 1 <= m <= limit):
+        b = QuotientPiTable.from_dense(n, dense_10m)
+        assert_same_table(b, build_quotient_pi(n))
+        assert np.shares_memory(b.smalls, dense_10m.pi_prefix), n
+
+
+def test_prime_table_rows_for_from_dense():
+    for limit in (1, 2, 3, 24, 25, 3000, 10**6):
+        t = build_prime_table(limit)
+        root = isqrt(limit)
+        assert t.pi_prefix.dtype == np.int64 and t.divisors.dtype == np.float64
+        assert np.array_equal(t.pi_prefix, t.pi_dense[: root + 1])
+        assert np.array_equal(t.divisors, np.arange(1, root + 2))
+        assert not t.pi_prefix.flags.writeable and not t.divisors.flags.writeable
+    # Derived from the other fields: not arguments, and not in repr or ==.
+    assert "pi_prefix" not in repr(t) and "divisors" not in repr(t)
+    with pytest.raises(TypeError):
+        PrimeTable(limit=1, primes=t.primes, pi_dense=t.pi_dense, pi_prefix=t.pi_prefix)
+
+
+@pytest.mark.parametrize("ns", [range(1, 3001), range(2**31 - 2000, 2**31 + 1)])
+def test_dense_quotients_are_exact_floor_division(ns):
+    # from_dense's float division must floor to n // d for every d it
+    # reads, 1..isqrt(n) + 1, up to MAX_DENSE_LIMIT = 2**31.
+    assert ns[-1] <= primes_module.MAX_DENSE_LIMIT
+    top = isqrt(ns[-1]) + 1
+    exact = np.arange(1, top + 1, dtype=np.int64)
+    divisors = exact.astype(np.float64)
+    for n in ns:
+        count = isqrt(n) + 1
+        got = primes_module._dense_quotients(n, divisors[:count])
+        assert got.dtype == np.int64
+        assert np.array_equal(got, n // exact[:count]), n
 
 
 @pytest.mark.parametrize(
@@ -418,13 +452,15 @@ def test_quotient_pi_agrees_with_dense_hypothesis(dense_10k, n):
 
 
 def assert_same_table(got: QuotientPiTable, want: QuotientPiTable) -> None:
-    """Equal n, root and arrays, with equal dtypes and read-only flags."""
+    """Equal n and root, and arrays equal in values, int64 and read-only;
+    got's arrays are contiguous, as the formulas' slices expect."""
     assert (got.n, got.root) == (want.n, want.root)
     for name in ("smalls", "larges", "root_primes"):
         a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype, (got.n, name)
+        assert a.dtype == b.dtype == np.int64, (got.n, name)
         assert np.array_equal(a, b), (got.n, name)
-        assert not a.flags.writeable and a.flags.c_contiguous, (got.n, name)
+        assert not a.flags.writeable and not b.flags.writeable, (got.n, name)
+        assert a.flags.c_contiguous, (got.n, name)
 
 
 def check_range(ns: range, reference) -> list[QuotientPiTable]:
@@ -609,7 +645,7 @@ def test_tables_stay_read_only_through_pickling():
     for table in (build_quotient_pi(10**6), QuotientPiTable.from_dense(2999, dense), walked):
         assert_same_table(pickle.loads(pickle.dumps(table)), table)
     copy = pickle.loads(pickle.dumps(dense))
-    for name in ("primes", "pi_dense"):
+    for name in ("primes", "pi_dense", "pi_prefix", "divisors"):
         a, b = getattr(copy, name), getattr(dense, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
         assert not a.flags.writeable, name
