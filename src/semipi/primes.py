@@ -302,11 +302,11 @@ def _dense_quotients(n: int, divisors: np.ndarray) -> np.ndarray:
     """n // d as int64 for each d of divisors, a float64 row of integers.
 
     Exact for integers n >= 0 and d >= 1 below 2**53.  n and d are then
-    exact floats, and
-    n = q*d + s with 0 <= s < d puts n / d in [q, q + 1 - 1/d].  Rounding
-    to nearest moves it by at most half an ulp, at most (n / d) * 2**-53
-    < 1/d, so it stays below q + 1; it cannot fall below q, a float
-    itself.  The cast to int64 truncates, and truncation is floor here.
+    exact floats, and n = q*d + s with 0 <= s < d puts n / d in
+    [q, q + 1 - 1/d].  Rounding to nearest moves it by at most half an
+    ulp, at most (n / d) * 2**-53 < 1/d, so it stays below q + 1; it
+    cannot fall below q, a float itself.  The cast to int64 truncates,
+    and truncation is floor here.
     """
     return np.divide(n, divisors).astype(np.int64)
 

@@ -358,7 +358,7 @@ def test_prime_table_rows_for_from_dense():
         assert np.array_equal(t.pi_prefix, t.pi_dense[: root + 1])
         assert np.array_equal(t.divisors, np.arange(1, root + 2))
         assert not t.pi_prefix.flags.writeable and not t.divisors.flags.writeable
-    # Derived from the other fields: not arguments, and not in repr or ==.
+    # Derived from the other fields: not arguments, and not in repr.
     assert "pi_prefix" not in repr(t) and "divisors" not in repr(t)
     with pytest.raises(TypeError):
         PrimeTable(limit=1, primes=t.primes, pi_dense=t.pi_dense, pi_prefix=t.pi_prefix)
