@@ -40,6 +40,7 @@ from .primes import (
     PrimeTable,
     QuotientPiTable,
     SUPPORTED_MAX_N,
+    _quotient_root,
     build_prime_table,
     build_quotient_pi,
     isqrt,
@@ -203,20 +204,19 @@ def _check_workers(workers: int) -> None:
 def _check_n(n: int, methods: tuple[str, ...], max_n: int) -> None:
     """Refuse n below 1, past the cap of one of the methods, or past max_n.
 
-    When the work reads a quotient table, also refuse isqrt(n) past the
-    table budget, so that no command builds a table before it fails.
+    When the work reads a quotient table, the table's own bounds
+    (_quotient_root) refuse n, isqrt(n) past the table budget included,
+    so that no command builds a table before it fails.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     for m, cap in METHOD_CAPS.items():
         if m in methods and cap is not None and n > cap:
             raise ValueError(f"{m} method supports n <= {cap}, got {n}")
-    if n > max_n:
+    if _needs_qpi(methods):
+        _quotient_root(n, max_n)
+    elif n > max_n:
         raise ValueError(f"n={n} exceeds the supported range (max_n={max_n})")
-    if _needs_qpi(methods) and isqrt(n) > MAX_QUOTIENT_ROOT:
-        raise ResourceLimitError(
-            f"isqrt(n)={isqrt(n)} exceeds quotient-table budget {MAX_QUOTIENT_ROOT}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +319,20 @@ def _timed_counts(n: int, methods: tuple[str, ...], max_n: int) -> tuple[list[di
 _WORKER_CTX: tuple | None = None
 
 
-def _range_init(ctx: tuple | None) -> None:
-    """Install the (row, tables) pair that _range_chunk reads (None clears it)."""
+def _range_init(ctx: tuple) -> None:
+    """Install, in a pool worker, the (row, tables) pair that _range_chunk reads."""
     global _WORKER_CTX
     _WORKER_CTX = ctx
 
 
-def _range_chunk(ns: range) -> list[dict]:
+def _rows(row, tables, ns: range) -> list[dict]:
     """The rows of ns, each read from the table that the range's source gives."""
-    row, tables = _WORKER_CTX
     return [row(n, qpi) for n, qpi in zip(ns, tables(ns))]
+
+
+def _range_chunk(ns: range) -> list[dict]:
+    """The rows of ns in a pool worker, from the pair that _range_init installed."""
+    return _rows(*_WORKER_CTX, ns)
 
 
 def _dense_tables(table: PrimeTable, ns: range):
@@ -373,8 +377,10 @@ def _run_chunked(row, ns: range, max_n: int, workers: int) -> list[dict]:
       all it holds when it ends, and the next build pages it in again.
 
     The pool never exceeds the CPU count or the number of chunks.  One
-    worker runs in-process through the same code path, so the output is
-    the same at any worker count.
+    worker, or a range of one chunk, runs its rows directly in-process,
+    through the same row loop (_rows) that each pool worker runs, so the
+    output is the same at any worker count; only pool workers set module
+    state.
     """
     _check_workers(workers)
     workers = min(workers, os.cpu_count() or 1)
@@ -385,20 +391,15 @@ def _run_chunked(row, ns: range, max_n: int, workers: int) -> list[dict]:
         walk = quotient_tables if ns.step <= isqrt(ns[-1]) else _one_by_one
         tables = partial(walk, max_n=max_n)
         chunk_size = -(-len(ns) // workers)
+    if chunk_size >= len(ns):  # one chunk, as at one worker
+        return _rows(row, tables, ns)
     chunks = [ns[i : i + chunk_size] for i in range(0, len(ns), chunk_size)]
-    if workers == 1 or len(chunks) <= 1:
-        _range_init((row, tables))
-        try:
-            parts = [_range_chunk(c) for c in chunks]
-        finally:
-            _range_init(None)
-    else:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(chunks)),
-            initializer=_range_init,
-            initargs=((row, tables),),
-        ) as pool:
-            parts = list(pool.map(_range_chunk, chunks))
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(chunks)),
+        initializer=_range_init,
+        initargs=((row, tables),),
+    ) as pool:
+        parts = list(pool.map(_range_chunk, chunks))
     return [r for part in parts for r in part]
 
 

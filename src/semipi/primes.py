@@ -10,10 +10,10 @@ Two table types back everything else in the package:
   so pi(n/p) sums never require sieving anywhere near n/2.
 
 ``_primes`` is the one prime sieve: it gives the dense table its primes
-and the recurrence its base primes.  It sieves odd numbers only, in
-blocks of SIEVE_SEGMENT, each started from a tiled pattern with the
-multiples of 3, 5, 7, 11 and 13 already struck, and holds one block at a
-time, never a limit-sized mask.
+and the recurrence its base primes.  It sieves odd numbers only, from a
+pattern with the multiples of 3, 5, 7, 11 and 13 already struck, in the
+blocks of ``_tiled_blocks``, and holds one block at a time, never a
+limit-sized mask.
 
 ``quotient_tables`` yields the QuotientPiTable of every n of an ascending
 range from one anchor build: table(m) follows from table(m - 1) by the
@@ -50,8 +50,8 @@ MAX_DENSE_LIMIT = 2**31
 #: take 512 MiB at 2**25, and build_quotient_pi peaks near 0.7 GiB.
 MAX_QUOTIENT_ROOT = 2**25
 
-#: Sieves run in blocks of at most this many entries: odd numbers in
-#: _primes, integers or odd numbers in _sieve_blocks.
+#: _tiled_blocks cuts both sieves into blocks of at most this many
+#: entries: odd numbers in _primes, integers or odd numbers in _sieve_blocks.
 SIEVE_SEGMENT = 2**20
 
 #: build_prime_table writes pi_dense this many runs between primes at a
@@ -80,6 +80,25 @@ def isqrt(n: int) -> int:
     return math.isqrt(n)
 
 
+def _tiled_blocks(pattern: np.ndarray, first: int, count: int):
+    """Yield entries first .. first + count - 1 of pattern repeated, in blocks.
+
+    Each block holds at most SIEVE_SEGMENT entries.  pattern is tiled once
+    per call, to min(count, SIEVE_SEGMENT) + len(pattern) entries, and a
+    block is that tiling from its first entry mod len(pattern) on: a copy,
+    since the next block starts from the tiling again, except the last
+    block, which is a view.  So a one-block call allocates no block, and a
+    caller may write into every block without changing a later one.
+    """
+    period = len(pattern)
+    tiled = np.resize(pattern, min(count, SIEVE_SEGMENT) + period)
+    end = first + count
+    for start in range(first, end, SIEVE_SEGMENT):
+        off = start % period
+        block = tiled[off : off + min(SIEVE_SEGMENT, end - start)]
+        yield block if start + SIEVE_SEGMENT >= end else block.copy()
+
+
 #: The prime sieve's wheel, in odd numbers: the odd primes 3, 5, 7, 11
 #: and 13 that divide it strike the same entries mod _ODD_WHEEL in every
 #: block, and the pattern repeats every 2 * _ODD_WHEEL = 30030 integers.
@@ -90,16 +109,14 @@ def _primes(limit: int) -> np.ndarray:
     """The primes <= limit, ascending, as int64.
 
     Entry i stands for the odd number 2i + 1, and the (limit + 1) // 2
-    entries are sieved in blocks of at most SIEVE_SEGMENT.  The base
-    primes, the odd primes <= isqrt(limit), come first, from a sieve of
-    the odd numbers up to isqrt(limit).  Those that divide _ODD_WHEEL
-    strike their multiples once per call in a pattern of _ODD_WHEEL
-    entries, tiled once per call to min((limit + 1) // 2, SIEVE_SEGMENT)
-    + _ODD_WHEEL entries; each block starts as that tiling from
-    start % _ODD_WHEEL on, a copy unless it is the last block, and the
-    first block restores the wheel primes.  Every other base prime p
-    strikes its odd multiples from max(p^2, its first odd multiple in the
-    block) on, at a stride of p entries.
+    entries are sieved in the blocks of _tiled_blocks.  The base primes,
+    the odd primes <= isqrt(limit), come first, from a sieve of the odd
+    numbers up to isqrt(limit).  Those that divide _ODD_WHEEL strike
+    their multiples once per call in the _ODD_WHEEL-entry pattern that
+    every block starts from, and the first block restores the wheel
+    primes.  Every other base prime p strikes its odd multiples from
+    max(p^2, its first odd multiple in the block) on, at a stride of p
+    entries.
 
     The result is 2i + 1 for every entry i left standing, except that
     entry 0, the number 1, which nothing strikes, reads 2.  So a one-block
@@ -122,18 +139,12 @@ def _primes(limit: int) -> np.ndarray:
     pattern = np.ones(_ODD_WHEEL, dtype=bool)
     for p in wheel.tolist():
         pattern[p // 2 :: p] = False
-    tiled = np.resize(pattern, min(count, SIEVE_SEGMENT) + _ODD_WHEEL)
     found = []
-    for start in range(0, count, SIEVE_SEGMENT):
-        end = min(start + SIEVE_SEGMENT, count)
-        off = start % _ODD_WHEEL
-        block = tiled[off : off + end - start]
-        if end < count:  # the next block starts from the tiling again
-            block = block.copy()
+    for start, block in zip(range(0, count, SIEVE_SEGMENT), _tiled_blocks(pattern, 0, count)):
         if start == 0:
             block[wheel // 2] = True
         firsts = np.maximum(base * base // 2, start + (base // 2 - start) % base) - start
-        hit = firsts < end - start
+        hit = firsts < len(block)
         for p, first in zip(base[hit].tolist(), firsts[hit].tolist()):
             block[first::p] = False
         standing = np.flatnonzero(block).astype(np.int64, copy=False)
@@ -516,15 +527,13 @@ def _sieve_blocks(
 
     The prime powers that divide _WHEEL = 27720 (of base primes only: a
     wheel prime that is not a base prime is no smooth factor) are applied
-    once per call to a pattern of _WHEEL entries, tiled once per call to
-    min(entries, SIEVE_SEGMENT) + _WHEEL entries.  Pattern entry j
-    stands for step * j + step - 1: the integer j, or the odd number
-    2j + 1, whose multiples of an odd q start at j = q // 2.  Every odd
-    q of the wheel divides 3465 = 27720 / 8, so over odd numbers the
-    pattern repeats every 3465 entries and _WHEEL entries hold whole
-    periods.  Each block starts as that tiling from entry start // step
-    mod _WHEEL on, a copy unless it is the last block, so a one-block
-    call allocates no block.  Every other prime power q <= hi is listed
+    once per call to a pattern of _WHEEL entries, and the blocks are
+    those of _tiled_blocks over it from entry lo // step on.  Pattern
+    entry j stands for step * j + step - 1: the integer j, or the odd
+    number 2j + 1, whose multiples of an odd q start at j = q // 2.
+    Every odd q of the wheel divides 3465 = 27720 / 8, so over odd
+    numbers the pattern repeats every 3465 entries and _WHEEL entries
+    hold whole periods.  Every other prime power q <= hi is listed
     once per call; a block walks only the q with a multiple in the
     integers it spans, with their first offsets found in one vector op:
     the first multiple at or above start, or at step 2 the next one when
@@ -544,18 +553,12 @@ def _sieve_blocks(
         view = pattern[(step - 1) * (q // 2) :: q]
         ufunc(view, w, out=view)
     ws, qs = ws[~in_wheel], qs[~in_wheel]
-    span = step * SIEVE_SEGMENT  # the integers a full block covers
-    tiled = np.resize(pattern, min((hi - lo) // step + 1, SIEVE_SEGMENT) + _WHEEL)
-    for start in range(lo, hi + 1, span):
-        size = min(SIEVE_SEGMENT, (hi - start) // step + 1)
-        off = start // step % _WHEEL
-        block = tiled[off : off + size]
-        if start + span <= hi:  # the next block starts from the tiling again
-            block = block.copy()
+    starts = range(lo, hi + 1, step * SIEVE_SEGMENT)
+    for start, block in zip(starts, _tiled_blocks(pattern, lo // step, (hi - lo) // step + 1)):
         m0 = max(start, 1)
         if start == 0:
             block[0] = ufunc.identity
-        hit = (start + step * (size - 1)) // qs > (m0 - 1) // qs
+        hit = (start + step * (len(block) - 1)) // qs > (m0 - 1) // qs
         hit_q = qs[hit]
         firsts = (-m0) % hit_q  # from m0 to the first multiple of q
         if step == 2:  # odd numbers: pass an even multiple, and count in entries

@@ -35,10 +35,10 @@ plus one count per n, one uint8 count of small prime factors per entry
 and no smooth part.  A count from 1 sieves only the odd numbers, in
 blocks of SIEVE_SEGMENT of them, and counts an even semiprime 2o by the
 odd prime o; a window near n sieves every integer, in blocks of at most
-SIEVE_SEGMENT.  Each block starts as a copy of the share of 2, 4, 8, 3,
-9, 5, 7 and 11 (only the odd ones over odd numbers), tiled once per call
-from a 27720-entry pattern, and walks only the other prime powers with a
-multiple in it.
+SIEVE_SEGMENT.  The blocks are those of ``primes._tiled_blocks`` over a
+27720-entry pattern of the share of 2, 4, 8, 3, 9, 5, 7 and 11 (only the
+odd ones over odd numbers), and each walks only the other prime powers
+with a multiple in it.
 """
 
 from __future__ import annotations
@@ -225,18 +225,6 @@ def count_semiprimes_eq3(n: int, qpi: QuotientPiTable, mode: str = "grouped") ->
     )
 
 
-def _smooth_omega_blocks(lo: int, hi: int, base: np.ndarray):
-    """Yield (start, h) for consecutive blocks covering every integer of [lo, hi].
-
-    h[i] counts the prime factors of start + i among the base primes,
-    with multiplicity, as uint8; 0 and 1 get 0.  These are the blocks of
-    primes._sieve_blocks at step 1, which adds 1 at the multiples of
-    every power of a base prime; the every-integer pass of oracle_counts
-    reads them, and its odd pass reads the same sieve at step 2.
-    """
-    return _sieve_blocks(lo, hi, base, np.ones(len(base), dtype=np.uint8), np.add)
-
-
 def _base_pairs(base: np.ndarray, start: int, end: int) -> np.ndarray:
     """Every product p * q in [start, end) of base primes p <= q.
 
@@ -318,13 +306,14 @@ def oracle_counts(lo: int, ns: range) -> np.ndarray:
     each n the odd semiprimes in [lo, n], the odd primes up to n // 2,
     and 4.  It runs whenever those odd m are fewer than the integers of
     [lo, ns[-1]], as for every count from 1; a window near ns[-1] takes
-    the every-integer pass of _smooth_omega_blocks(lo, ns[-1]), which
-    counts its semiprimes, the even ones too, by the first rules alone.
+    the every-integer pass over [lo, ns[-1]], which counts its
+    semiprimes, the even ones too, by the first rules alone.
 
-    Either pass holds one block and len(ns) counts, adds the products
-    p * q of each block from _base_pairs, and reads each n's count from
-    a running count plus the block's flags (_tally).  Reads no quotient
-    table and applies no cap.
+    Either pass reads h from the blocks of _sieve_blocks, which adds 1 at
+    the multiples of every power of a base prime, holds one block and
+    len(ns) counts, adds the products p * q of each block from
+    _base_pairs, and reads each n's count from a running count plus the
+    block's flags (_tally).  Reads no quotient table and applies no cap.
     """
     if lo < 1 or len(ns) == 0 or ns.step < 1 or ns[0] < lo:
         raise RangeError(f"need an ascending range of n >= lo >= 1, got lo={lo}, ns={ns}")
@@ -334,16 +323,14 @@ def oracle_counts(lo: int, ns: range) -> np.ndarray:
     half = (lo + 1) // 2  # the least o with 2 * o >= lo
     out = np.zeros(len(ns), dtype=np.int64)
     if (last + 1) // 2 - half // 2 < last - lo + 1:  # odd m of [half, last] are fewer
-        step, base = 2, base[1:]
-        ones = np.ones(len(base), dtype=np.uint8)
-        blocks = _sieve_blocks(half | 1, last, base, ones, np.add, step)
+        first, step, base = half | 1, 2, base[1:]
         if lo <= 4:
             out[bisect_left(ns, 4) :] = 1
     else:
-        step = 1
-        blocks = _smooth_omega_blocks(lo, last, base)
+        first, step = lo, 1
+    ones = np.ones(len(base), dtype=np.uint8)
     semiprime_count = prime_count = 0
-    for start, h in blocks:
+    for start, h in _sieve_blocks(first, last, base, ones, np.add, step):
         end = start + step * len(h)
         # Entries below `small` hold the m <= R, and below `cut` the m <= R or m < lo.
         small = max((root - start) // step + 1, 0)

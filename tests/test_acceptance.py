@@ -29,8 +29,7 @@ from semipi import (
     quotient_tables,
 )
 from semipi.cli import GOLDEN
-from semipi.primes import _primes
-from semipi.semiprimes import _smooth_omega_blocks
+from semipi.primes import _primes, _sieve_blocks
 
 SWEEP_LIMIT = 10**5
 
@@ -206,7 +205,8 @@ def test_criterion_8_step_property(sweep):
         # counted with multiplicity, or m is a product of two primes <= r.
         r = isqrt(SWEEP_LIMIT)
         base = _primes(r)
-        h = np.concatenate([h for _, h in _smooth_omega_blocks(0, SWEEP_LIMIT, base)])
+        ones = np.ones(len(base), dtype=np.uint8)
+        h = np.concatenate([h for _, h in _sieve_blocks(0, SWEEP_LIMIT, base, ones, np.add)])
         semiprime = h == 1
         semiprime[: r + 1] = False
         semiprime[np.outer(base, base)] = True  # every product is <= r^2

@@ -206,6 +206,14 @@ def test_count_max_n_guard_override(capsys):
     code, _, err = run(capsys, "count", "100", "--max-n", "50")
     assert code == EXIT_USAGE
     assert "max_n" in err
+    for argv in (
+        ("count", "100", "--max-n", "50", "--methods", "oracle"),
+        ("identity", "100", "--max-n", "50"),
+        ("sweep", "90:100", "--max-n", "50"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_USAGE, argv
+        assert "max_n" in err, argv
 
 
 def test_count_csv_json_same_values(capsys):
@@ -584,6 +592,22 @@ def test_sweep_workers_capped_at_cpu_count(capsys, monkeypatch, fake_pool):
     assert code == EXIT_OK
     assert requested == [3]  # one worker never asks for a pool
     assert out_big == out_one
+
+
+def test_only_pool_workers_install_the_range_context(capsys, monkeypatch, fake_pool):
+    # An in-process range runs its rows directly; only the pool's
+    # initializer sets the module state that _range_chunk reads.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    inits, real = [], cli._range_init
+    monkeypatch.setattr(cli, "_range_init", lambda ctx: inits.append(ctx) or real(ctx))
+    argv = ("sweep", "1:100", "--format", "csv")
+    code, out_one, _ = run(capsys, *argv, "--workers", "1")
+    assert code == EXIT_OK
+    assert inits == [] and fake_pool == []
+    code, out_two, _ = run(capsys, *argv, "--workers", "2")
+    assert code == EXIT_OK
+    assert fake_pool == [2] and len(inits) == 2  # the fake pool's two workers
+    assert out_two == out_one
 
 
 def test_pooled_sweep_counts_the_oracle_column_once(capsys, monkeypatch, fake_pool):

@@ -148,6 +148,27 @@ SIEVE_EDGES = sorted({
 })
 
 
+@pytest.mark.parametrize("period", [7, 100])
+@pytest.mark.parametrize("periods, extra", [(0, 0), (1, -1), (1, 5)])
+@pytest.mark.parametrize("count", [1, 63, 64, 65, 131])
+def test_tiled_blocks(monkeypatch, period, periods, extra, count):
+    # Blocks of at most 64 entries of the tiling from entry `first` on,
+    # each a copy but the last, which is a view: both sieves write into
+    # their blocks, and no write may reach a later block.
+    monkeypatch.setattr(primes_module, "SIEVE_SEGMENT", 64)
+    first = periods * period + extra
+    pattern = np.arange(period)
+    got, copied = [], []
+    for block in primes_module._tiled_blocks(pattern, first, count):
+        assert len(block) <= 64
+        got.append(block.copy())
+        copied.append(block.base is None)
+        block[:] = -1
+    assert np.array_equal(np.concatenate(got), np.resize(pattern, first + count)[first:])
+    assert copied == [True] * (len(got) - 1) + [False]
+    assert np.array_equal(pattern, np.arange(period))
+
+
 def test_primes_match_trial_division_up_to_3000():
     want = trial_primes(3000)
     for limit in range(3001):

@@ -33,20 +33,20 @@ from semipi import (
 )
 from semipi import semiprimes
 from semipi.cli import GOLDEN
-from semipi.primes import _WHEEL, SIEVE_SEGMENT, _primes
-from semipi.semiprimes import _smooth_omega_blocks
+from semipi.primes import _WHEEL, SIEVE_SEGMENT, _primes, _sieve_blocks
 
 
 def smooth_omega_blocks(lo: int, hi: int) -> list:
-    """The blocks of _smooth_omega_blocks over [lo, hi], base primes <= isqrt(hi)."""
-    return list(_smooth_omega_blocks(lo, hi, _primes(isqrt(hi))))
+    """The h blocks of _sieve_blocks over [lo, hi], base primes <= isqrt(hi)."""
+    base = _primes(isqrt(hi))
+    return list(_sieve_blocks(lo, hi, base, np.ones(len(base), dtype=np.uint8), np.add))
 
 
 def oracle_window(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """(h, semiprime) for m in [lo, hi].
 
     h[m - lo] counts m's prime factors <= isqrt(hi) with multiplicity,
-    the blocks of _smooth_omega_blocks joined, and semiprime[m - lo] is
+    the h blocks of _sieve_blocks joined, and semiprime[m - lo] is
     the step of oracle_counts at m.
     """
     h = np.concatenate([h for _, h in smooth_omega_blocks(lo, hi)])
