@@ -8,9 +8,13 @@ sweep     per-n counts over a range, optionally across worker processes
 selftest  the GOLDEN values (n = 25, OEIS pi and pi2 at 10^k), oracle windows
 
 Methods are chosen in one place: `semiprimes.METHOD_CAPS` holds their caps
-and `method_count` maps a name to its function.  `sweep` and `identity`
-share one range path (one n is the range n:n), run in-process or on a
-pool capped at the CPU count.  Each setting is checked by one `_check_*`.
+and `method_count` maps a name to its function, for `count`, which times
+each method alone, and for `selftest`.  A `sweep` row reads all of its
+formula methods through one `semiprimes.formula_counts`: one head sum
+per n, and a tail sum only for eq3_grouped.  Its oracle column is one
+pass over the range.  `sweep` and `identity` share one range path (one
+n is the range n:n), run in-process or on a pool capped at the CPU
+count.  Each setting is checked by one `_check_*`.
 
 Exit codes: 0 success (and all methods agree), 1 usage or range error,
 2 mathematical disagreement between methods (a differential-test hit).
@@ -26,7 +30,7 @@ import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import partial
 
@@ -52,6 +56,7 @@ from .semiprimes import (
     count_semiprimes_eq1,
     count_semiprimes_eq3,
     count_semiprimes_oracle,
+    formula_counts,
     oracle_counts,
     pair_sum_grouped,
     pair_sum_naive,
@@ -347,15 +352,14 @@ def _one_by_one(ns: range, *, max_n: int):
 
 
 def _sweep_row(methods: tuple[str, ...], n: int, qpi: QuotientPiTable) -> dict:
-    """n and the count of each formula method at n, all read from qpi."""
-    row = {"n": n}
-    for m in methods:
-        row[m] = method_count(n, m, qpi).count
-    return row
+    """n and the count of each formula method at n, all read from qpi by
+    one formula_counts: one head sum, and a tail sum only for eq3_grouped."""
+    return dict(zip(("n", *methods), (n, *formula_counts(n, qpi, methods))))
 
 
 def _identity_row(n: int, qpi: QuotientPiTable) -> dict:
-    return asdict(check_identity(n, qpi))
+    rep = check_identity(n, qpi)
+    return {c: getattr(rep, c) for c in IDENTITY_COLUMNS}
 
 
 def _run_chunked(row, ns: range, max_n: int, workers: int) -> list[dict]:

@@ -15,6 +15,13 @@ semiprimes <= n and r = isqrt(n), the package computes pi2 four ways:
                   and the products of two primes up to r; an even m
                   counts as 4 or twice an odd prime
 
+The three formulas share their sums.  eq1 and eq3 both read the head
+sum of pi(n // p) over the primes p <= r; eq3_grouped adds the grouped
+tail, and eq3_naive visits every prime instead.  ``formula_counts``
+gives every formula asked for at one n from one head sum, and
+``count_semiprimes_eq1`` and ``count_semiprimes_eq3`` give one each
+through the same ``_eq1`` and ``_eq3``; ``_eq3`` holds the parity guard.
+
 All four must agree for every n; the CLI and the test suite treat any
 disagreement as a bug signal.  Agreement proves less than four
 independent routes would: eq1 and eq3_grouped read one quotient table
@@ -146,9 +153,14 @@ def count_semiprimes_eq1(n: int, qpi: QuotientPiTable) -> SemiprimeCount:
     pair is counted once.  Empty sum (n < 4) gives 0.
     """
     _require_match(n, qpi)
+    count = _eq1(qpi, _head_sum(qpi))
+    return SemiprimeCount(n=n, method="eq1", count=count, term_count=len(qpi.root_primes))
+
+
+def _eq1(qpi: QuotientPiTable, head: int) -> int:
+    """eq1 from the head sum: the k-th of the k = pi(isqrt(n)) terms drops k - 1."""
     k = len(qpi.root_primes)
-    count = _head_sum(qpi) - k * (k - 1) // 2
-    return SemiprimeCount(n=n, method="eq1", count=count, term_count=k)
+    return head - k * (k - 1) // 2
 
 
 def pair_sum_naive(n: int, qpi: QuotientPiTable) -> PairSum:
@@ -161,6 +173,12 @@ def pair_sum_naive(n: int, qpi: QuotientPiTable) -> PairSum:
     isqrt(n) and smalls[n // p] elsewhere, so the tail reads smalls.
     """
     _require_match(n, qpi)
+    value, terms = _naive_sum(n, qpi)
+    return PairSum(n=n, value=value, upper_index=terms, term_count=terms)
+
+
+def _naive_sum(n: int, qpi: QuotientPiTable) -> tuple[int, int]:
+    """(ordered pair sum, pi(n // 2)) by visiting every prime <= n/2."""
     if n > NAIVE_MAX_N:
         raise RangeError(
             f"n={n} exceeds the naive-form cap {NAIVE_MAX_N}; "
@@ -173,8 +191,7 @@ def pair_sum_naive(n: int, qpi: QuotientPiTable) -> PairSum:
         ps = qpi.dense.primes[: qpi.dense.pi(half)]
     quot = n // ps
     k = int(np.count_nonzero(quot > qpi.root))  # quot descends: the first k read larges
-    value = int(qpi.larges[ps[:k]].sum()) + int(qpi.smalls[quot[k:]].sum())
-    return PairSum(n=n, value=value, upper_index=len(ps), term_count=len(ps))
+    return int(qpi.larges[ps[:k]].sum()) + int(qpi.smalls[quot[k:]].sum()), len(ps)
 
 
 def pair_sum_grouped(n: int, qpi: QuotientPiTable) -> PairSum:
@@ -210,19 +227,43 @@ def count_semiprimes_eq3(n: int, qpi: QuotientPiTable, mode: str = "grouped") ->
         pair = pair_sum_grouped(n, qpi)
     else:
         raise ValueError(f"mode must be 'naive' or 'grouped', got {mode!r}")
-    sq = int(qpi.smalls[qpi.root])  # pi(isqrt(n))
-    dividend = pair.value + sq
-    if dividend % 2 != 0:
-        raise InternalConsistencyError(
-            f"pair_sum({n}) + pi(isqrt({n})) = {pair.value} + {sq} is odd; "
-            "this indicates a counting bug"
-        )
     return SemiprimeCount(
         n=n,
         method=f"eq3_{mode}",
-        count=dividend // 2,
+        count=_eq3(n, qpi, pair.value),
         term_count=pair.term_count + 1,
     )
+
+
+def _eq3(n: int, qpi: QuotientPiTable, pair: int) -> int:
+    """eq3 from the ordered pair sum, halved under the parity guard."""
+    sq = int(qpi.smalls[qpi.root])  # pi(isqrt(n))
+    dividend = pair + sq
+    if dividend % 2 != 0:
+        raise InternalConsistencyError(
+            f"pair_sum({n}) + pi(isqrt({n})) = {pair} + {sq} is odd; "
+            "this indicates a counting bug"
+        )
+    return dividend // 2
+
+
+def formula_counts(n: int, qpi: QuotientPiTable, methods: tuple[str, ...]) -> list[int]:
+    """The count of each formula method at n, in the order of methods.
+
+    qpi is checked once and its head sum read once; the grouped tail is
+    read only for eq3_grouped and the naive pair sum only for eq3_naive.
+    Each count comes from the same _eq1 or _eq3 as in count_semiprimes_eq1
+    and count_semiprimes_eq3.  Raises ValueError for the oracle and for
+    unknown names.
+    """
+    if not set(methods) <= {"eq1", "eq3_grouped", "eq3_naive"}:
+        raise ValueError(f"formula methods are eq1, eq3_grouped and eq3_naive, got {methods}")
+    _require_match(n, qpi)
+    head = _head_sum(qpi)
+    grouped = "eq3_grouped" in methods and _eq3(n, qpi, head + _tail_sum(qpi)[0])
+    naive = "eq3_naive" in methods and _eq3(n, qpi, _naive_sum(n, qpi)[0])
+    counts = {"eq1": _eq1(qpi, head), "eq3_grouped": grouped, "eq3_naive": naive}
+    return [counts[m] for m in methods]
 
 
 def _base_pairs(base: np.ndarray, start: int, end: int) -> np.ndarray:

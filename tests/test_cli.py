@@ -1,6 +1,8 @@
+import collections
 import csv
 import dataclasses
 import gc
+import hashlib
 import io
 import json
 import multiprocessing
@@ -830,6 +832,131 @@ def test_quotient_table_budget_checked_before_any_table(capsys, monkeypatch):
         code, out, err = run(capsys, *argv, "--max-n", "2^52")
         assert (code, out, builds) == (EXIT_USAGE, "", []), argv
         assert "quotient-table budget" in err and "agree" not in err, argv
+
+
+def wrong_small(qpi, v: int):
+    """A copy of qpi with 1 added to smalls[v]; smalls may view a shared prefix."""
+    smalls = qpi.smalls.copy()
+    smalls[v] += 1
+    return dataclasses.replace(qpi, smalls=smalls)
+
+
+def tail_entry(n: int, parity: int) -> tuple[int, int]:
+    """(v, g): the least 2 <= v <= n // (r + 1) whose prime count
+    g = larges[v] - larges[v + 1] is nonzero and of the given parity.
+
+    The grouped tail weighs smalls[v] by g, so 1 more in smalls[v] moves
+    the ordered pair sum by g and leaves eq1 and pi(isqrt(n)) as they are.
+    """
+    qpi = primes.build_quotient_pi(n)
+    last = n // (qpi.root + 1)
+    gaps = (qpi.larges[2 : last + 1] - qpi.larges[3 : last + 2]).tolist()
+    return next((v, g) for v, g in enumerate(gaps, 2) if g and g % 2 == parity and v < qpi.root)
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_dense_sweep_catches_a_wrong_tail_entry(capsys, monkeypatch, parity):
+    # An even shift moves eq3_grouped by g / 2 and the rows disagree; an
+    # odd one makes the eq3 dividend odd, which its parity guard refuses.
+    n = 10**6 + 3
+    v, g = tail_entry(n, parity)
+    real = primes.QuotientPiTable.from_dense
+    monkeypatch.setattr(
+        primes.QuotientPiTable,
+        "from_dense",
+        staticmethod(lambda m, table: wrong_small(real(m, table), v) if m == n else real(m, table)),
+    )
+    code, out, err = run(capsys, "sweep", f"{n - 3}:{n + 3}", "--format", "csv")
+    assert code == EXIT_DISAGREE
+    if parity:
+        assert out == ""
+        assert err.startswith(f"internal consistency failure: pair_sum({n}) + pi(isqrt({n})) = ")
+    else:
+        eq1 = cli.method_count(n, "eq1", primes.build_quotient_pi(n)).count
+        assert f"{n},{eq1},{eq1 + g // 2},false\n" in out
+        assert err == f"DISAGREEMENT at n={n}: eq1={eq1}, eq3_grouped={eq1 + g // 2}\n"
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_walked_sweep_catches_a_wrong_tail_entry_in_its_anchor(capsys, monkeypatch, parity):
+    a, b = 10**8 + 7, 10**8 + 17
+    v, _ = tail_entry(a, parity)
+    real, calls = primes.build_quotient_pi, []
+
+    def build(n, **kwargs):
+        qpi = real(n, **kwargs)
+        calls.append(n)
+        return wrong_small(qpi, v) if len(calls) == 1 else qpi
+
+    monkeypatch.setattr(primes, "build_quotient_pi", build)
+    code, out, err = run(capsys, "sweep", f"{a}:{b}", "--format", "csv")
+    assert (code, out, calls[0]) == (EXIT_DISAGREE, "", a)
+    assert err.startswith("internal consistency failure: ")
+
+
+@pytest.mark.parametrize("span", ["1000:1200", f"{10**8}:{10**8 + 60}"], ids=["dense", "walked"])
+def test_sweep_reads_one_head_sum_and_one_tail_sum_per_n(capsys, monkeypatch, span):
+    # eq1 and eq3_grouped share one head sum per n, and a row without
+    # eq3_grouped reads no tail.
+    calls = collections.Counter()
+    for name in ("_head_sum", "_tail_sum"):
+        real = getattr(semiprimes, name)
+        monkeypatch.setattr(
+            semiprimes, name, lambda qpi, real=real, name=name: calls.update([name]) or real(qpi)
+        )
+    a, b = map(int, span.split(":"))
+    for methods, want in (
+        ("eq1,eq3_grouped", {"_head_sum": b - a + 1, "_tail_sum": b - a + 1}),
+        ("eq3_grouped,eq1", {"_head_sum": b - a + 1, "_tail_sum": b - a + 1}),
+        ("eq1", {"_head_sum": b - a + 1}),
+    ):
+        calls.clear()
+        assert run(capsys, "sweep", span, "--methods", methods, "--format", "csv")[0] == EXIT_OK
+        assert calls == want, methods
+
+
+#: sha256 of stdout, and the exit code, of commands whose output must not
+#: change with how rows are computed.
+STDOUT_DIGESTS = {
+    "sweep 1000000:1005000 --format csv": (
+        0,
+        "6d3109c533586dbc1eec2a198b975533e6f2d661c908f85a978b301a13d13757",
+    ),
+    "sweep 1:3000 --methods eq1,eq3_grouped,eq3_naive,oracle --format json": (
+        0,
+        "e50864effff4b333f3d8191cce74ff5ad8fbf78cc3b3e9262c89e66b3d71aa53",
+    ),
+    "sweep 1:2000 --methods eq3_grouped,eq1 --format table": (
+        0,
+        "aeaef3bedcce9d227c007ec689a3c803775c0cd0c092da300e7dd8decb649569",
+    ),
+    "sweep 1000000000:1000000200 --format csv": (
+        0,
+        "7ca32bcec8622273505565c79ca67330db18ad9b75f3d9dda41c12cfa67bdfbc",
+    ),
+    "sweep 1:800:3 --methods eq1,eq3_grouped,oracle --format csv --workers 2": (
+        0,
+        "98524c9da5e56f6a01274fff56836adf8dff95c2ed74399d89127def5779e54c",
+    ),
+    "identity 1:5000 --format csv": (
+        0,
+        "2c1f66fff639d278212fc11fb01d0577dd617a653410cf89f2c68ef7b1d1ece8",
+    ),
+    "identity 1:5000 --format json": (
+        0,
+        "b4522d8249387f58e1955d6d223f411f35e97d06ef84595a78032548a56ef97b",
+    ),
+    "identity 1:5000 --format table": (
+        0,
+        "b2493be568299690a9292d2f4c160a4e09a7e0ff34b6311a3407dc6ef0accb1b",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", STDOUT_DIGESTS)
+def test_stdout_bytes_are_pinned(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == STDOUT_DIGESTS[command]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import itertools
 import random
 
 import numpy as np
@@ -30,10 +31,12 @@ from semipi import (
     oracle_counts,
     pair_sum_grouped,
     pair_sum_naive,
+    quotient_tables,
 )
 from semipi import semiprimes
-from semipi.cli import GOLDEN
+from semipi.cli import GOLDEN, method_count
 from semipi.primes import _WHEEL, SIEVE_SEGMENT, _primes, _sieve_blocks
+from semipi.semiprimes import formula_counts
 
 
 def smooth_omega_blocks(lo: int, hi: int) -> list:
@@ -569,3 +572,41 @@ def test_shared_table_concurrent_reads():
             )
         )
     assert results == [expected] * 32
+
+
+FORMULAS = ("eq1", "eq3_grouped", "eq3_naive")
+
+
+@pytest.mark.parametrize("source", ["build_quotient_pi", "from_dense", "quotient_tables"])
+def test_formula_counts_equal_the_per_method_counts(source, dense_10m):
+    # Every non-empty ordered subset of the formulas, at n = 1..3000 and
+    # at p^2 - 1, p^2 and p^2 + 1 for every prime p <= 1000, where
+    # isqrt(n) and the split of the pair sum change.
+    squares = [p * p for p in _primes(1000).tolist()]
+    ns = [*range(1, 3001), *(s + d for s in squares for d in (-1, 0, 1))]
+    if source == "build_quotient_pi":
+        tables = ((n, build_quotient_pi(n)) for n in ns)
+    elif source == "from_dense":
+        tables = ((n, QuotientPiTable.from_dense(n, dense_10m)) for n in ns)
+    else:
+        walks = [range(1, 3001), *(range(s - 1, s + 2) for s in squares)]
+        tables = ((n, q) for w in walks for n, q in zip(w, quotient_tables(w)))
+    subsets = [s for k in (1, 2, 3) for s in itertools.permutations(FORMULAS, k)]
+    assert len(subsets) == 15
+    seen = 0
+    for n, qpi in tables:
+        want = {m: method_count(n, m, qpi).count for m in FORMULAS}
+        for subset in subsets:
+            got = formula_counts(n, qpi, subset)
+            assert got == [want[m] for m in subset], (n, subset)
+            assert all(type(c) is int for c in got), (n, subset)
+        seen += 1
+    assert seen == len(ns)
+
+
+def test_formula_counts_refuse_the_oracle_and_unknown_names(qpi25):
+    for methods in (("oracle",), ("eq1", "oracle"), ("eq2",), ("eq1", "grouped")):
+        with pytest.raises(ValueError):
+            formula_counts(25, qpi25, methods)
+    with pytest.raises(RangeError):
+        formula_counts(24, qpi25, ("eq1",))
