@@ -260,6 +260,7 @@ def formula_counts(n: int, qpi: QuotientPiTable, methods: tuple[str, ...]) -> li
         raise ValueError(f"formula methods are eq1, eq3_grouped and eq3_naive, got {methods}")
     _require_match(n, qpi)
     head = _head_sum(qpi)
+    # A method not asked for leaves its entry False, and its sum unread.
     grouped = "eq3_grouped" in methods and _eq3(n, qpi, head + _tail_sum(qpi)[0])
     naive = "eq3_naive" in methods and _eq3(n, qpi, _naive_sum(n, qpi)[0])
     counts = {"eq1": _eq1(qpi, head), "eq3_grouped": grouped, "eq3_naive": naive}
