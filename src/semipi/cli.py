@@ -614,7 +614,7 @@ def _add_common(sub, *, methods_default=None, workers=False):
         metavar="N",
         help=f"raise the supported-range guard (default {SUPPORTED_MAX_N}); "
         f"the quotient table still refuses isqrt(n) > {MAX_QUOTIENT_ROOT}, "
-        "so n stays below about 2^50",
+        "so n < (2^25 + 1)^2 = 2^50 + 2^26 + 1",
     )
     if methods_default is not None:
         sub.add_argument(

@@ -46,8 +46,9 @@ SUPPORTED_MAX_N = 10**11
 #: Budget for dense tables (index range of pi_dense).
 MAX_DENSE_LIMIT = 2**31
 
-#: Budget for sqrt(n) when building a quotient table.  Its two tables
-#: take 512 MiB at 2**25, and build_quotient_pi peaks near 0.7 GiB.
+#: Budget for sqrt(n) when building a quotient table, so n < (2**25 +
+#: 1)**2 = 2**50 + 2**26 + 1.  Its two tables take 512 MiB at 2**25, and
+#: build_quotient_pi peaks near 0.65 GiB.
 MAX_QUOTIENT_ROOT = 2**25
 
 #: _tiled_blocks cuts both sieves into blocks of at most this many
@@ -66,6 +67,10 @@ BAND_BLOCK = 2**13
 #: build_quotient_pi's near and far steps run in blocks of at most this
 #: many entries of d, through scratch rows of that size.
 FAR_BLOCK = 2**15
+
+#: build_quotient_pi holds larges[d] in int32 for every d with n // d
+#: below this bound: no step raises an entry above its start, n // d - 1.
+INT32_BOUND = 2**31
 
 
 def isqrt(n: int) -> int:
@@ -360,23 +365,53 @@ def _quotient_root(n: int, max_n: int) -> int:
     return r
 
 
-def _prime_steps(n: int, r: int, primes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """smalls (int32) and larges after the steps of primes, the p^3 <= n.
+def _prime_steps(
+    n: int, r: int, primes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """smalls, head and body after the steps of primes, the p^3 <= n.
 
-    The steps of build_quotient_pi one prime at a time.  quot and the
-    scratch rows are locals, so they, and every view of them, are freed
-    on return, before the cast and the band, which read none of them.
+    The steps of build_quotient_pi one prime at a time, on larges split
+    at t = min(n // INT32_BOUND + 1, r + 1):
+
+    * head[d] = larges[d] for d < t, int64, with head[0] = larges[0] = 0;
+    * body[d] = larges[d] for t <= d <= r, int32; its first t entries are
+      never read.
+
+    Every S(v) starts at v - 1 and only falls, since each step subtracts
+    S(v // p) - pi(p - 1) >= 0, and it never falls below pi(v) >= 0.  t
+    exceeds n / INT32_BOUND, so for d >= t both n // d and S(n // d) lie
+    in [0, INT32_BOUND - 1]: quot, the n // d of the body, is int32 as
+    well, and below 2**31 (t = 1) the whole loop is int32.
+
+    A prime's step reads only values from before that prime.  The body
+    reads body entries and smalls alone: larges[d*p] with d*p >= d >= t.
+    The head's near step reads larges[d*p], in the body once d*p >= t.
+    So each prime steps the head first, while the body still holds its
+    values from the prime before, then the body in blocks of ascending
+    d, as build_quotient_pi sets out.  The head has its own two rows of t
+    entries and takes one pass per step, not blocks.
+
+    quot and the scratch rows are locals, so they, and every view of
+    them, are freed on return, before build_quotient_pi joins head and
+    body into one int64 larges.
     """
-    # smalls[v] tracks S(v) for v <= r; larges[d] tracks S(n // d).
-    # quot[d - 1] = n // d, so S(n // (d*p)) at d*p > r is
-    # smalls[quot[d - 1] // p], a division by a scalar.
-    quot = np.arange(1, r + 1, dtype=np.int64)
-    np.floor_divide(n, quot, out=quot)
+    # head[d] tracks S(n // d) for d < t, body[d] for d >= t, smalls[v]
+    # S(v) for v <= r.  quot[d] = n // d for d >= t, so S(n // (d*p)) at
+    # d*p > r is smalls[quot[d] // p], a division by a scalar; the head
+    # keeps its own n // d, at least INT32_BOUND, in head_quot.
+    t = min(n // INT32_BOUND + 1, r + 1)
+    head_quot = n // np.arange(t, dtype=np.int64).clip(1)
+    head = head_quot - 1
+    head[0] = 0
+    quot = np.arange(r + 1, dtype=np.int32)
+    np.floor_divide(np.int64(n), quot[t:], out=quot[t:], casting="unsafe")
+    body = quot - 1
     smalls = np.arange(-1, r, dtype=np.int32)
-    larges = np.empty(r + 2, dtype=np.int64)
-    larges[0] = 0
-    np.subtract(quot, 1, out=larges[1 : r + 1])
-    # The scratch rows that every step writes its right-hand side into.
+    # The scratch rows that every step writes its right-hand side into:
+    # two of t entries for the head, two of one block for the body's
+    # blocks of d, and one for the smalls step.
+    head_rhs = np.empty(t, dtype=np.int64)
+    head_took = np.empty(t, dtype=np.int32)
     block = min(r, FAR_BLOCK)
     wide = np.empty(block, dtype=np.int64)
     narrow = np.empty(block, dtype=np.int32)
@@ -387,17 +422,28 @@ def _prime_steps(n: int, r: int, primes: np.ndarray) -> tuple[np.ndarray, np.nda
         p2 = p * p
         dmax = min(r, n // p2)
         k = r // p  # <= dmax, since r * p <= r^2 <= n
-        for d0 in range(1, k + 1, block):  # near, in ascending d
+        if t > 1:  # the head, first: it reads body entries before this prime
+            h = min(k, t - 1)  # its near d
+            m = min(h, (t - 1) // p)  # of those, the d with d*p < t
+            far = slice(h + 1, min(dmax, t - 1) + 1)
+            np.subtract(head[p : m * p + 1 : p], sp, out=head_rhs[1 : m + 1])
+            np.subtract(body[(m + 1) * p : h * p + 1 : p], sp, out=head_rhs[m + 1 : h + 1])
+            np.floor_divide(head_quot[far], p, out=head_rhs[far])
+            smalls.take(head_rhs[far], out=head_took[far], mode="clip")
+            np.subtract(head_took[far], sp, out=head_rhs[far])
+            head[1 : far.stop] -= head_rhs[1 : far.stop]
+        for d0 in range(t, k + 1, block):  # near, in ascending d
             d1 = min(d0 + block, k + 1)
-            np.subtract(larges[d0 * p : (d1 - 1) * p + 1 : p], sp, out=wide[: d1 - d0])
-            larges[d0:d1] -= wide[: d1 - d0]
-        for d0 in range(k + 1, dmax + 1, block):  # far
+            rhs = narrow[: d1 - d0]
+            np.subtract(body[d0 * p : (d1 - 1) * p + 1 : p], sp, out=rhs)
+            body[d0:d1] -= rhs
+        for d0 in range(max(k + 1, t), dmax + 1, block):  # far
             d1 = min(d0 + block, dmax + 1)
             idx, rhs = wide[: d1 - d0], narrow[: d1 - d0]
-            np.floor_divide(quot[d0 - 1 : d1 - 1], p, out=idx)
+            np.floor_divide(quot[d0:d1], p, out=idx)
             smalls.take(idx, out=rhs, mode="clip")
             rhs -= sp
-            larges[d0:d1] -= rhs
+            body[d0:d1] -= rhs
         if p2 <= r:
             # smalls[v // p] for v = p^2..r is smalls[j] for j = p..r // p,
             # p times each in rows of p, and fewer times for the last j
@@ -408,7 +454,7 @@ def _prime_steps(n: int, r: int, primes: np.ndarray) -> tuple[np.ndarray, np.nda
             rows = smalls[p2 : p2 + f * p].reshape(f, p)
             rows -= row[:f, None]
             smalls[p2 + f * p :] -= row[f:j]
-    return smalls, larges
+    return smalls, head, body
 
 
 def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTable:
@@ -437,21 +483,31 @@ def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTabl
       BAND_BLOCK pairs to keep memory flat.
 
     Every S(v) with v <= r lies in [-1, r], and r <= MAX_QUOTIENT_ROOT =
-    2**25, so smalls is int32 through the per-prime loop and is cast to
-    int64 once, before the band.  larges stays int64: pi(10**12) > 2**31.
+    2**25, so smalls is int32 through the per-prime loop.  larges[d]
+    lies in [0, n // d - 1], which passes 2**31 only for d <= n // 2**31:
+    pi(10**12) > 2**31, but of the 10**6 entries of larges at 10**12
+    only the 465 with d <= 465 start above it.  So _prime_steps holds
+    larges[d] in int32 from t = n // INT32_BOUND + 1 on, and the t - 1
+    entries below t, at most 2**19 under MAX_QUOTIENT_ROOT, in a small
+    int64 head that steps first within each prime.  Below 2**31, t = 1
+    and the head is empty.  After the loop, head and body are joined
+    into one int64 larges and smalls is cast to int64, both before the
+    band.
 
     No per-prime step allocates.  Each writes its right-hand side into
     scratch rows allocated once per build, through out=, before
-    subtracting it in place.  The larges steps run in blocks of at most
+    subtracting it in place.  The body's steps run in blocks of at most
     FAR_BLOCK entries of d, through one int64 and one int32 row of that
-    size:
+    size; the head's run through two rows of its own:
 
-    * near, d <= r // p: rhs = larges[d*p] - pi(p - 1), a strided copy.
-      The blocks run in ascending d.  A block of d >= d0 writes
-      larges[d0..] and reads larges[d*p] with d*p >= 2*d0, so it never
-      reads an entry that an earlier block wrote; within a block the
-      right-hand side is gathered before the write.
-    * far, r // p < d <= min(r, n // p^2): idx = (n // d) // p, then
+    * near, d <= r // p: rhs = larges[d*p] - pi(p - 1), a strided copy,
+      int32 in the body.  The blocks run in ascending d.  A block of
+      d >= d0 writes larges[d0..] and reads larges[d*p] with
+      d*p >= 2*d0, so it never reads an entry that an earlier block
+      wrote; within a block the right-hand side is gathered before the
+      write.
+    * far, r // p < d <= min(r, n // p^2): idx = (n // d) // p, an int32
+      division into the int64 row in the body, then
       rhs = smalls.take(idx, mode="clip").  d*p > r gives
       idx <= n // (r + 1) <= r and d <= n // p^2 gives idx >= p, so
       idx lies in [p, r] and the clip never clips; take's default
@@ -467,12 +523,15 @@ def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTabl
     fresh r-entry temporary is mapped anew by the allocator and faulted
     in page by page on every step: a fresh `semipi count 10**11` process
     took about 118k minor faults with such temporaries and 9k without.
-    The set-up writes quot, larges and smalls in place, with no r-sized
-    temporary beside them.  So the build's peak is about 22 bytes per
-    root entry (quot and larges 8 each, smalls 4, the smalls row 2) plus
-    the block rows, against the 16 of the tables it returns: about 0.7
-    GiB at r = MAX_QUOTIENT_ROOT.  The root primes are sieved before
-    any of these is allocated.
+    The set-up writes quot in place, n divided through the int64 loop
+    into its own row of d, and derives body and smalls from nothing
+    r-sized but quot.  The loop holds about 14 bytes per root entry:
+    quot, body and smalls 4 each, the smalls row 2.  The peak is the
+    join, about 20 bytes per root entry: quot and the rows are freed
+    first, body is freed once copied into larges (8), and smalls (4) is
+    then cast to int64 (8).  The tables returned take 16, and the peak
+    is about 0.65 GiB at r = MAX_QUOTIENT_ROOT, root primes included.
+    The root primes are sieved before any of these is allocated.
 
     n beyond max_n (default 10**11) is rejected with RangeError rather
     than silently degrading; the cap can be overridden by callers that
@@ -483,7 +542,12 @@ def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTabl
     root_primes = _primes(r)
     # p^3 <= n exactly when p^2 <= n // p: these primes step one by one.
     cut = int(np.count_nonzero(root_primes * root_primes <= n // root_primes))
-    smalls, larges = _prime_steps(n, r, root_primes[:cut])
+    smalls, head, body = _prime_steps(n, r, root_primes[:cut])
+    t = len(head)
+    larges = np.empty(r + 2, dtype=np.int64)
+    larges[:t] = head
+    larges[t : r + 1] = body[t:]
+    del body
     smalls = smalls.astype(np.int64)
 
     # The p > n^(1/3) band in one scatter.  For each p it covers

@@ -118,8 +118,8 @@ def _head_sum(qpi: QuotientPiTable) -> int:
     int64 cannot overflow: the sum counts ordered prime pairs (p, q) with
     p <= sqrt(n) and p*q <= n.  All such pairs number at most n (two per
     semiprime, and at most ceil(n/2) semiprimes are <= n), and
-    MAX_QUOTIENT_ROOT = 2**25 keeps n below 2**50 even under a max_n
-    override.
+    MAX_QUOTIENT_ROOT = 2**25 keeps n below (2**25 + 1)**2 = 2**50 +
+    2**26 + 1 even under a max_n override.
     """
     return int(qpi.larges[qpi.root_primes].sum())
 
@@ -134,7 +134,7 @@ def _tail_sum(qpi: QuotientPiTable) -> tuple[int, int]:
 
     The int64 dot product cannot overflow: its terms are nonnegative and
     its partial sums count ordered prime pairs (p, q) with p*q <= n, which
-    number at most n (see _head_sum), below 2**50.  A dot product per
+    number at most n (see _head_sum), below 2**51.  A dot product per
     bound has no such cap: each passes 2**63 from about n = 2 * 10**14.
     """
     last = qpi.n // (qpi.root + 1)

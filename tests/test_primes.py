@@ -96,10 +96,12 @@ def test_build_prime_table_peak_is_the_table_it_keeps():
 
 
 def test_build_quotient_pi_peak_is_about_its_tables():
-    # The build holds quot and larges (int64), smalls (int32) and an int32
-    # row of r // 2 + 1 entries, about 22 bytes per root entry, plus
-    # scratch rows of at most FAR_BLOCK entries, against the 16 bytes per
-    # root entry of the tables it returns.
+    # The loop holds quot, larges above its int64 head and smalls, all
+    # int32, and an int32 row of r // 2 + 1 entries, about 14 bytes per
+    # root entry.  The peak is the join after it: the int64 larges (8)
+    # beside smalls and its int64 cast (4 + 8), about 20 bytes per root
+    # entry, against the 16 of the tables it returns, plus the root
+    # primes and scratch rows of at most FAR_BLOCK entries.
     for n in (10**8, 10**10, 10**11):
         tracemalloc.start()
         try:
@@ -107,7 +109,7 @@ def test_build_quotient_pi_peak_is_about_its_tables():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * (q.smalls.nbytes + q.larges.nbytes) + 2**20, n
+        assert peak <= 1.25 * (q.smalls.nbytes + q.larges.nbytes) + 2**20, n
 
 
 def test_prime_table_pi_100():
@@ -417,11 +419,41 @@ def test_recurrence_is_bit_identical_across_block_edges(
         assert_same_table(build_quotient_pi(n), QuotientPiTable.from_dense(n, dense_10m))
 
 
-@pytest.mark.parametrize("n", [2**30 - 1, 2**30, 2**30 + 1, 2**32 + 15])
+@pytest.mark.parametrize(
+    "bound,far,start,stride", [(2**10, 2**15, 0, 4), (2**14, 7, 1, 16), (2**17, 61, 2, 8)]
+)
+def test_recurrence_is_bit_identical_with_a_wide_int64_head(
+    dense_10m, monkeypatch, bound, far, start, stride
+):
+    # At the real INT32_BOUND = 2**31 the int64 head of larges, d < t =
+    # n // 2**31 + 1, holds far entries only above about 1.6 * 10**11.
+    # With a lower bound, at these n below 10**7 it holds near entries
+    # that read the head and near entries that read the int32 entries,
+    # far entries, entries over many FAR_BLOCK lengths, and at 2**10 all
+    # of larges; the int32 entries' blocks start at t, off the block grid.
+    monkeypatch.setattr(primes_module, "INT32_BOUND", bound)
+    monkeypatch.setattr(primes_module, "FAR_BLOCK", far)
+    ns = recurrence_edge_ns(dense_10m.limit)[start::stride]
+    # Some head holds far entries: r // p < d <= min(n // p^2, t - 1) for
+    # a p with p^3 <= n, all of them below 216 here.
+    steps = trial_primes(215)
+    assert any(
+        isqrt(n) // p < min(n // (p * p), n // bound) for n in ns for p in steps if p**3 <= n
+    )
+    for n in ns:
+        assert_same_table(build_quotient_pi(n), QuotientPiTable.from_dense(n, dense_10m))
+
+
+@pytest.mark.parametrize(
+    "n", [2**30 - 1, 2**30, 2**30 + 1, 2**31 - 1, 2**31, 2**31 + 1, 2**32 + 15, 3 * 2**31 + 1]
+)
 def test_recurrence_matches_the_textbook_recurrence_at_real_block_sizes(n):
     # r = 2**15 = FAR_BLOCK at 2**30; at 2**32 + 15, r = 2**16 and the
     # p = 2 steps fill one block each exactly, and p = 3's far step
-    # crosses a block edge.
+    # crosses a block edge.  larges is int32 from t = n // 2**31 + 1 on:
+    # t = 1 up to 2**31 - 1, then an int64 head of t - 1 entries, one at
+    # 2**31 and 2**31 + 1 and three at 3 * 2**31 + 1, where larges[3]
+    # starts at 2**31, one above the int32 range.
     q = build_quotient_pi(n, max_n=n)
     smalls, larges = textbook_quotient_pi(n)
     for got, want in ((q.smalls, smalls), (q.larges, larges)):
