@@ -14,7 +14,11 @@ formula methods through one `semiprimes.formula_counts`: one head sum
 per n, and a tail sum only for eq3_grouped.  Its oracle column is one
 pass over the range.  `sweep` and `identity` share one range path (one
 n is the range n:n), run in-process or on a pool capped at the CPU
-count.  Each setting is checked by one `_check_*`.
+count, which gives one int64 array per column: no object is kept per
+row, and agree and the identity's residual test are vector operations.
+Every command writes its rows through `emit_rows`, which reads columns
+and formats them a chunk of rows at a time.  Each setting is checked by
+one `_check_*`.
 
 Exit codes: 0 success (and all methods agree), 1 usage or range error,
 2 mathematical disagreement between methods (a differential-test hit).
@@ -33,6 +37,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -70,6 +75,10 @@ EXIT_DISAGREE = 2
 DENSE_SWEEP_LIMIT = 10**7
 
 FORMATS = ("table", "csv", "json")
+
+#: Rows that emit_rows formats per write: what writing holds, whatever
+#: the length of the range.
+EMIT_CHUNK = 2**14
 
 COUNT_COLUMNS = ("n", "method", "count", "terms", "elapsed_ns")
 IDENTITY_COLUMNS = tuple(f.name for f in fields(IdentityReport))
@@ -228,35 +237,46 @@ def _check_n(n: int, methods: tuple[str, ...], max_n: int) -> None:
 # output formatting
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+def _cells(col: np.ndarray) -> list:
+    """The entries of a column as Python values, a bool as the word true or false."""
+    values = col.tolist()
+    return [("false", "true")[b] for b in values] if col.dtype == bool else values
 
 
-def emit_rows(rows: list[dict], columns: tuple[str, ...], fmt: str, out) -> None:
-    """Write rows to `out` as an aligned table, CSV, or a JSON array.
+def emit_rows(cols: dict[str, np.ndarray], fmt: str, out) -> None:
+    """Write equal-length columns to `out` as an aligned table, CSV, or a JSON array.
 
-    All three formats carry identical values for the same rows, in the
-    order of columns.  A CSV cell is an integer, true or false, a method
-    name or a column name, none of which holds a comma, a quote or a line
-    break, so the lines are plain joins, byte for byte what csv.writer
-    would quote minimally.
+    All three formats carry identical values, one row per index, in the
+    order of cols.  Each format is written EMIT_CHUNK rows at a time from
+    .tolist() of every column, so writing holds one chunk of text, not
+    the range's: json as the rows of one json.dumps per chunk, whose bytes
+    equal one json.dumps of every row's dict; csv and table one line per
+    row from a %-template.  A CSV cell is an integer, true or false, a
+    method name or a column name, none of which holds a comma, a quote or
+    a line break, so the lines are plain joins, byte for byte what
+    csv.writer would quote minimally.  The table pads every cell to the
+    widest of its column, found in a first pass over the chunks.
     """
+    names, values = tuple(cols), tuple(cols.values())
+    chunks = [slice(i, i + EMIT_CHUNK) for i in range(0, len(values[0]), EMIT_CHUNK)]
     if fmt == "json":
-        out.write(json.dumps([{c: row[c] for c in columns} for row in rows]) + "\n")
-    elif fmt == "csv":
-        out.write(",".join(columns) + "\n")
-        out.writelines(",".join([_cell(row[c]) for c in columns]) + "\n" for row in rows)
+        out.write("[")
+        for k, s in enumerate(chunks):
+            rows = [dict(zip(names, r)) for r in zip(*(c[s].tolist() for c in values))]
+            out.write((", " if k else "") + json.dumps(rows)[1:-1])
+        out.write("]\n")
+        return
+    if fmt == "csv":
+        line = ",".join(["%s"] * len(names))
     else:
-        cells = [[_cell(row[c]) for c in columns] for row in rows]
-        widths = [
-            max(len(col), *(len(r[i]) for r in cells)) if cells else len(col)
-            for i, col in enumerate(columns)
-        ]
-        out.write("  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip() + "\n")
-        for r in cells:
-            out.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
+        widths = [len(name) for name in names]
+        for s in chunks:
+            widths = [max(w, *map(len, map(str, _cells(c[s])))) for w, c in zip(widths, values)]
+        line = "  ".join(f"%-{w}s" for w in widths)
+    out.write((line % names).rstrip() + "\n")
+    for s in chunks:
+        rows = zip(*(_cells(c[s]) for c in values))
+        out.write("".join([(line % r).rstrip() + "\n" for r in rows]))
 
 
 def _report_disagreement(n: int, counts: dict[str, int]) -> None:
@@ -291,8 +311,8 @@ def _needs_qpi(methods: tuple[str, ...]) -> bool:
     return not methods or any(m != "oracle" for m in methods)
 
 
-def _timed_counts(n: int, methods: tuple[str, ...], max_n: int) -> tuple[list[dict], int, int]:
-    """One COUNT_COLUMNS row per method at n, each timed from n alone.
+def _timed_counts(n: int, methods: tuple[str, ...], max_n: int) -> tuple[list[tuple], int, int]:
+    """(count, terms, elapsed_ns) of each method at n, each timed from n alone.
 
     The quotient table is built once, and only if a method reads it.  Its
     build time, also returned, is added to the formula time of every
@@ -312,8 +332,7 @@ def _timed_counts(n: int, methods: tuple[str, ...], max_n: int) -> tuple[list[di
         t0 = time.perf_counter_ns()
         rec = method_count(n, m, qpi)
         elapsed = time.perf_counter_ns() - t0 + (build_ns if m != "oracle" else 0)
-        values = (rec.n, rec.method, rec.count, rec.term_count, elapsed)
-        rows.append(dict(zip(COUNT_COLUMNS, values)))
+        rows.append((rec.count, rec.term_count, elapsed))
     return rows, build_ns, table_bytes
 
 
@@ -325,18 +344,20 @@ _WORKER_CTX: tuple | None = None
 
 
 def _range_init(ctx: tuple) -> None:
-    """Install, in a pool worker, the (row, tables) pair that _range_chunk reads."""
+    """Install, in a pool worker, the (row, width, tables) triple that _range_chunk reads."""
     global _WORKER_CTX
     _WORKER_CTX = ctx
 
 
-def _rows(row, tables, ns: range) -> list[dict]:
-    """The rows of ns, each read from the table that the range's source gives."""
-    return [row(n, qpi) for n, qpi in zip(ns, tables(ns))]
+def _rows(row, width: int, tables, ns: range) -> np.ndarray:
+    """row(n, qpi) of each n of ns, read from the table that the range's
+    source gives, as the len(ns) rows of one int64 array of width columns."""
+    values = chain.from_iterable(row(n, qpi) for n, qpi in zip(ns, tables(ns)))
+    return np.fromiter(values, np.int64, count=len(ns) * width).reshape(-1, width)
 
 
-def _range_chunk(ns: range) -> list[dict]:
-    """The rows of ns in a pool worker, from the pair that _range_init installed."""
+def _range_chunk(ns: range) -> np.ndarray:
+    """The rows of ns in a pool worker, from the triple that _range_init installed."""
     return _rows(*_WORKER_CTX, ns)
 
 
@@ -351,19 +372,14 @@ def _one_by_one(ns: range, *, max_n: int):
     return (qpi for n in ns for qpi in quotient_tables(range(n, n + 1), max_n=max_n))
 
 
-def _sweep_row(methods: tuple[str, ...], n: int, qpi: QuotientPiTable) -> dict:
-    """n and the count of each formula method at n, all read from qpi by
-    one formula_counts: one head sum, and a tail sum only for eq3_grouped."""
-    return dict(zip(("n", *methods), (n, *formula_counts(n, qpi, methods))))
-
-
-def _identity_row(n: int, qpi: QuotientPiTable) -> dict:
+def _identity_row(n: int, qpi: QuotientPiTable) -> list[int]:
     rep = check_identity(n, qpi)
-    return {c: getattr(rep, c) for c in IDENTITY_COLUMNS}
+    return [getattr(rep, c) for c in IDENTITY_COLUMNS]
 
 
-def _run_chunked(row, ns: range, max_n: int, workers: int) -> list[dict]:
-    """row(n, qpi) for every n of ns, in order, mapped over contiguous chunks.
+def _run_chunked(row, columns: tuple[str, ...], ns: range, max_n: int, workers: int) -> dict:
+    """The column of each name in columns: row(n, qpi) gives their values
+    at n, for every n of ns, in order, mapped over contiguous chunks.
 
     The table source and the chunk size are picked here, once per range:
 
@@ -384,7 +400,8 @@ def _run_chunked(row, ns: range, max_n: int, workers: int) -> list[dict]:
     worker, or a range of one chunk, runs its rows directly in-process,
     through the same row loop (_rows) that each pool worker runs, so the
     output is the same at any worker count; only pool workers set module
-    state.
+    state.  Each chunk comes back as one int64 array, filled as its rows
+    come, and the chunks are joined in order.
     """
     _check_workers(workers)
     workers = min(workers, os.cpu_count() or 1)
@@ -396,15 +413,15 @@ def _run_chunked(row, ns: range, max_n: int, workers: int) -> list[dict]:
         tables = partial(walk, max_n=max_n)
         chunk_size = -(-len(ns) // workers)
     if chunk_size >= len(ns):  # one chunk, as at one worker
-        return _rows(row, tables, ns)
+        return dict(zip(columns, _rows(row, len(columns), tables, ns).T))
     chunks = [ns[i : i + chunk_size] for i in range(0, len(ns), chunk_size)]
     with ProcessPoolExecutor(
         max_workers=min(workers, len(chunks)),
         initializer=_range_init,
-        initargs=((row, tables),),
+        initargs=((row, len(columns), tables),),
     ) as pool:
         parts = list(pool.map(_range_chunk, chunks))
-    return [r for part in parts for r in part]
+    return dict(zip(columns, np.concatenate(parts).T))
 
 
 # ---------------------------------------------------------------------------
@@ -432,16 +449,12 @@ def cmd_count(args) -> int:
         runs, builds, sizes = zip(
             *(_timed_counts(n, methods, args.max_n) for _ in range(args.reps))
         )
-        for per_rep in zip(*runs):
-            row = per_rep[0]
-            seen = sorted({r["count"] for r in per_rep})
+        for m, per_rep in zip(methods, zip(*runs)):
+            seen = sorted({count for count, _, _ in per_rep})
             if len(seen) > 1:
-                raise InternalConsistencyError(
-                    f"{row['method']} at n={n} is nondeterministic: {seen}"
-                )
-            counts[row["method"]] = row["count"]
-            median = statistics.median(r["elapsed_ns"] for r in per_rep)
-            rows.append(dict(row, elapsed_ns=int(median)))
+                raise InternalConsistencyError(f"{m} at n={n} is nondeterministic: {seen}")
+            counts[m], terms, _ = per_rep[0]
+            rows.append((n, m, counts[m], terms, int(statistics.median(t for *_, t in per_rep))))
         if _needs_qpi(methods):
             ms = statistics.median(builds) / 1e6
             print(
@@ -450,29 +463,29 @@ def cmd_count(args) -> int:
                 file=sys.stderr,
             )
         if len(set(counts.values())) == 1:
-            print(f"agree: pi2({n}) = {row['count']} by {', '.join(methods)}", file=sys.stderr)
+            print(f"agree: pi2({n}) = {counts[m]} by {', '.join(methods)}", file=sys.stderr)
         else:
             _report_disagreement(n, counts)
             exit_code = EXIT_DISAGREE
-    emit_rows(rows, COUNT_COLUMNS, args.format, sys.stdout)
+    emit_rows(dict(zip(COUNT_COLUMNS, map(np.array, zip(*rows)))), args.format, sys.stdout)
     return exit_code
 
 
 def cmd_identity(args) -> int:
     target = args.target if ":" in args.target else f"{args.target}:{args.target}"
     ns = _range_ns(*parse_range(target), (), args.max_n)
-    rows = _run_chunked(_identity_row, ns, args.max_n, args.workers)
-    emit_rows(rows, IDENTITY_COLUMNS, args.format, sys.stdout)
-    bad = [row for row in rows if row["residual"] != 0]
-    if bad:
+    cols = _run_chunked(_identity_row, IDENTITY_COLUMNS, ns, args.max_n, args.workers)
+    emit_rows(cols, args.format, sys.stdout)
+    bad = np.flatnonzero(cols["residual"])
+    if len(bad):
+        n, lhs, rhs = (cols[c][bad[0]] for c in ("n", "lhs", "rhs"))
         print(
-            f"IDENTITY VIOLATION at n={bad[0]['n']}: "
-            f"lhs={bad[0]['lhs']} rhs={bad[0]['rhs']} "
-            f"({len(bad)} of {len(rows)} rows nonzero)",
+            f"IDENTITY VIOLATION at n={n}: lhs={lhs} rhs={rhs} "
+            f"({len(bad)} of {len(ns)} rows nonzero)",
             file=sys.stderr,
         )
         return EXIT_DISAGREE
-    print(f"residual 0 for all {len(rows)} n", file=sys.stderr)
+    print(f"residual 0 for all {len(ns)} n", file=sys.stderr)
     return EXIT_OK
 
 
@@ -482,28 +495,28 @@ def run_sweep(config: SweepConfig, out=None) -> int:
     The oracle column is counted once over the range after the formula
     rows; an oracle-only sweep reads no table and starts no pool.
 
-    Every row is held until emit_rows writes them all at once: a failed
-    end check of a range walk must leave stdout empty, and the table
-    format needs the width of every column before its first line.
+    Every column, one int64 array each and agree one vector comparison,
+    is computed before emit_rows writes the first line: a failed end
+    check of a range walk must leave stdout empty, and the table format
+    needs the width of every column before its first line.
     """
     out = out if out is not None else sys.stdout
     methods = config.methods
     ns = _range_ns(config.start, config.end, config.stride, methods, config.max_n)
     formulas = tuple(m for m in methods if m != "oracle")
+    cols = {"n": np.arange(ns.start, ns.stop, ns.step, dtype=np.int64)}
     if formulas:
-        rows = _run_chunked(partial(_sweep_row, formulas), ns, config.max_n, config.parallelism)
-    else:
-        rows = [{"n": n} for n in ns]
-    oracle = oracle_counts(1, ns).tolist() if "oracle" in methods else None
-    for i, row in enumerate(rows):
-        if oracle is not None:
-            row["oracle"] = oracle[i]
-        row["agree"] = len({row[m] for m in methods}) == 1
-    emit_rows(rows, ("n", *methods, "agree"), config.output_format, out)
-    disagreeing = [row for row in rows if not row["agree"]]
-    if disagreeing:
-        first = disagreeing[0]
-        _report_disagreement(first["n"], {m: first[m] for m in methods})
+        row = partial(formula_counts, methods=formulas)
+        cols |= _run_chunked(row, formulas, ns, config.max_n, config.parallelism)
+    if "oracle" in methods:
+        cols["oracle"] = oracle_counts(1, ns)
+    cols = {c: cols[c] for c in ("n", *methods)}
+    cols["agree"] = np.logical_and.reduce([cols[m] == cols[methods[0]] for m in methods])
+    emit_rows(cols, config.output_format, out)
+    disagreeing = np.flatnonzero(~cols["agree"])
+    if len(disagreeing):
+        i = disagreeing[0]
+        _report_disagreement(cols["n"][i], {m: cols[m][i] for m in methods})
         return EXIT_DISAGREE
     return EXIT_OK
 

@@ -12,6 +12,7 @@ import tracemalloc
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -361,6 +362,20 @@ def test_identity_violation_exit_code(capsys, monkeypatch):
     code, _, err = run(capsys, "identity", "25")
     assert code == EXIT_DISAGREE
     assert "IDENTITY VIOLATION" in err
+    # Over a range the report names the first wrong n with both sides,
+    # and counts the wrong rows; every row is still written.
+    def wrong_lhs(n, qpi):
+        rep = real(n, qpi)
+        if n % 10 != 3:
+            return rep
+        return dataclasses.replace(rep, lhs=rep.lhs + 1, residual=rep.residual + 1)
+
+    monkeypatch.setattr(cli, "check_identity", wrong_lhs)
+    code, out, err = run(capsys, "identity", "20:60", "--format", "csv")
+    assert code == EXIT_DISAGREE
+    assert err == "IDENTITY VIOLATION at n=23: lhs=5 rhs=4 (4 of 41 rows nonzero)\n"
+    assert out.splitlines()[4] == "23,9,5,5,4,1"
+    assert len(out.splitlines()) == 42
 
 
 # ---------------------------------------------------------------------------
@@ -441,37 +456,92 @@ def test_sweep_csv_json_same_values(capsys):
             assert c["agree"] == ("true" if j["agree"] else "false")
 
 
+#: One case per kind of row the CLI emits: count rows with method strings,
+#: a sweep with an oracle column and a false agree, identity rows at
+#: 3 * 2^60 and 2^62, and an empty sweep.
+_BIG = 2**53 + 1
+_SWEEP_COLUMNS = ("n", "eq1", "eq3_grouped", "oracle", "agree")
+WRITER_CASES = [
+    (cli.COUNT_COLUMNS, [
+        {"n": 10**17, "method": m, "count": _BIG + i, "terms": 2**40, "elapsed_ns": 10**15}
+        for i, m in enumerate(METHODS)
+    ]),
+    (_SWEEP_COLUMNS, [
+        {"n": _BIG + i, "eq1": 10**16 + i, "eq3_grouped": 10**16 + i,
+         "oracle": 10**16 + i - (i == 1), "agree": i != 1}
+        for i in range(3)
+    ]),
+    (cli.IDENTITY_COLUMNS, [
+        {"n": 10**18, "head_sum": 3 * 2**60, "tail_sum": _BIG, "lhs": 3 * 2**60 - _BIG,
+         "rhs": 2**62, "residual": 3 * 2**60 - _BIG - 2**62},
+        {"n": 1, "head_sum": 0, "tail_sum": 0, "lhs": 0, "rhs": 0, "residual": 0},
+    ]),
+    (_SWEEP_COLUMNS, []),
+]
+#: EMIT_CHUNK values: a row per chunk, a last chunk shorter than the
+#: others, and the default.
+CHUNKS = (1, 2, cli.EMIT_CHUNK)
+
+
+def emitted(columns, rows, fmt: str, chunk: int) -> str:
+    """What emit_rows writes for rows given as one array per column,
+    EMIT_CHUNK set to chunk rows."""
+    cols = {c: np.array([row[c] for row in rows], dtype=None if rows else np.int64)
+            for c in columns}
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "EMIT_CHUNK", chunk)
+        cli.emit_rows(cols, fmt, out)
+    return out.getvalue()
+
+
 def test_csv_bytes_are_what_csv_writer_writes():
     # emit_rows joins cells itself; the bytes must be those of a
-    # minimally quoting csv.writer, for every kind of row the CLI emits.
-    big = 2**53 + 1
-    sweep_columns = ("n", "eq1", "eq3_grouped", "oracle", "agree")
-    cases = [
-        (cli.COUNT_COLUMNS, [
-            {"n": 10**17, "method": m, "count": big + i, "terms": 2**40, "elapsed_ns": 10**15}
-            for i, m in enumerate(METHODS)
-        ]),
-        (sweep_columns, [
-            {"n": big + i, "eq1": 10**16 + i, "eq3_grouped": 10**16 + i,
-             "oracle": 10**16 + i - (i == 1), "agree": i != 1}
-            for i in range(3)
-        ]),
-        (cli.IDENTITY_COLUMNS, [
-            {"n": 10**18, "head_sum": 3 * 2**60, "tail_sum": big, "lhs": 3 * 2**60 - big,
-             "rhs": 2**62, "residual": 3 * 2**60 - big - 2**62},
-            {"n": 1, "head_sum": 0, "tail_sum": 0, "lhs": 0, "rhs": 0, "residual": 0},
-        ]),
-        (sweep_columns, []),
-    ]
-    for columns, rows in cases:
+    # minimally quoting csv.writer, for every kind of row the CLI emits,
+    # however the rows fall into chunks.
+    for columns, rows in WRITER_CASES:
         want = io.StringIO()
         writer = csv.writer(want, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([cli._cell(row[c]) for c in columns])
-        got = io.StringIO()
-        cli.emit_rows(rows, columns, "csv", got)
-        assert got.getvalue().encode() == want.getvalue().encode()
+            writer.writerow([str(row[c]).lower() for c in columns])  # True -> true
+        for chunk in CHUNKS:
+            got = emitted(columns, rows, "csv", chunk)
+            assert got.encode() == want.getvalue().encode()
+
+
+def test_json_bytes_are_json_dumps_of_the_row_dicts():
+    for columns, rows in WRITER_CASES:
+        want = json.dumps([{c: row[c] for c in columns} for row in rows]) + "\n"
+        for chunk in CHUNKS:
+            assert emitted(columns, rows, "json", chunk).encode() == want.encode()
+
+
+#: The table text of each WRITER_CASES entry, as the row-dict writer wrote it.
+WRITER_TABLES = [
+    "n                   method       count             terms          elapsed_ns\n"
+    "100000000000000000  eq1          9007199254740993  1099511627776  1000000000000000\n"
+    "100000000000000000  eq3_naive    9007199254740994  1099511627776  1000000000000000\n"
+    "100000000000000000  eq3_grouped  9007199254740995  1099511627776  1000000000000000\n"
+    "100000000000000000  oracle       9007199254740996  1099511627776  1000000000000000\n",
+    "n                 eq1                eq3_grouped        oracle             agree\n"
+    "9007199254740993  10000000000000000  10000000000000000  10000000000000000  true\n"
+    "9007199254740994  10000000000000001  10000000000000001  10000000000000000  false\n"
+    "9007199254740995  10000000000000002  10000000000000002  10000000000000002  true\n",
+    "n                    head_sum             tail_sum          lhs                  "
+    "rhs                  residual\n"
+    "1000000000000000000  3458764513820540928  9007199254740993  3449757314565799935  "
+    "4611686018427387904  -1161928703861587969\n"
+    "1                    0                    0                 0                    "
+    "0                    0\n",
+    "n  eq1  eq3_grouped  oracle  agree\n",
+]
+
+
+def test_table_text_pads_every_cell_to_its_column():
+    for (columns, rows), want in zip(WRITER_CASES, WRITER_TABLES, strict=True):
+        for chunk in CHUNKS:
+            assert emitted(columns, rows, "table", chunk) == want
 
 
 def test_sweep_caps_rejected_before_work(capsys):
@@ -522,6 +592,29 @@ def test_sweep_oracle_column_holds_no_n_sized_table(capsys):
     assert code == EXIT_OK
     assert out.splitlines()[-1] == "10000000,1904324,true"
     assert peak < 40 * 2**20
+
+
+def test_sweep_holds_columns_not_row_objects():
+    # A dense sweep keeps one int64 per cell and writes its text a chunk
+    # at a time: about 43 bytes per row at peak, where a dict per row
+    # held about 290.
+    class Discard:
+        def write(self, text):
+            pass
+
+        def writelines(self, lines):
+            for _ in lines:
+                pass
+
+    config = SweepConfig(1, 200000, 1, ("eq1", "eq3_grouped"), "csv", 1)
+    tracemalloc.start()
+    try:
+        code = cli.run_sweep(config, out=Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < 100 * 200000
 
 
 def test_sweep_bad_range(capsys):

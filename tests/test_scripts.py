@@ -1,6 +1,7 @@
 """The experiment scripts under scripts/, each run once as a subprocess, and
 README's library and CLI examples."""
 
+import ast
 import os
 import re
 import shlex
@@ -56,3 +57,14 @@ def test_readme_cli_lines_parse():
     parser = cli._build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])  # a usage error raises
+
+
+def test_every_python_file_parses_as_the_oldest_python_supported():
+    # requires-python names the oldest Python that the package accepts;
+    # syntax newer than that would fail only on a CI leg of that version.
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    minor = int(re.search(r'requires-python = ">=3\.(\d+)"', pyproject).group(1))
+    files = [p for d in ("src", "tests", "perfbench", "scripts") for p in (ROOT / d).rglob("*.py")]
+    assert len(files) >= 15
+    for path in files:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, minor))
