@@ -381,7 +381,10 @@ def _prime_steps(
     S(v // p) - pi(p - 1) >= 0, and it never falls below pi(v) >= 0.  t
     exceeds n / INT32_BOUND, so for d >= t both n // d and S(n // d) lie
     in [0, INT32_BOUND - 1]: quot, the n // d of the body, is int32 as
-    well, and below 2**31 (t = 1) the whole loop is int32.
+    well, and below 2**31 (t = 1) the whole loop is int32.  Being
+    nonnegative there, quot reads the same through its uint32 view,
+    which the far step divides by np.uint32(p): numpy's unsigned division
+    by a scalar skips the sign fix-up of a signed floor division.
 
     A prime's step reads only values from before that prime.  The body
     reads body entries and smalls alone: larges[d*p] with d*p >= d >= t.
@@ -389,7 +392,10 @@ def _prime_steps(
     So each prime steps the head first, while the body still holds its
     values from the prime before, then the body in blocks of ascending
     d, as build_quotient_pi sets out.  The head has its own two rows of t
-    entries and takes one pass per step, not blocks.
+    entries and takes one pass per step, not blocks.  It skips its
+    subtract of head entries when no d*p < t (p > t - 1) and its far
+    part when r // p >= t - 1: over 10**10..10**11, where t - 1 <= 46,
+    both are empty for every prime above n^(1/4).
 
     quot and the scratch rows are locals, so they, and every view of
     them, are freed on return, before build_quotient_pi joins head and
@@ -397,7 +403,7 @@ def _prime_steps(
     """
     # head[d] tracks S(n // d) for d < t, body[d] for d >= t, smalls[v]
     # S(v) for v <= r.  quot[d] = n // d for d >= t, so S(n // (d*p)) at
-    # d*p > r is smalls[quot[d] // p], a division by a scalar; the head
+    # d*p > r is smalls[uquot[d] // p], a division by a scalar; the head
     # keeps its own n // d, at least INT32_BOUND, in head_quot.
     t = min(n // INT32_BOUND + 1, r + 1)
     head_quot = n // np.arange(t, dtype=np.int64).clip(1)
@@ -405,6 +411,7 @@ def _prime_steps(
     head[0] = 0
     quot = np.arange(r + 1, dtype=np.int32)
     np.floor_divide(np.int64(n), quot[t:], out=quot[t:], casting="unsafe")
+    uquot = quot.view(np.uint32)
     body = quot - 1
     smalls = np.arange(-1, r, dtype=np.int32)
     # The scratch rows that every step writes its right-hand side into:
@@ -426,11 +433,13 @@ def _prime_steps(
             h = min(k, t - 1)  # its near d
             m = min(h, (t - 1) // p)  # of those, the d with d*p < t
             far = slice(h + 1, min(dmax, t - 1) + 1)
-            np.subtract(head[p : m * p + 1 : p], sp, out=head_rhs[1 : m + 1])
+            if m:
+                np.subtract(head[p : m * p + 1 : p], sp, out=head_rhs[1 : m + 1])
             np.subtract(body[(m + 1) * p : h * p + 1 : p], sp, out=head_rhs[m + 1 : h + 1])
-            np.floor_divide(head_quot[far], p, out=head_rhs[far])
-            smalls.take(head_rhs[far], out=head_took[far], mode="clip")
-            np.subtract(head_took[far], sp, out=head_rhs[far])
+            if far.start < far.stop:
+                np.floor_divide(head_quot[far], p, out=head_rhs[far])
+                smalls.take(head_rhs[far], out=head_took[far], mode="wrap")
+                np.subtract(head_took[far], sp, out=head_rhs[far])
             head[1 : far.stop] -= head_rhs[1 : far.stop]
         for d0 in range(t, k + 1, block):  # near, in ascending d
             d1 = min(d0 + block, k + 1)
@@ -440,8 +449,8 @@ def _prime_steps(
         for d0 in range(max(k + 1, t), dmax + 1, block):  # far
             d1 = min(d0 + block, dmax + 1)
             idx, rhs = wide[: d1 - d0], narrow[: d1 - d0]
-            np.floor_divide(quot[d0:d1], p, out=idx)
-            smalls.take(idx, out=rhs, mode="clip")
+            np.floor_divide(uquot[d0:d1], np.uint32(p), out=idx)
+            smalls.take(idx, out=rhs, mode="wrap")
             rhs -= sp
             body[d0:d1] -= rhs
         if p2 <= r:
@@ -506,13 +515,14 @@ def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTabl
       d*p >= 2*d0, so it never reads an entry that an earlier block
       wrote; within a block the right-hand side is gathered before the
       write.
-    * far, r // p < d <= min(r, n // p^2): idx = (n // d) // p, an int32
-      division into the int64 row in the body, then
-      rhs = smalls.take(idx, mode="clip").  d*p > r gives
-      idx <= n // (r + 1) <= r and d <= n // p^2 gives idx >= p, so
-      idx lies in [p, r] and the clip never clips; take's default
-      mode="raise" would buffer out and allocate again.  These blocks
-      read only smalls, so their order is free.
+    * far, r // p < d <= min(r, n // p^2): idx = (n // d) // p, in the
+      body a division of quot's uint32 view by np.uint32(p) straight
+      into the int64 row, then rhs = smalls.take(idx, mode="wrap").
+      d*p > r gives idx <= n // (r + 1) <= r and d <= n // p^2 gives
+      idx >= p, so idx lies in [p, r] and "wrap" never wraps: it reads
+      the entries "clip" or "raise" would.  "raise", take's default,
+      would buffer out and allocate again.  These blocks read only
+      smalls, so their order is free.
     * smalls, p^2 <= r: smalls[v // p] for v = p^2..r is each of
       smalls[p..r // p] p times in a row, so rhs = smalls[p..r // p] -
       pi(p - 1) goes into an int32 row of r // 2 + 1 entries and is
