@@ -596,8 +596,10 @@ def test_sweep_oracle_column_holds_no_n_sized_table(capsys):
 
 def test_sweep_holds_columns_not_row_objects():
     # A dense sweep keeps one int64 per cell and writes its text a chunk
-    # at a time: about 43 bytes per row at peak, where a dict per row
-    # held about 290.
+    # at a time, so its peak grows by about 35 bytes per row, where a
+    # dict per row grew it by about 290.  The slope between two ranges
+    # leaves out the fixed cost of a text chunk of EMIT_CHUNK rows, which
+    # a single range's peak per row would carry.
     class Discard:
         def write(self, text):
             pass
@@ -606,15 +608,18 @@ def test_sweep_holds_columns_not_row_objects():
             for _ in lines:
                 pass
 
-    config = SweepConfig(1, 200000, 1, ("eq1", "eq3_grouped"), "csv", 1)
-    tracemalloc.start()
-    try:
-        code = cli.run_sweep(config, out=Discard())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == EXIT_OK
-    assert peak < 100 * 200000
+    def peak(end):
+        config = SweepConfig(1, end, 1, ("eq1", "eq3_grouped"), "csv", 1)
+        tracemalloc.start()
+        try:
+            code = cli.run_sweep(config, out=Discard())
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (code_lo, lo), (code_hi, hi) = peak(20000), peak(60000)
+    assert code_lo == code_hi == EXIT_OK
+    assert hi - lo < 100 * 40000
 
 
 def test_sweep_bad_range(capsys):

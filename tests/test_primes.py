@@ -445,15 +445,21 @@ def test_recurrence_is_bit_identical_with_a_wide_int64_head(
 
 
 @pytest.mark.parametrize(
-    "n", [2**30 - 1, 2**30, 2**30 + 1, 2**31 - 1, 2**31, 2**31 + 1, 2**32 + 15, 3 * 2**31 + 1]
+    "n",
+    [
+        2**30 - 1, 2**30, 2**30 + 1, 2**31 - 1, 2**31, 2**31 + 1,
+        2**32 - 1, 2**32 + 15, 3 * 2**31 - 1, 3 * 2**31 + 1,
+    ],
 )
 def test_recurrence_matches_the_textbook_recurrence_at_real_block_sizes(n):
     # r = 2**15 = FAR_BLOCK at 2**30; at 2**32 + 15, r = 2**16 and the
     # p = 2 steps fill one block each exactly, and p = 3's far step
     # crosses a block edge.  larges is int32 from t = n // 2**31 + 1 on:
     # t = 1 up to 2**31 - 1, then an int64 head of t - 1 entries, one at
-    # 2**31 and 2**31 + 1 and three at 3 * 2**31 + 1, where larges[3]
-    # starts at 2**31, one above the int32 range.
+    # 2**31, 2**31 + 1 and 2**32 - 1, two at 3 * 2**31 - 1 and three at
+    # 3 * 2**31 + 1, where larges[3] starts at 2**31, one above the int32
+    # range.  At 2**32 - 1 and 3 * 2**31 - 1, quot[t] = n // t = 2**31 - 1,
+    # the largest value the far step's uint32 view of quot holds.
     q = build_quotient_pi(n, max_n=n)
     smalls, larges = textbook_quotient_pi(n)
     for got, want in ((q.smalls, smalls), (q.larges, larges)):
