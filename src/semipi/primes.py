@@ -327,11 +327,12 @@ def _dense_quotients(n: int, divisors: np.ndarray) -> np.ndarray:
     return np.divide(n, divisors).astype(np.int64)
 
 
-def _pair_blocks(lo: np.ndarray, hi: np.ndarray):
-    """Yield (i, d) arrays covering d = lo[i]..hi[i] for every i.
+def _pair_blocks(values: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Yield (values, d) arrays of the pairs (values[i], d), d = lo[i]..hi[i].
 
-    The pairs are listed i by i and cut into blocks of at most
-    BAND_BLOCK pairs; a block boundary may fall inside one i's range.
+    The pairs are listed i by i, values[i] repeated once per d, and cut
+    into blocks of at most BAND_BLOCK pairs; a block boundary may fall
+    inside one i's range.
     Requires hi >= lo - 1 for every i (an empty range, not a negative one).
     """
     counts = hi - lo + 1
@@ -345,7 +346,7 @@ def _pair_blocks(lo: np.ndarray, hi: np.ndarray):
         took = np.minimum(ends[i0:i1], j1) - np.maximum(starts[i0:i1], j0)
         # Pair j of the whole list is d = lo[i] + (j - starts[i]).
         shift = np.repeat(starts[i0:i1] - lo[i0:i1], took)
-        yield np.repeat(np.arange(i0, i1), took), np.arange(j0, j1) - shift
+        yield np.repeat(values[i0:i1], took), np.arange(j0, j1) - shift
 
 
 def _quotient_root(n: int, max_n: int) -> int:
@@ -375,16 +376,34 @@ def _prime_steps(
 
     * head[d] = larges[d] for d < t, int64, with head[0] = larges[0] = 0;
     * body[d] = larges[d] for t <= d <= r, int32; its first t entries are
-      never read.
+      never read, though a retirement below may write them.
 
-    Every S(v) starts at v - 1 and only falls, since each step subtracts
-    S(v // p) - pi(p - 1) >= 0, and it never falls below pi(v) >= 0.  t
+    larges takes no pi(p - 1) step by step.  The primes that step
+    larges[d] are the first root primes, those with d <= dmax =
+    min(r, n // p^2), and the j-th of them (from 0) has pi(p - 1) = j.
+    So while that prime steps, with T_j = j(j - 1)/2 = 0 + 1 + ... + (j - 1):
+
+    * a live entry, d <= dmax, holds S(n // d) - T_j;
+    * a retired entry, d > dmax, holds S(n // d): no later prime steps it.
+
+    A step subtracts S(n // (d*p)): a smalls entry, which keeps its exact
+    steps since the far step reads it, or a larges entry, which the near
+    step reads plus T_j where d*p <= dmax (d <= dmax // p) and as it is
+    above.  A live entry so falls by j less than S does, to S - T_(j+1).
+    Then the entries above the next prime's dmax (0 after the last prime)
+    retire: d in (that dmax, dmax] gets T_(j+1), one slice per prime.
+
+    Every S(v) starts at v - 1 and only falls, to pi(v) >= 0 at least.  t
     exceeds n / INT32_BOUND, so for d >= t both n // d and S(n // d) lie
     in [0, INT32_BOUND - 1]: quot, the n // d of the body, is int32 as
-    well, and below 2**31 (t = 1) the whole loop is int32.  Being
-    nonnegative there, quot reads the same through its uint32 view,
-    which the far step divides by np.uint32(p): numpy's unsigned division
-    by a scalar skips the sign fix-up of a signed floor division.
+    well, and below 2**31 (t = 1) the whole loop is int32.  A live body
+    entry then lies in [-T_cut, 2**31 - 1], cut = len(primes): under
+    MAX_QUOTIENT_ROOT, p^3 <= n < 2**50 + 2**26 + 1 gives cut <=
+    pi(104031) = 9936 and T_cut < 4.94 * 10**7, so int32 holds it, and a
+    live read plus T_j is S again.  Being nonnegative, quot reads the
+    same through its uint32 view, which the far step divides by
+    np.uint32(p): numpy's unsigned division by a scalar skips the sign
+    fix-up of a signed floor division.
 
     A prime's step reads only values from before that prime.  The body
     reads body entries and smalls alone: larges[d*p] with d*p >= d >= t.
@@ -424,45 +443,60 @@ def _prime_steps(
     narrow = np.empty(block, dtype=np.int32)
     row = np.empty(r // 2 + 1, dtype=np.int32)
 
-    for p in primes.tolist():
-        sp = int(smalls[p - 1])  # pi(p - 1): final, since p - 1 < p^2
+    ps = primes.tolist()
+    dmaxes = [min(r, n // (p * p)) for p in ps] + [0]
+    for j, p in enumerate(ps):  # j = pi(p - 1)
+        live = j * (j - 1) // 2  # T_j: a live entry holds S - T_j
         p2 = p * p
-        dmax = min(r, n // p2)
+        dmax, nxt = dmaxes[j], dmaxes[j + 1]
         k = r // p  # <= dmax, since r * p <= r^2 <= n
+        s = dmax // p  # near d <= s read live entries, d > s retired ones
         if t > 1:  # the head, first: it reads body entries before this prime
             h = min(k, t - 1)  # its near d
             m = min(h, (t - 1) // p)  # of those, the d with d*p < t
             far = slice(h + 1, min(dmax, t - 1) + 1)
             if m:
-                np.subtract(head[p : m * p + 1 : p], sp, out=head_rhs[1 : m + 1])
-            np.subtract(body[(m + 1) * p : h * p + 1 : p], sp, out=head_rhs[m + 1 : h + 1])
+                head_rhs[1 : m + 1] = head[p : m * p + 1 : p]
+            head_rhs[m + 1 : h + 1] = body[(m + 1) * p : h * p + 1 : p]
+            head_rhs[1 : min(h, s) + 1] += live
             if far.start < far.stop:
                 np.floor_divide(head_quot[far], p, out=head_rhs[far])
                 smalls.take(head_rhs[far], out=head_took[far], mode="wrap")
-                np.subtract(head_took[far], sp, out=head_rhs[far])
+                head_rhs[far] = head_took[far]
             head[1 : far.stop] -= head_rhs[1 : far.stop]
         for d0 in range(t, k + 1, block):  # near, in ascending d
             d1 = min(d0 + block, k + 1)
-            rhs = narrow[: d1 - d0]
-            np.subtract(body[d0 * p : (d1 - 1) * p + 1 : p], sp, out=rhs)
-            body[d0:d1] -= rhs
+            if d0 * p < d1:  # a read may be a write: gather first (all live)
+                rhs = narrow[: d1 - d0]
+                np.add(body[d0 * p : (d1 - 1) * p + 1 : p], live, out=rhs)
+                body[d0:d1] -= rhs
+            else:  # every read, d*p >= d0*p >= d1, lies past every write
+                lhs = body[d0:d1]
+                lhs -= body[d0 * p : (d1 - 1) * p + 1 : p]
+                if s >= d0:  # d <= s read live entries
+                    lhs = lhs[: s + 1 - d0]
+                    lhs -= live
         for d0 in range(max(k + 1, t), dmax + 1, block):  # far
             d1 = min(d0 + block, dmax + 1)
-            idx, rhs = wide[: d1 - d0], narrow[: d1 - d0]
+            idx, rhs, lhs = wide[: d1 - d0], narrow[: d1 - d0], body[d0:d1]
             np.floor_divide(uquot[d0:d1], np.uint32(p), out=idx)
             smalls.take(idx, out=rhs, mode="wrap")
-            rhs -= sp
-            body[d0:d1] -= rhs
+            lhs -= rhs
+        if nxt < dmax:  # d in (nxt, dmax] retire, S = entry + T_(j+1)
+            if nxt + 1 < t:
+                head[nxt + 1 : dmax + 1] += live + j
+            lhs = body[nxt + 1 : dmax + 1]
+            lhs += live + j
         if p2 <= r:
-            # smalls[v // p] for v = p^2..r is smalls[j] for j = p..r // p,
-            # p times each in rows of p, and fewer times for the last j
+            # smalls[v // p] for v = p^2..r is smalls[i] for i = p..r // p,
+            # p times each in rows of p, and fewer times for the last i
             # when p does not divide r + 1.
-            j = r // p + 1 - p
-            np.subtract(smalls[p : r // p + 1], sp, out=row[:j])
+            i = r // p + 1 - p
+            np.subtract(smalls[p : r // p + 1], j, out=row[:i])
             f = (r + 1) // p - p  # full rows
             rows = smalls[p2 : p2 + f * p].reshape(f, p)
             rows -= row[:f, None]
-            smalls[p2 + f * p :] -= row[f:j]
+            smalls[p2 + f * p :] -= row[f:i]
     return smalls, head, body
 
 
@@ -489,7 +523,14 @@ def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTabl
       changes.  Every value this band reads is therefore final when the
       band starts, so its updates commute and are applied together as
       one scatter over all (p, d) pairs, in blocks of at most
-      BAND_BLOCK pairs to keep memory flat.
+      BAND_BLOCK pairs to keep memory flat.  The scatter subtracts
+      S(v // p) alone.  larges[d] is stepped by the band primes with
+      n // p^2 >= d, the first c of the band since n // p^2 falls as p
+      grows, and the i-th band prime (from 0) has pi(p - 1) = cut + i
+      for the cut primes before the band.  So their pi(p - 1) terms sum
+      to c*cut + c(c - 1)/2, added once per d = 1..n // p^2 of the first
+      band prime, with c from one searchsorted over the reversed n // p^2
+      row.
 
     Every S(v) with v <= r lies in [-1, r], and r <= MAX_QUOTIENT_ROOT =
     2**25, so smalls is int32 through the per-prime loop.  larges[d]
@@ -503,18 +544,26 @@ def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTabl
     into one int64 larges and smalls is cast to int64, both before the
     band.
 
+    The loop adds no pi(p - 1) to larges step by step: a larges entry
+    takes the sum of its steps' pi(p - 1) once, as _prime_steps sets out.
     No per-prime step allocates.  Each writes its right-hand side into
-    scratch rows allocated once per build, through out=, before
-    subtracting it in place.  The body's steps run in blocks of at most
-    FAR_BLOCK entries of d, through one int64 and one int32 row of that
-    size; the head's run through two rows of its own:
+    scratch rows allocated once per build, through out=, or reads it from
+    a strided view lying past the entries it writes, before subtracting
+    it in place.  The body's steps run in blocks of at most FAR_BLOCK
+    entries of d, through one int64 and one int32 row of that size; the
+    head's run through two rows of its own:
 
-    * near, d <= r // p: rhs = larges[d*p] - pi(p - 1), a strided copy,
-      int32 in the body.  The blocks run in ascending d.  A block of
-      d >= d0 writes larges[d0..] and reads larges[d*p] with
+    * near, d <= r // p: larges[d] -= larges[d*p], plus T_j where the
+      read is live, d <= dmax // p.  The blocks run in ascending d.  A
+      block of d >= d0 writes larges[d0..] and reads larges[d*p] with
       d*p >= 2*d0, so it never reads an entry that an earlier block
-      wrote; within a block the right-hand side is gathered before the
-      write.
+      wrote.  Where a read may be a write of its own block, d0*p < d1,
+      p <= r // p gives p^2 <= r and dmax = r, so every read is live:
+      the reads plus T_j are gathered into the int32 row first.
+      Otherwise every read lies past every write of the block, d*p >=
+      d0*p >= d1, so the reads are subtracted straight from the strided
+      view, which numpy, seeing the two extents apart, neither buffers
+      nor copies, and the d with live reads then take T_j in one slice.
     * far, r // p < d <= min(r, n // p^2): idx = (n // d) // p, in the
       body a division of quot's uint32 view by np.uint32(p) straight
       into the int64 row, then rhs = smalls.take(idx, mode="wrap").
@@ -522,7 +571,8 @@ def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTabl
       idx >= p, so idx lies in [p, r] and "wrap" never wraps: it reads
       the entries "clip" or "raise" would.  "raise", take's default,
       would buffer out and allocate again.  These blocks read only
-      smalls, so their order is free.
+      smalls, so their order is free, and their entries are live, so
+      rhs is subtracted as it is.
     * smalls, p^2 <= r: smalls[v // p] for v = p^2..r is each of
       smalls[p..r // p] p times in a row, so rhs = smalls[p..r // p] -
       pi(p - 1) goes into an int32 row of r // 2 + 1 entries and is
@@ -564,12 +614,18 @@ def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTabl
     # d = 1..n // p^2, reading larges[d*p] up to d = r // p and
     # smalls[n // (d*p)] above.
     band = root_primes[cut:]
-    sp = smalls[band - 1]
+    top = n // (band * band)
     near = r // band
-    for i, d in _pair_blocks(np.ones_like(band), near):
-        np.subtract.at(larges, d, larges[d * band[i]] - sp[i])
-    for i, d in _pair_blocks(near + 1, n // (band * band)):
-        np.subtract.at(larges, d, smalls.take(n // (d * band[i])) - sp[i])
+    for p, d in _pair_blocks(band, np.ones_like(band), near):
+        np.subtract.at(larges, d, larges[d * p])
+    for p, d in _pair_blocks(band, near + 1, top):
+        np.subtract.at(larges, d, smalls.take(n // (d * p)))
+    if len(band):
+        # larges[d] took a step from the first c band primes, those with
+        # n // p^2 >= d, and the i-th of them has pi(p - 1) = cut + i.
+        d = np.arange(1, int(top[0]) + 1)
+        c = len(band) - np.searchsorted(top[::-1], d)
+        larges[1 : len(d) + 1] += c * cut + c * (c - 1) // 2
 
     smalls[0] = 0
     larges[r + 1] = smalls[n // (r + 1)]

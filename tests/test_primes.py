@@ -444,6 +444,60 @@ def test_recurrence_is_bit_identical_with_a_wide_int64_head(
         assert_same_table(build_quotient_pi(n), QuotientPiTable.from_dense(n, dense_10m))
 
 
+def recurrence_cases(n: int, bound: int, block: int) -> set[str]:
+    """The split points of the per-prime loop and the band that n reaches.
+
+    Worked out from n, INT32_BOUND and FAR_BLOCK alone: t splits larges
+    into head and body, the j-th loop prime p (p^3 <= n) steps the d <=
+    dmax_j = min(r, n // p^2), its near d <= r // p read live entries up
+    to d = dmax_j // p, and after its step the d in (dmax_(j+1), dmax_j]
+    retire, with dmax = 0 after the last loop prime.  The head's near d
+    with d*p < t read head entries.
+    """
+    r = isqrt(n)
+    t = min(n // bound + 1, r + 1)
+    primes = trial_primes(r)
+    loop = [p for p in primes if p**3 <= n]
+    band = primes[len(loop) :]
+    dmaxes = [min(r, n // (p * p)) for p in loop] + [0]
+    cases = set()
+    for j, p in enumerate(loop):
+        dmax, nxt = dmaxes[j], dmaxes[j + 1]
+        split = dmax // p + 1  # the first near d whose read is retired
+        if 0 < nxt < dmax and nxt + 1 < t:
+            cases.add("a retirement in the head")
+        if nxt == dmax:
+            cases.add("an empty retirement")
+        if t < split <= r // p and (split - t) % block:
+            cases.add("a live/retired split inside a near block")
+        if split <= min(r // p, (t - 1) // p):
+            cases.add("a retired read of a head entry")
+    if not band:
+        cases.add("an empty band")
+    elif n // band[0] ** 2 == 1:
+        cases.add("a band whose top d is 1")
+    return cases
+
+
+@pytest.mark.parametrize("bound,far", [(2**14, 7), (2**31, 61), (2**31, 2**15)])
+def test_recurrence_reaches_every_live_and_retired_split(dense_10m, monkeypatch, bound, far):
+    # Each split of the per-prime loop's live and retired entries, and
+    # each edge of the band's once-per-d pi(p - 1) sum, on inputs shown
+    # to reach it.  Below 10**7 only a low INT32_BOUND makes a head that
+    # the next prime's dmax falls inside.
+    monkeypatch.setattr(primes_module, "INT32_BOUND", bound)
+    monkeypatch.setattr(primes_module, "FAR_BLOCK", far)
+    ns = [1, 2, 3, 4, 7, 8, 9, 17, 10**6 + 3, 3 * 10**6 + 1, 10**7 - 1]
+    reached = set().union(*(recurrence_cases(n, bound, far) for n in ns))
+    assert reached >= {"an empty retirement", "an empty band", "a band whose top d is 1"}
+    if bound < 2**31:
+        assert reached >= {"a retirement in the head", "a retired read of a head entry"}
+    else:
+        assert "a live/retired split inside a near block" in reached
+    for n in ns:
+        assert_same_table(build_quotient_pi(n), QuotientPiTable.from_dense(n, dense_10m))
+
+
 @pytest.mark.parametrize(
     "n",
     [

@@ -37,6 +37,17 @@ def test_identity_fuzz_holds():
     assert "identity held at every draw" in proc.stdout
 
 
+def test_table_digest_pins_the_default_tables():
+    # One sha256 over the values, dtypes, shapes and read-only flags of
+    # build_quotient_pi at ten n from 10**8 + 7 to 10**11, across the
+    # int32 edges of larges.  A change to the recurrence must keep it.
+    proc = run_script("table_digest.py")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "sha256 5048b319434ec3a9a031c1b8d7285ca04d1451921714232767932bf891d939ec over 10 n\n"
+    )
+
+
 def test_readme_library_block_runs():
     readme = (ROOT / "README.md").read_text()
     (block,) = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
