@@ -389,7 +389,7 @@ def _prime_steps(
     A step subtracts S(n // (d*p)): a smalls entry, which keeps its exact
     steps since the far step reads it, or a larges entry, which the near
     step reads plus T_j where d*p <= dmax (d <= dmax // p) and as it is
-    above.  A live entry so falls by j less than S does, to S - T_(j+1).
+    above.  A live entry so falls by j more than S does, to S - T_(j+1).
     Then the entries above the next prime's dmax (0 after the last prime)
     retire: d in (that dmax, dmax] gets T_(j+1), one slice per prime.
 
