@@ -652,12 +652,27 @@ def test_quotient_tables_one_n_and_a_strided_pair():
     check_range(range(1, 3), build_quotient_pi)
 
 
-@pytest.mark.parametrize("ns,dtype", [
-    (range(2**31 - 8, 2**31), np.int32),
-    (range(2**31 - 4, 2**31 + 4), np.int64),
-])
-def test_quotient_tables_across_the_int32_edge(ns, dtype):
-    # The walk's smooth parts are int32 when the range ends below 2**31.
+INT32_EDGE_WALKS = [
+    ("ns0-int32", range(2**31 - 8, 2**31), np.int32),
+    ("ns1-int64", range(2**31 - 4, 2**31 + 4), np.int64),
+]
+
+
+@pytest.mark.parametrize(
+    "ns,dtype,strikes",
+    [
+        *(pytest.param(ns, dtype, "default", id=name) for name, ns, dtype in INT32_EDGE_WALKS),
+        *(
+            pytest.param(ns, dtype, split, id=f"{name}-{split}")
+            for name, ns, dtype in INT32_EDGE_WALKS
+            for split in ("strided", "scattered")
+        ),
+    ],
+    indirect=["strikes"],
+)
+def test_quotient_tables_across_the_int32_edge(ns, dtype, strikes):
+    # The walk's smooth parts are int32 when the range ends below 2**31,
+    # whether each block strikes its prime powers strided or scattered.
     base = primes_module._primes(isqrt(ns[-1]))
     parts = [part for _, part in primes_module._factor_blocks(ns[0] + 1, ns[-1], base)]
     assert [part.dtype for part in parts] == [dtype]

@@ -301,9 +301,22 @@ def test_omega_table_at_block_edges(limit):
     assert_window_by_trial_division(h, semiprime, 0, limit, sorted(near))
 
 
-@pytest.mark.parametrize("edge", [2**21, 3**13])
-def test_omega_window_with_a_block_edge_on_a_prime_power(edge):
+#: The names of the conftest `strikes` splits of each block's strikes.
+SPLITS = ("default", "strided", "scattered")
+
+
+@pytest.mark.parametrize(
+    "edge,strikes",
+    [
+        *(pytest.param(edge, "default", id=str(edge)) for edge in (2**21, 3**13)),
+        *((edge, split) for edge in (2**21, 3**13) for split in SPLITS[1:]),
+    ],
+    indirect=["strikes"],
+)
+def test_omega_window_with_a_block_edge_on_a_prime_power(edge, strikes):
     # A window starting above 1 whose second block starts at a prime power.
+    # From 0 the odd pass ends in a block of 50 odd m, 2**21 + 1..99, and
+    # 29 odd prime powers, 71 the least, have only even multiples in it.
     lo, hi = edge - SIEVE_SEGMENT, edge + 100
     assert [start for start, _ in smooth_omega_blocks(lo, hi)] == [lo, edge]
     h, semiprime = oracle_window(lo, hi)
@@ -326,7 +339,8 @@ def test_omega_window_at_a_wheel_period_edge(lo):
     assert_omega_by_trial_division(lo, lo + 300, range(lo, lo + 301))
 
 
-def test_omega_window_across_wheel_and_segment_edges():
+@pytest.mark.parametrize("strikes", SPLITS, indirect=True)
+def test_omega_window_across_wheel_and_segment_edges(strikes):
     # The second block starts at lo + SIEVE_SEGMENT, at another wheel offset.
     lo = 38 * _WHEEL - 1
     hi = lo + SIEVE_SEGMENT + 50
@@ -347,7 +361,8 @@ def test_omega_window_at_the_int32_edge(hi):
     assert_omega_by_trial_division(hi - 1000, hi, range(hi - 40, hi + 1))
 
 
-def test_omega_window_where_most_base_primes_miss():
+@pytest.mark.parametrize("strikes", SPLITS, indirect=True)
+def test_omega_window_where_most_base_primes_miss(strikes):
     lo = 10**10
     assert_omega_by_trial_division(lo, lo + 5, range(lo, lo + 6))
 
@@ -402,6 +417,10 @@ def textbook_cum():
         (1, range(4 * S - 3, 4 * S + 4)),
         # 2p for the largest prime p below an odd block's edge
         (1, range(2 * BELOW_EDGE - 1, 2 * BELOW_EDGE + 2)),
+        # the odd pass's last block holds 2S + 1, 2S + 3 and 2S + 5 alone,
+        # and 17 divides 2S + 2 between them: it hits the block but strikes
+        # no entry of it
+        (1, range(2 * S + 5, 2 * S + 6)),
         # every n from lo up to 40: m = 4 and m = 6 = 2 * 3 at the edge of [lo, n]
         *((lo, range(lo, 41)) for lo in range(2, 8)),
         # the squares of odd base primes, 1009 the largest
