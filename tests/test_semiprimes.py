@@ -315,8 +315,9 @@ SPLITS = ("default", "strided", "scattered")
 )
 def test_omega_window_with_a_block_edge_on_a_prime_power(edge, strikes):
     # A window starting above 1 whose second block starts at a prime power.
-    # From 0 the odd pass ends in a block of 50 odd m, 2**21 + 1..99, and
-    # 29 odd prime powers, 71 the least, have only even multiples in it.
+    # At 2**21 the odd pass from 0 ends in a block of the 50 odd m from
+    # 2**21 + 1 to 2**21 + 99, where 29 odd prime powers, 71 the least,
+    # have only even multiples.
     lo, hi = edge - SIEVE_SEGMENT, edge + 100
     assert [start for start, _ in smooth_omega_blocks(lo, hi)] == [lo, edge]
     h, semiprime = oracle_window(lo, hi)
@@ -417,10 +418,6 @@ def textbook_cum():
         (1, range(4 * S - 3, 4 * S + 4)),
         # 2p for the largest prime p below an odd block's edge
         (1, range(2 * BELOW_EDGE - 1, 2 * BELOW_EDGE + 2)),
-        # the odd pass's last block holds 2S + 1, 2S + 3 and 2S + 5 alone,
-        # and 17 divides 2S + 2 between them: it hits the block but strikes
-        # no entry of it
-        (1, range(2 * S + 5, 2 * S + 6)),
         # every n from lo up to 40: m = 4 and m = 6 = 2 * 3 at the edge of [lo, n]
         *((lo, range(lo, 41)) for lo in range(2, 8)),
         # the squares of odd base primes, 1009 the largest
@@ -431,6 +428,10 @@ def textbook_cum():
         (1, range(1, 3 * S, 997)),
         (1, range(10, 3 * S, 53)),
         (1, range(1, 300001)),
+        # the odd pass's last block holds 2S + 1, 2S + 3 and 2S + 5 alone,
+        # and 17 divides 2S + 2 between them: it hits the block but strikes
+        # no entry of it
+        (1, range(2 * S + 5, 2 * S + 6)),
     ],
 )
 def test_oracle_counts_match_cumsum(lo, ns, textbook_cum):
