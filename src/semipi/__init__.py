@@ -5,8 +5,9 @@ Public surface:
 * primes:       isqrt, dense PrimeTable, QuotientPiTable over quotient
                  points (the performance substrate), and quotient_tables,
                  every table of a range from one anchor
-* semiprimes:   the counting formulas (eq1, eq3 naive/grouped) and the
-                 factoring-sieve oracle (oracle_counts: one block pass)
+* semiprimes:   the counting formulas (eq1, eq3 naive/grouped), each
+                 written once in formula_counts, and the factoring-sieve
+                 oracle (oracle_counts: one block pass)
 * identity:     both sides of the pi identity with residual reports
 * cli:          `semipi` command-line front end
 
@@ -36,14 +37,11 @@ from .semiprimes import (
     METHODS,
     NAIVE_MAX_N,
     ORACLE_MAX_N,
-    PairSum,
     SemiprimeCount,
     count_semiprimes_eq1,
     count_semiprimes_eq3,
     count_semiprimes_oracle,
     oracle_counts,
-    pair_sum_grouped,
-    pair_sum_naive,
 )
 
 __version__ = "0.1.0"
@@ -66,12 +64,9 @@ __all__ = [
     "NAIVE_MAX_N",
     "ORACLE_MAX_N",
     "SemiprimeCount",
-    "PairSum",
     "count_semiprimes_eq1",
     "count_semiprimes_eq3",
     "count_semiprimes_oracle",
-    "pair_sum_naive",
-    "pair_sum_grouped",
     "oracle_counts",
     "IdentityReport",
     "identity_lhs",

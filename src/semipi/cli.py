@@ -58,13 +58,12 @@ from .primes import (
 from .semiprimes import (
     METHOD_CAPS,
     METHODS,
+    _naive_sum,
     count_semiprimes_eq1,
     count_semiprimes_eq3,
     count_semiprimes_oracle,
     formula_counts,
     oracle_counts,
-    pair_sum_grouped,
-    pair_sum_naive,
 )
 
 EXIT_OK = 0
@@ -163,7 +162,8 @@ def _range_ns(start: int, end: int, stride: int, methods: tuple, max_n: int) -> 
 def parse_number(text: str) -> int:
     """Exact decimal integer with optional `_` separators and `^` powers.
 
-    Accepts forms like 25, 1_000_000 and 10^6.  Floating-point input is
+    Accepts forms like 25, 1_000_000 and 10^6.  A leading sign applies
+    to the whole power, so -3^2 is -9.  Floating-point input is
     rejected: prime counts are floor-evaluated, so real arguments would
     be ambiguous.
     """
@@ -174,7 +174,7 @@ def parse_number(text: str) -> int:
             base, exp = int(base_s, 10), int(exp_s, 10)
             if not 0 <= exp <= 128:
                 raise ValueError
-            return base**exp
+            return -((-base) ** exp) if base < 0 else base**exp
         return int(s, 10)
     except ValueError:
         raise ValueError(
@@ -564,12 +564,10 @@ def cmd_selftest(args) -> int:
     eq1 = count_semiprimes_eq1(25, qpi)
     check("eq1 term count at 25", eq1.term_count, golden["eq1_terms"])
 
-    pair = pair_sum_grouped(25, qpi)
-    check("pair sum 25 naive", pair_sum_naive(25, qpi).value, golden["pair_sum"])
-    check("pair sum 25 grouped", pair.value, golden["pair_sum"])
-    check("pair sum 25 upper index", pair.upper_index, golden["pair_sum_upper_index"])
-
-    rep = check_identity(25, qpi)
+    rep = check_identity(25, qpi)  # its head and tail are the grouped pair sum's
+    check("pair sum 25 naive", _naive_sum(25, qpi), golden["pair_sum"])
+    check("pair sum 25 grouped", rep.head_sum + rep.tail_sum, golden["pair_sum"])
+    check("pair sum 25 upper index", qpi.pi(25 // 2), golden["pair_sum_upper_index"])
     check(
         "identity at 25 (head, tail, lhs, rhs, residual)",
         (rep.head_sum, rep.tail_sum, rep.lhs, rep.rhs, rep.residual),

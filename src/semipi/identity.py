@@ -52,7 +52,7 @@ def identity_lhs(n: int, qpi: QuotientPiTable) -> tuple[int, int, int]:
     """
     _require_match(n, qpi)
     head = _head_sum(qpi)
-    tail, _ = _tail_sum(qpi)
+    tail = _tail_sum(qpi)
     return head, tail, head - tail
 
 

@@ -17,10 +17,11 @@ semiprimes <= n and r = isqrt(n), the package computes pi2 four ways:
 
 The three formulas share their sums.  eq1 and eq3 both read the head
 sum of pi(n // p) over the primes p <= r; eq3_grouped adds the grouped
-tail, and eq3_naive visits every prime instead.  ``formula_counts``
-gives every formula asked for at one n from one head sum, and
-``count_semiprimes_eq1`` and ``count_semiprimes_eq3`` give one each
-through the same ``_eq1`` and ``_eq3``; ``_eq3`` holds the parity guard.
+tail, and eq3_naive visits every prime instead.  ``formula_counts`` is
+the one place each formula and eq3's parity guard are written: it gives
+every formula asked for at one n from one head sum.
+``count_semiprimes_eq1`` and ``count_semiprimes_eq3`` read their count
+from it and add only the term count.
 
 All four must agree for every n; the CLI and the test suite treat any
 disagreement as a bug signal.  Agreement proves less than four
@@ -90,21 +91,6 @@ class SemiprimeCount:
     term_count: int
 
 
-@dataclass(frozen=True)
-class PairSum:
-    """Sum over primes p <= n/2 of pi(n // p).
-
-    Counts ordered pairs of primes (p, q) with p*q <= n.  value plus
-    pi(isqrt(n)) is always even: unordered pairs with p != q are hit
-    twice, and the diagonal correction makes the double-count uniform.
-    """
-
-    n: int
-    value: int
-    upper_index: int  # pi(n // 2): number of summation terms in full form
-    term_count: int  # terms actually evaluated (grouped collapses the tail)
-
-
 def _require_match(n: int, qpi: QuotientPiTable) -> None:
     if n < 1:
         raise RangeError(f"n must be >= 1, got {n}")
@@ -124,13 +110,13 @@ def _head_sum(qpi: QuotientPiTable) -> int:
     return int(qpi.larges[qpi.root_primes].sum())
 
 
-def _tail_sum(qpi: QuotientPiTable) -> tuple[int, int]:
+def _tail_sum(qpi: QuotientPiTable) -> int:
     """Sum of pi(n // p) over primes isqrt(n) < p <= n/2, by grouping.
 
     Every such prime has v = n // p < sqrt(n), so instead of visiting
     primes we visit the candidate quotient values v = 2..n//(r+1) and
     weight pi(v) by the number of primes in (n//(v+1), n//v], all read
-    from the quotient table.  Returns (tail, blocks evaluated).
+    from the quotient table: n//(r+1) - 1 blocks.
 
     The int64 dot product cannot overflow: its terms are nonnegative and
     its partial sums count ordered prime pairs (p, q) with p*q <= n, which
@@ -139,11 +125,70 @@ def _tail_sum(qpi: QuotientPiTable) -> tuple[int, int]:
     """
     last = qpi.n // (qpi.root + 1)
     if last < 2:
-        return 0, 0
+        return 0
     # v runs over 2..last, and last <= r keeps larges[v + 1] in the table.
     # n // (v + 1) >= n // (last + 1) = r, so every prime counted is > r.
     primes_at = qpi.larges[2 : last + 1] - qpi.larges[3 : last + 2]
-    return int(np.dot(qpi.smalls[2 : last + 1], primes_at)), last - 1
+    return int(np.dot(qpi.smalls[2 : last + 1], primes_at))
+
+
+def _naive_sum(n: int, qpi: QuotientPiTable) -> int:
+    """Sum of pi(n // p) over ALL primes p <= n/2, visiting every prime.
+
+    The test-oracle counterpart of _head_sum + _tail_sum; refuses n beyond
+    NAIVE_MAX_N since the term count alone is pi(n/2).  The primes come
+    from qpi.dense (the sieve the table was read from) if set, else from
+    a sieve of n // 2.  Each prime p reads larges[p] where n // p >
+    isqrt(n) and smalls[n // p] elsewhere, so the tail reads smalls.
+    """
+    if n > NAIVE_MAX_N:
+        raise RangeError(f"n={n} exceeds the naive-form cap {NAIVE_MAX_N}; use eq3_grouped")
+    half = n // 2
+    if qpi.dense is None:
+        ps = _primes(half)
+    else:
+        ps = qpi.dense.primes[: qpi.dense.pi(half)]
+    quot = n // ps
+    k = int(np.count_nonzero(quot > qpi.root))  # quot descends: the first k read larges
+    return int(qpi.larges[ps[:k]].sum()) + int(qpi.smalls[quot[k:]].sum())
+
+
+def formula_counts(n: int, qpi: QuotientPiTable, methods: tuple[str, ...]) -> list[int]:
+    """The count of each formula method at n, in the order of methods.
+
+    The one place each formula is written.  With k = pi(isqrt(n)):
+
+    * eq1 is the head sum minus the sum 0 + 1 + ... + (k - 1): the j-th
+      root prime's term drops j - 1, and counts the pairs (p_j, q) with
+      q >= p_j;
+    * eq3 halves an ordered pair sum plus k, under a parity guard: the
+      dividend counts every unordered pair twice, so an odd one can only
+      mean a bug in the sums or the tables.
+
+    qpi is checked once; its head sum is read once and only for eq1 or
+    eq3_grouped, the grouped tail only for eq3_grouped and the naive
+    pair sum only for eq3_naive.  Raises ValueError for the oracle and
+    for unknown names.
+    """
+    if not set(methods) <= {"eq1", "eq3_grouped", "eq3_naive"}:
+        raise ValueError(f"formula methods are eq1, eq3_grouped and eq3_naive, got {methods}")
+    _require_match(n, qpi)
+    counts = {}
+    if "eq1" in methods or "eq3_grouped" in methods:
+        head = _head_sum(qpi)
+        k = len(qpi.root_primes)
+        counts["eq1"] = head - k * (k - 1) // 2
+    sq = int(qpi.smalls[qpi.root])  # pi(isqrt(n))
+    for method in ("eq3_grouped", "eq3_naive"):
+        if method in methods:
+            pair = head + _tail_sum(qpi) if method == "eq3_grouped" else _naive_sum(n, qpi)
+            if (pair + sq) % 2 != 0:
+                raise InternalConsistencyError(
+                    f"pair_sum({n}) + pi(isqrt({n})) = {pair} + {sq} is odd; "
+                    "this indicates a counting bug"
+                )
+            counts[method] = (pair + sq) // 2
+    return [counts[m] for m in methods]
 
 
 def count_semiprimes_eq1(n: int, qpi: QuotientPiTable) -> SemiprimeCount:
@@ -152,119 +197,26 @@ def count_semiprimes_eq1(n: int, qpi: QuotientPiTable) -> SemiprimeCount:
     The k-th term counts pairs (p_k, q) with q >= p_k, so each unordered
     pair is counted once.  Empty sum (n < 4) gives 0.
     """
-    _require_match(n, qpi)
-    count = _eq1(qpi, _head_sum(qpi))
+    (count,) = formula_counts(n, qpi, ("eq1",))
     return SemiprimeCount(n=n, method="eq1", count=count, term_count=len(qpi.root_primes))
-
-
-def _eq1(qpi: QuotientPiTable, head: int) -> int:
-    """eq1 from the head sum: the k-th of the k = pi(isqrt(n)) terms drops k - 1."""
-    k = len(qpi.root_primes)
-    return head - k * (k - 1) // 2
-
-
-def pair_sum_naive(n: int, qpi: QuotientPiTable) -> PairSum:
-    """Ordered prime-pair count by literally visiting every prime <= n/2.
-
-    Test-oracle counterpart of pair_sum_grouped; refuses n beyond
-    NAIVE_MAX_N since the term count alone is pi(n/2).  The primes come
-    from qpi.dense (the sieve the table was read from) if set, else from
-    a sieve of n // 2.  Each prime p reads larges[p] where n // p >
-    isqrt(n) and smalls[n // p] elsewhere, so the tail reads smalls.
-    """
-    _require_match(n, qpi)
-    value, terms = _naive_sum(n, qpi)
-    return PairSum(n=n, value=value, upper_index=terms, term_count=terms)
-
-
-def _naive_sum(n: int, qpi: QuotientPiTable) -> tuple[int, int]:
-    """(ordered pair sum, pi(n // 2)) by visiting every prime <= n/2."""
-    if n > NAIVE_MAX_N:
-        raise RangeError(
-            f"n={n} exceeds the naive-form cap {NAIVE_MAX_N}; "
-            "use pair_sum_grouped"
-        )
-    half = n // 2
-    if qpi.dense is None:
-        ps = _primes(half)
-    else:
-        ps = qpi.dense.primes[: qpi.dense.pi(half)]
-    quot = n // ps
-    k = int(np.count_nonzero(quot > qpi.root))  # quot descends: the first k read larges
-    return int(qpi.larges[ps[:k]].sum()) + int(qpi.smalls[quot[k:]].sum()), len(ps)
-
-
-def pair_sum_grouped(n: int, qpi: QuotientPiTable) -> PairSum:
-    """Ordered prime-pair count in O(sqrt(n)) terms.
-
-    Identical value to pair_sum_naive for every n: the sum is split at
-    isqrt(n), the head evaluated prime by prime and the tail grouped by
-    shared quotient value.
-    """
-    _require_match(n, qpi)
-    head = _head_sum(qpi)
-    tail, blocks = _tail_sum(qpi)
-    return PairSum(
-        n=n,
-        value=head + tail,
-        upper_index=qpi.pi(n // 2),
-        term_count=len(qpi.root_primes) + blocks,
-    )
 
 
 def count_semiprimes_eq3(n: int, qpi: QuotientPiTable, mode: str = "grouped") -> SemiprimeCount:
     """Count semiprimes <= n as (pair_sum(n) + pi(isqrt(n))) / 2.
 
-    The dividend double-counts every unordered pair exactly twice, so it
-    must be even; the halving is exact integer division guarded by a
-    parity assertion.  A parity failure can only mean a bug in the pair
-    sum or the pi tables and raises InternalConsistencyError.  Both modes
-    read only qpi (naive mode takes its primes from qpi.dense when set).
+    The pair sum, of pi(n // p) over the primes p <= n/2, is the head sum
+    plus the grouped tail in grouped mode, and visits every prime in
+    naive mode (capped at NAIVE_MAX_N; its primes come from qpi.dense
+    when set).  term_count counts the halving as one term, and the root
+    primes and tail blocks, or the primes <= n/2, as one each.
     """
-    if mode == "naive":
-        pair = pair_sum_naive(n, qpi)
-    elif mode == "grouped":
-        pair = pair_sum_grouped(n, qpi)
+    method = f"eq3_{mode}"
+    (count,) = formula_counts(n, qpi, (method,))
+    if mode == "grouped":
+        terms = len(qpi.root_primes) + max(n // (qpi.root + 1) - 1, 0)
     else:
-        raise ValueError(f"mode must be 'naive' or 'grouped', got {mode!r}")
-    return SemiprimeCount(
-        n=n,
-        method=f"eq3_{mode}",
-        count=_eq3(n, qpi, pair.value),
-        term_count=pair.term_count + 1,
-    )
-
-
-def _eq3(n: int, qpi: QuotientPiTable, pair: int) -> int:
-    """eq3 from the ordered pair sum, halved under the parity guard."""
-    sq = int(qpi.smalls[qpi.root])  # pi(isqrt(n))
-    dividend = pair + sq
-    if dividend % 2 != 0:
-        raise InternalConsistencyError(
-            f"pair_sum({n}) + pi(isqrt({n})) = {pair} + {sq} is odd; "
-            "this indicates a counting bug"
-        )
-    return dividend // 2
-
-
-def formula_counts(n: int, qpi: QuotientPiTable, methods: tuple[str, ...]) -> list[int]:
-    """The count of each formula method at n, in the order of methods.
-
-    qpi is checked once and its head sum read once; the grouped tail is
-    read only for eq3_grouped and the naive pair sum only for eq3_naive.
-    Each count comes from the same _eq1 or _eq3 as in count_semiprimes_eq1
-    and count_semiprimes_eq3.  Raises ValueError for the oracle and for
-    unknown names.
-    """
-    if not set(methods) <= {"eq1", "eq3_grouped", "eq3_naive"}:
-        raise ValueError(f"formula methods are eq1, eq3_grouped and eq3_naive, got {methods}")
-    _require_match(n, qpi)
-    head = _head_sum(qpi)
-    # A method not asked for leaves its entry False, and its sum unread.
-    grouped = "eq3_grouped" in methods and _eq3(n, qpi, head + _tail_sum(qpi)[0])
-    naive = "eq3_naive" in methods and _eq3(n, qpi, _naive_sum(n, qpi)[0])
-    counts = {"eq1": _eq1(qpi, head), "eq3_grouped": grouped, "eq3_naive": naive}
-    return [counts[m] for m in methods]
+        terms = qpi.pi(n // 2)
+    return SemiprimeCount(n=n, method=method, count=count, term_count=terms + 1)
 
 
 def _base_pairs(base: np.ndarray, start: int, end: int) -> np.ndarray:

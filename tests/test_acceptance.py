@@ -24,12 +24,11 @@ from semipi import (
     count_semiprimes_oracle,
     isqrt,
     oracle_counts,
-    pair_sum_grouped,
-    pair_sum_naive,
     quotient_tables,
 )
 from semipi.cli import GOLDEN
 from semipi.primes import _primes, _sieve_blocks
+from semipi.semiprimes import _head_sum, _naive_sum, _tail_sum
 
 SWEEP_LIMIT = 10**5
 
@@ -62,7 +61,7 @@ def sweep():
         qpi = QuotientPiTable.from_dense(n, table)
         eq1[n] = count_semiprimes_eq1(n, qpi).count
         eq3g[n] = count_semiprimes_eq3(n, qpi, "grouped").count
-        dividend = pair_sum_grouped(n, qpi).value + table.pi(isqrt(n))
+        dividend = _head_sum(qpi) + _tail_sum(qpi) + table.pi(isqrt(n))
         parity_even &= dividend % 2 == 0
     return {
         "table": table,
@@ -81,8 +80,8 @@ def test_criterion_1_golden_count_at_25():
         golden = GOLDEN["n25"]
         pi_25 = golden["pi_at_quotients"]
         assert {v: qpi.pi(v) for v in pi_25} == pi_25
-        assert pair_sum_naive(25, qpi).value == golden["pair_sum"]
-        assert pair_sum_grouped(25, qpi).value == golden["pair_sum"]
+        assert _naive_sum(25, qpi) == golden["pair_sum"]
+        assert _head_sum(qpi) + _tail_sum(qpi) == golden["pair_sum"]
         assert count_semiprimes_eq1(25, qpi).count == golden["pi2"]
         assert count_semiprimes_eq3(25, qpi, "naive").count == golden["pi2"]
         assert count_semiprimes_eq3(25, qpi, "grouped").count == golden["pi2"]
@@ -123,12 +122,12 @@ def test_criterion_4_naive_grouped_equivalence(sweep):
         table = sweep["table"]
         for n in range(1, 10**4 + 1):
             qpi = QuotientPiTable.from_dense(n, table)
-            assert pair_sum_naive(n, qpi).value == pair_sum_grouped(n, qpi).value, n
+            assert _naive_sum(n, qpi) == _head_sum(qpi) + _tail_sum(qpi), n
         rng = random.Random(4)
         for _ in range(200):
             n = rng.randrange(10**4, 10**6 + 1)
             qpi = build_quotient_pi(n)
-            assert pair_sum_naive(n, qpi).value == pair_sum_grouped(n, qpi).value, n
+            assert _naive_sum(n, qpi) == _head_sum(qpi) + _tail_sum(qpi), n
         assert time.perf_counter() - t0 < 120.0
 
     _report("4 (pair_sum naive = grouped, exhaustive + 200 random)", body)

@@ -67,6 +67,11 @@ def slow_builds(monkeypatch) -> list[int]:
         ("2^20", 2**20),
         (" 42 ", 42),
         ("10^0", 1),
+        # a leading sign applies to the whole power, which a square cannot cancel
+        ("-3^2", -9),
+        ("-2^3", -8),
+        ("+3^2", 9),
+        ("-1_0^2", -100),
     ],
 )
 def test_parse_number(text, expected):
@@ -83,6 +88,17 @@ def test_parse_number_rejects(bad):
 def test_parse_number_roundtrip(n):
     assert parse_number(str(n)) == n
     assert parse_number(format(n, "_d")) == n
+
+
+def test_a_negative_power_is_refused_as_an_n_an_end_or_a_stride(capsys):
+    for argv in (
+        ("sweep", "1:-2^2"),
+        ("sweep", "1:10:-1^2"),
+        ("count", "--", "-3^2"),
+        ("count", "25", "--max-n=-3^2"),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, ""), argv
 
 
 def test_parse_range():
@@ -217,6 +233,37 @@ def test_count_max_n_guard_override(capsys):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE, argv
         assert "max_n" in err, argv
+
+
+#: The terms column of `count` by method (eq1, eq3_grouped, eq3_naive,
+#: oracle): eq1 has one term per root prime p <= isqrt(n); eq3_grouped
+#: those plus n // (isqrt(n) + 1) - 1 tail blocks and the halving;
+#: eq3_naive one per prime <= n / 2 and the halving; the oracle one per m <= n.
+COUNT_TERMS = {
+    1: (0, 1, 1, 1),
+    2: (0, 1, 1, 2),
+    3: (0, 1, 1, 3),
+    4: (1, 2, 2, 4),
+    8: (1, 3, 3, 8),
+    9: (2, 4, 3, 9),
+    24: (2, 6, 6, 24),
+    25: (3, 7, 6, 25),
+    26: (3, 7, 7, 26),
+    10**4: (25, 124, 670, 10**4),
+    10**6: (168, 1167, 41539, 10**6),
+    10**7: (446, 3607, 348514, 10**7),
+}
+
+
+def test_count_terms_are_pinned(capsys):
+    ns = ",".join(map(str, COUNT_TERMS))
+    methods = "eq1,eq3_grouped,eq3_naive,oracle"
+    code, out, _ = run(capsys, "count", ns, "--methods", methods, "--format", "csv")
+    assert code == EXIT_OK
+    got = collections.defaultdict(tuple)
+    for row in csv.DictReader(io.StringIO(out)):
+        got[int(row["n"])] += (int(row["terms"]),)
+    assert got == COUNT_TERMS
 
 
 def test_count_csv_json_same_values(capsys):
@@ -1047,6 +1094,10 @@ STDOUT_DIGESTS = {
     "identity 1:5000 --format table": (
         0,
         "b2493be568299690a9292d2f4c160a4e09a7e0ff34b6311a3407dc6ef0accb1b",
+    ),
+    "selftest": (
+        0,
+        "3bb8ad104f5c2bd78933eeee7ae70c4049685c68db88f456399b85d5156fecbc",
     ),
 }
 

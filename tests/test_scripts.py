@@ -48,6 +48,33 @@ def test_table_digest_pins_the_default_tables():
     )
 
 
+def test_code_lines_counts_code_outside_docstrings(tmp_path):
+    # Code lines: import, the four lines of the expression, def f, its
+    # return, class C, and both lines of a string that is no docstring.
+    fixture = tmp_path / "fixture.py"
+    fixture.write_text(
+        '"""Module docstring,\nover two lines."""\n'
+        "\n"
+        "import os  # a trailing comment\n"
+        "\n"
+        "# a comment line\n"
+        "TOTAL = (\n    1\n    + 2\n)\n"
+        "\n\n"
+        "def f():\n"
+        '    """One-line docstring."""\n'
+        "    return 1\n"
+        "\n\n"
+        "class C:\n"
+        '    """Class\n    docstring."""\n'
+        "\n"
+        '    x = """not a\ndocstring"""\n'
+    )
+    proc = run_script("code_lines.py", str(fixture))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"    10 {fixture}\n    10 total\n"
+    assert run_script("code_lines.py", "--total", str(fixture), str(fixture)).stdout == "20\n"
+
+
 def test_readme_library_block_runs():
     readme = (ROOT / "README.md").read_text()
     (block,) = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)

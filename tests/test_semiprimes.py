@@ -29,14 +29,12 @@ from semipi import (
     identity_rhs,
     isqrt,
     oracle_counts,
-    pair_sum_grouped,
-    pair_sum_naive,
     quotient_tables,
 )
 from semipi import semiprimes
-from semipi.cli import GOLDEN, method_count
+from semipi.cli import GOLDEN
 from semipi.primes import _WHEEL, SIEVE_SEGMENT, _primes, _sieve_blocks
-from semipi.semiprimes import formula_counts
+from semipi.semiprimes import _head_sum, _naive_sum, _tail_sum, formula_counts
 
 
 def smooth_omega_blocks(lo: int, hi: int) -> list:
@@ -97,57 +95,60 @@ def test_eq1_rejects_mismatched_table(qpi25):
 
 
 # ---------------------------------------------------------------------------
-# pair sums
+# pair sums: the sum over primes p <= n/2 of pi(n // p), visiting every
+# prime (_naive_sum) or as the head sum plus the grouped tail
+
+
+def grouped_sum(qpi: QuotientPiTable) -> int:
+    return _head_sum(qpi) + _tail_sum(qpi)
 
 
 def test_pair_sum_naive_golden_25(qpi25):
-    ps = pair_sum_naive(25, qpi25)
-    assert ps.value == 15  # 5 + 4 + 3 + 2 + 1
-    assert ps.upper_index == 5  # pi(12)
+    assert _naive_sum(25, qpi25) == 15  # 5 + 4 + 3 + 2 + 1
+    assert count_semiprimes_eq3(25, qpi25, "naive").term_count == 5 + 1  # pi(12) + 1
 
 
 def test_pair_sum_trivial_n3():
     q = build_quotient_pi(3)
-    assert pair_sum_naive(3, q).value == 0
-    assert pair_sum_grouped(3, q).value == 0
+    assert _naive_sum(3, q) == 0
+    assert grouped_sum(q) == 0
 
 
 def test_pair_sum_grouped_n4():
-    assert pair_sum_grouped(4, build_quotient_pi(4)).value == 1  # only p=2
+    assert grouped_sum(build_quotient_pi(4)) == 1  # only p=2
 
 
 def test_pair_sum_50_against_double_loop():
     assert brute_ordered_pair_count(50) == 30
     q = build_quotient_pi(50)
-    assert pair_sum_naive(50, q).value == 30
-    assert pair_sum_grouped(50, q).value == 30
+    assert _naive_sum(50, q) == 30
+    assert grouped_sum(q) == 30
 
 
 def test_pair_sums_agree_exhaustively_small(dense_10k):
     for n in range(1, 2001):
         q = QuotientPiTable.from_dense(n, dense_10k)
-        naive = pair_sum_naive(n, q)
-        grouped = pair_sum_grouped(n, q)
-        assert naive.value == grouped.value, n
-        assert naive.upper_index == grouped.upper_index, n
+        assert _naive_sum(n, q) == grouped_sum(q), n
 
 
 def test_pair_sums_agree_at_1e6():
     q = build_quotient_pi(10**6)
-    assert pair_sum_naive(10**6, q).value == pair_sum_grouped(10**6, q).value
+    assert _naive_sum(10**6, q) == grouped_sum(q)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=1, max_value=10**5))
 def test_pair_sums_agree_hypothesis(n):
     q = build_quotient_pi(n)
-    assert pair_sum_naive(n, q).value == pair_sum_grouped(n, q).value
+    assert _naive_sum(n, q) == grouped_sum(q)
 
 
 def test_pair_sum_naive_cap():
     q = build_quotient_pi(NAIVE_MAX_N + 1)
-    with pytest.raises(RangeError, match="pair_sum_grouped"):
-        pair_sum_naive(NAIVE_MAX_N + 1, q)
+    with pytest.raises(RangeError, match="use eq3_grouped"):
+        _naive_sum(NAIVE_MAX_N + 1, q)
+    with pytest.raises(RangeError, match="use eq3_grouped"):
+        count_semiprimes_eq3(NAIVE_MAX_N + 1, q, "naive")
 
 
 def _plus(qpi: QuotientPiTable, name: str, i: int, delta: int) -> QuotientPiTable:
@@ -168,20 +169,20 @@ def test_pair_sum_naive_reads_larges_above_root_and_smalls_below(n, source, dens
     q = build_quotient_pi(n) if source == "recurrence" else QuotientPiTable.from_dense(n, dense_10m)
     r = q.root
     ps = build_prime_table(n // 2).primes.tolist()
-    base = pair_sum_naive(n, q).value
+    base = _naive_sum(n, q)
     rng = random.Random(n)
     head = [p for p in ps if n // p > r]
     for p in head[:3] + head[-3:] + rng.sample(head, min(10, len(head))):
         delta = rng.choice((-3, -1, 2, 5))
-        assert pair_sum_naive(n, _plus(q, "larges", p, delta)).value == base + delta, p
+        assert _naive_sum(n, _plus(q, "larges", p, delta)) == base + delta, p
     # Entries no prime reads: larges at 1, at composites and at r + 1.
     for d in (1, 4, r - 1 if r % 2 else r, r + 1):
-        assert pair_sum_naive(n, _plus(q, "larges", d, 7)).value == base, d
+        assert _naive_sum(n, _plus(q, "larges", d, 7)) == base, d
     hits = collections.Counter(n // p for p in ps)
     vs = range(r + 1) if r < 50 else [0, 1, 2, 3, r - 1, r] + rng.sample(range(4, r - 1), 20)
     for v in vs:
         delta = rng.choice((-3, -1, 2, 5))
-        moved = pair_sum_naive(n, _plus(q, "smalls", v, delta)).value - base
+        moved = _naive_sum(n, _plus(q, "smalls", v, delta)) - base
         assert moved == delta * hits[v], v
 
 
@@ -189,7 +190,7 @@ def test_pair_parity_property(dense_10k):
     for n in range(1, 2001):
         q = QuotientPiTable.from_dense(n, dense_10k)
         sq = dense_10k.pi(isqrt(n))
-        assert (pair_sum_grouped(n, q).value + sq) % 2 == 0, n
+        assert (grouped_sum(q) + sq) % 2 == 0, n
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +239,9 @@ def test_eq3_mode_validation(qpi25):
 
 
 def test_eq3_parity_guard_fires_on_corrupt_pair_sum(qpi25, monkeypatch):
-    import semipi.semiprimes as sp
-
-    real = sp.pair_sum_grouped
-
-    def off_by_one(n, qpi):
-        ps = real(n, qpi)
-        object.__setattr__(ps, "value", ps.value + 1)
-        return ps
-
-    monkeypatch.setattr(sp, "pair_sum_grouped", off_by_one)
-    with pytest.raises(InternalConsistencyError, match="odd"):
+    real = semiprimes._tail_sum
+    monkeypatch.setattr(semiprimes, "_tail_sum", lambda qpi: real(qpi) + 1)
+    with pytest.raises(InternalConsistencyError, match=r"pair_sum\(25\) .* = 16 \+ 3 is odd"):
         count_semiprimes_eq3(25, qpi25, "grouped")
 
 
@@ -601,9 +594,11 @@ FORMULAS = ("eq1", "eq3_grouped", "eq3_naive")
 def test_formula_counts_equal_the_per_method_counts(source, dense_10m):
     # Every non-empty ordered subset of the formulas, at n = 1..3000 and
     # at p^2 - 1, p^2 and p^2 + 1 for every prime p <= 1000, where
-    # isqrt(n) and the split of the pair sum change.
+    # isqrt(n) and the split of the pair sum change, against one
+    # table-free oracle pass over 1..max(ns).
     squares = [p * p for p in _primes(1000).tolist()]
     ns = [*range(1, 3001), *(s + d for s in squares for d in (-1, 0, 1))]
+    oracle = oracle_counts(1, range(1, max(ns) + 1)).tolist()
     if source == "build_quotient_pi":
         tables = ((n, build_quotient_pi(n)) for n in ns)
     elif source == "from_dense":
@@ -615,13 +610,31 @@ def test_formula_counts_equal_the_per_method_counts(source, dense_10m):
     assert len(subsets) == 15
     seen = 0
     for n, qpi in tables:
-        want = {m: method_count(n, m, qpi).count for m in FORMULAS}
         for subset in subsets:
             got = formula_counts(n, qpi, subset)
-            assert got == [want[m] for m in subset], (n, subset)
+            assert got == [oracle[n - 1]] * len(subset), (n, subset)
             assert all(type(c) is int for c in got), (n, subset)
         seen += 1
     assert seen == len(ns)
+
+
+def test_formula_counts_read_each_sum_only_for_the_methods_that_need_it(monkeypatch):
+    q = build_quotient_pi(10**4)
+    calls = collections.Counter()
+    for name in ("_head_sum", "_tail_sum", "_naive_sum"):
+        real = getattr(semiprimes, name)
+        monkeypatch.setattr(
+            semiprimes, name, lambda *a, real=real, name=name: calls.update([name]) or real(*a)
+        )
+    for methods, want in (
+        (("eq1",), {"_head_sum": 1}),
+        (("eq3_grouped",), {"_head_sum": 1, "_tail_sum": 1}),
+        (("eq3_naive",), {"_naive_sum": 1}),
+        (FORMULAS, {"_head_sum": 1, "_tail_sum": 1, "_naive_sum": 1}),
+    ):
+        calls.clear()
+        assert formula_counts(10**4, q, methods) == [2625] * len(methods)
+        assert calls == want, methods
 
 
 def test_formula_counts_refuse_the_oracle_and_unknown_names(qpi25):
