@@ -8,13 +8,10 @@ string that is not a docstring, counts on each line it spans.  Blank
 lines, comment lines and docstrings count nothing.
 
     python3 scripts/code_lines.py src/semipi/*.py
-    python3 scripts/code_lines.py --total perfbench/*.py
 
-prints each file's count and then the total, or with --total the total
-alone.
+prints each file's count and then the total.
 """
 
-import argparse
 import ast
 import io
 import sys
@@ -57,21 +54,19 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("files", nargs="+", help="Python source files")
-    parser.add_argument("--total", action="store_true", help="print only the total")
-    args = parser.parse_args(argv)
+def main(paths: list[str]) -> int:
+    if not paths:
+        print("usage: code_lines.py FILE...", file=sys.stderr)
+        return 2
     total = 0
-    for path in args.files:
+    for path in paths:
         with open(path, encoding="utf-8") as f:
             count = code_lines(f.read())
         total += count
-        if not args.total:
-            print(f"{count:6d} {path}")
-    print(f"{total:6d} total" if not args.total else total)
+        print(f"{count:6d} {path}")
+    print(f"{total:6d} total")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

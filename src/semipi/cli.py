@@ -174,7 +174,8 @@ def parse_number(text: str) -> int:
             base, exp = int(base_s, 10), int(exp_s, 10)
             if not 0 <= exp <= 128:
                 raise ValueError
-            return -((-base) ** exp) if base < 0 else base**exp
+            sign = -1 if base_s.startswith("-") else 1
+            return sign * abs(base) ** exp
         return int(s, 10)
     except ValueError:
         raise ValueError(

@@ -72,6 +72,8 @@ def slow_builds(monkeypatch) -> list[int]:
         ("-2^3", -8),
         ("+3^2", 9),
         ("-1_0^2", -100),
+        ("-0^0", -1),
+        ("-00^0", -1),
     ],
 )
 def test_parse_number(text, expected):
@@ -94,6 +96,8 @@ def test_a_negative_power_is_refused_as_an_n_an_end_or_a_stride(capsys):
     for argv in (
         ("sweep", "1:-2^2"),
         ("sweep", "1:10:-1^2"),
+        ("sweep", "1:10:-0^0"),
+        ("count", "--", "-0^0"),
         ("count", "--", "-3^2"),
         ("count", "25", "--max-n=-3^2"),
     ):

@@ -72,7 +72,6 @@ def test_code_lines_counts_code_outside_docstrings(tmp_path):
     proc = run_script("code_lines.py", str(fixture))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"    10 {fixture}\n    10 total\n"
-    assert run_script("code_lines.py", "--total", str(fixture), str(fixture)).stdout == "20\n"
 
 
 def test_readme_library_block_runs():

@@ -592,6 +592,11 @@ FORMULAS = ("eq1", "eq3_grouped", "eq3_naive")
 
 @pytest.mark.parametrize("source", ["build_quotient_pi", "from_dense", "quotient_tables"])
 def test_formula_counts_equal_the_per_method_counts(source, dense_10m):
+    """formula_counts against the table-free oracle, not the per-method path.
+
+    The per-method counts now run formula_counts themselves, so the
+    reference is one oracle_counts pass; the name is kept as the test id.
+    """
     # Every non-empty ordered subset of the formulas, at n = 1..3000 and
     # at p^2 - 1, p^2 and p^2 + 1 for every prime p <= 1000, where
     # isqrt(n) and the split of the pair sum change, against one
