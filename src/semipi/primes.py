@@ -9,11 +9,21 @@ Two table types back everything else in the package:
   quotient points in O(n^(3/4)) arithmetic ops and O(sqrt(n)) memory,
   so pi(n/p) sums never require sieving anywhere near n/2.
 
-``_primes`` is the one prime sieve: it gives the dense table its primes
-and the recurrence its base primes.  It sieves odd numbers only, from a
-pattern with the multiples of 3, 5, 7, 11 and 13 already struck, in the
-blocks of ``_tiled_blocks``, and holds one block at a time, never a
-limit-sized mask.
+``_prime_blocks`` is the one prime sieve: it yields the primes of [lo, hi]
+block by block from any odd lo, and ``_primes`` joins them from 1 for the
+dense table's primes and the recurrence's base primes.  It sieves odd
+numbers only, from a pattern with the multiples of 3, 5, 7, 11 and 13
+already struck, in the blocks of ``_tiled_blocks``, never a limit-sized
+mask.
+
+Both block sieves, ``_prime_blocks`` and ``_sieve_blocks``, write every
+block of a walk into one row that ``_scratch`` lends from a free list of
+the thread's, and the row goes back to the list when the walk ends, so a
+warm call faults no block in again.  A thread keeps every row it was
+ever lent, each at most SIEVE_SEGMENT entries long: a bool row for each
+prime walk it held at once (1 MiB), and, once those have run, the
+oracle's uint8 counts and bool flags (1 MiB each) and a walk's int32 or
+int64 smooth parts (4 or 8 MiB).
 
 ``quotient_tables`` yields the QuotientPiTable of every n of an ascending
 range from one anchor build: table(m) follows from table(m - 1) by the
@@ -33,7 +43,9 @@ workers of any start method.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +64,7 @@ MAX_DENSE_LIMIT = 2**31
 MAX_QUOTIENT_ROOT = 2**25
 
 #: _tiled_blocks cuts both sieves into blocks of at most this many
-#: entries: odd numbers in _primes, integers or odd numbers in _sieve_blocks.
+#: entries: odd numbers in _prime_blocks, integers or odd numbers in _sieve_blocks.
 SIEVE_SEGMENT = 2**20
 
 #: A _sieve_blocks block strikes each prime power with at least this many
@@ -94,23 +106,55 @@ def isqrt(n: int) -> int:
     return math.isqrt(n)
 
 
+_free_rows = threading.local()
+
+
+@contextlib.contextmanager
+def _scratch(dtype, size: int):
+    """Lend the first size entries of a row of dtype for the with block.
+
+    The rows come from a free list of this thread's and go back to it on
+    exit, so a row has one holder at a time: two live walks, or a walk
+    and a call inside its loop, each hold their own, and so does every
+    thread.  The largest free row is lent; one shorter than size gives
+    way to a new row of size entries.  Rows are never freed, so a warm
+    call allocates no row: each dtype keeps as many as were ever held at
+    once in the thread, each as long as the longest need, and every
+    caller needs at most SIEVE_SEGMENT entries.
+    """
+    free = vars(_free_rows).setdefault(np.dtype(dtype), [])
+    row = free.pop() if free else None
+    if row is None or len(row) < size:
+        row = np.empty(size, dtype=dtype)
+    try:
+        yield row[:size]
+    finally:
+        free.append(row)
+        free.sort(key=len)
+
+
 def _tiled_blocks(pattern: np.ndarray, first: int, count: int):
     """Yield entries first .. first + count - 1 of pattern repeated, in blocks.
 
-    Each block holds at most SIEVE_SEGMENT entries.  pattern is tiled once
-    per call, to min(count, SIEVE_SEGMENT) + len(pattern) entries, and a
-    block is that tiling from its first entry mod len(pattern) on: a copy,
-    since the next block starts from the tiling again, except the last
-    block, which is a view.  So a one-block call allocates no block, and a
-    caller may write into every block without changing a later one.
+    Each block holds at most SIEVE_SEGMENT entries, written straight from
+    the pattern into one row lent by _scratch for the whole walk: the
+    pattern from the block's first entry mod len(pattern) to its end,
+    then whole periods through a (k, period) reshape, then the rest.  So
+    every block is a view of that row, valid only until the next one is
+    yielded: a caller may write into a block, and one that keeps a block
+    past the next must copy it.
     """
     period = len(pattern)
-    tiled = np.resize(pattern, min(count, SIEVE_SEGMENT) + period)
     end = first + count
-    for start in range(first, end, SIEVE_SEGMENT):
-        off = start % period
-        block = tiled[off : off + min(SIEVE_SEGMENT, end - start)]
-        yield block if start + SIEVE_SEGMENT >= end else block.copy()
+    with _scratch(pattern.dtype, min(count, SIEVE_SEGMENT)) as row:
+        for start in range(first, end, SIEVE_SEGMENT):
+            block = row[: min(SIEVE_SEGMENT, end - start)]
+            head = min(period - start % period, len(block))
+            block[:head] = pattern[start % period :][:head]
+            k, rest = divmod(len(block) - head, period)
+            block[head : head + k * period].reshape(k, period)[:] = pattern
+            block[head + k * period :] = pattern[:rest]
+            yield block
 
 
 #: The prime sieve's wheel, in odd numbers: the odd primes 3, 5, 7, 11
@@ -119,27 +163,23 @@ def _tiled_blocks(pattern: np.ndarray, first: int, count: int):
 _ODD_WHEEL = 3 * 5 * 7 * 11 * 13
 
 
-def _primes(limit: int) -> np.ndarray:
-    """The primes <= limit, ascending, as int64.
+def _prime_blocks(lo: int, hi: int):
+    """Yield the primes of [lo, hi], ascending, one fresh int64 array per block.
 
-    Entry i stands for the odd number 2i + 1, and the (limit + 1) // 2
-    entries are sieved in the blocks of _tiled_blocks.  The base primes,
-    the odd primes <= isqrt(limit), come first, from a sieve of the odd
-    numbers up to isqrt(limit).  Those that divide _ODD_WHEEL strike
-    their multiples once per call in the _ODD_WHEEL-entry pattern that
-    every block starts from, and the first block restores the wheel
-    primes.  Every other base prime p strikes its odd multiples from
-    max(p^2, its first odd multiple in the block) on, at a stride of p
-    entries.
+    Requires an odd lo with 1 <= lo <= hi and hi >= 2.  Entry i stands for
+    the odd number 2i + 1, and the entries of the odd numbers of [lo, hi]
+    are sieved in the blocks of _tiled_blocks.  The base primes, the odd
+    primes <= isqrt(hi), come first, from a sieve of the odd numbers up
+    to isqrt(hi).  Those that divide _ODD_WHEEL strike their multiples
+    once per call in the _ODD_WHEEL-entry pattern that every block starts
+    from, and the first block restores those of them >= lo.  Every other
+    base prime p strikes its odd multiples from max(p^2, its first odd
+    multiple in the block) on, at a stride of p entries.
 
-    The result is 2i + 1 for every entry i left standing, except that
-    entry 0, the number 1, which nothing strikes, reads 2.  So a one-block
-    result is that block's standing entries, not a copy of them behind a
-    leading 2.  No limit-sized mask is held, only one block.
+    A block's primes are 2i + 1 for every entry i left standing, except
+    that entry 0, the number 1, which nothing strikes, reads 2.
     """
-    if limit < 2:
-        return np.zeros(0, dtype=np.int64)
-    root = math.isqrt(limit)
+    root = math.isqrt(hi)
     small = np.ones((root + 1) // 2, dtype=bool)  # the odd numbers <= root
     small[:1] = False
     for i in range(1, (math.isqrt(root) + 1) // 2):
@@ -149,25 +189,36 @@ def _primes(limit: int) -> np.ndarray:
     in_wheel = _ODD_WHEEL % odd_primes == 0
     wheel, base = odd_primes[in_wheel], odd_primes[~in_wheel]
 
-    count = (limit + 1) // 2
+    first, count = lo // 2, (hi + 1) // 2 - lo // 2
     pattern = np.ones(_ODD_WHEEL, dtype=bool)
     for p in wheel.tolist():
         pattern[p // 2 :: p] = False
-    found = []
-    for start, block in zip(range(0, count, SIEVE_SEGMENT), _tiled_blocks(pattern, 0, count)):
-        if start == 0:
-            block[wheel // 2] = True
+    starts = range(first, first + count, SIEVE_SEGMENT)
+    for start, block in zip(starts, _tiled_blocks(pattern, first, count)):
+        if start == first:
+            block[wheel[wheel >= lo] // 2 - first] = True
         firsts = np.maximum(base * base // 2, start + (base // 2 - start) % base) - start
         hit = firsts < len(block)
-        for p, first in zip(base[hit].tolist(), firsts[hit].tolist()):
-            block[first::p] = False
-        standing = np.flatnonzero(block).astype(np.int64, copy=False)
-        standing *= 2
-        standing += 2 * start + 1
-        found.append(standing)
-    primes = found[0] if len(found) == 1 else np.concatenate(found)
-    primes[0] = 2  # in place of 1
-    return primes
+        for p, at in zip(base[hit].tolist(), firsts[hit].tolist()):
+            block[at::p] = False
+        primes = np.flatnonzero(block).astype(np.int64, copy=False)
+        primes *= 2
+        primes += 2 * start + 1
+        if start == 0:
+            primes[0] = 2  # in place of 1
+        yield primes
+
+
+def _primes(limit: int) -> np.ndarray:
+    """The primes <= limit, ascending, as int64: the blocks of _prime_blocks(1, limit) joined.
+
+    A one-block result is that block's array, not a copy of it.  No
+    limit-sized mask is held, only one block row.
+    """
+    if limit < 2:
+        return np.zeros(0, dtype=np.int64)
+    found = list(_prime_blocks(1, limit))
+    return found[0] if len(found) == 1 else np.concatenate(found)
 
 
 @dataclass(frozen=True)
@@ -669,7 +720,8 @@ def _sieve_blocks(
     The prime powers that divide _WHEEL = 27720 (of base primes only: a
     wheel prime that is not a base prime is no smooth factor) are applied
     once per call to a pattern of _WHEEL entries, and the blocks are
-    those of _tiled_blocks over it from entry lo // step on.  Pattern
+    those of _tiled_blocks over it from entry lo // step on: views of one
+    lent row, each valid until the next is yielded.  Pattern
     entry j stands for step * j + step - 1: the integer j, or the odd
     number 2j + 1, whose multiples of an odd q start at j = q // 2.
     Every odd q of the wheel divides 3465 = 27720 / 8, so over odd

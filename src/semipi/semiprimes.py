@@ -38,9 +38,10 @@ a - 1 and b share the fault.  The oracle shares only the base-prime
 sieve ``_primes`` with the recurrence; its block sieve
 ``primes._sieve_blocks`` also finds the smooth parts that step
 ``quotient_tables``.  ``oracle_counts``, which the count, the sweep's
-oracle column and the window check all read, holds one block at a time
-plus one count per n, one uint8 count of small prime factors per entry
-and no smooth part.  A count from 1 sieves only the odd numbers, in
+oracle column and the window check all read, holds one count per n and
+no smooth part, and two block rows that ``primes._scratch`` lends and
+the thread keeps for its next call: one uint8 count of small prime
+factors per entry and one bool flag per entry.  A count from 1 sieves only the odd numbers, in
 blocks of SIEVE_SEGMENT of them, and counts an even semiprime 2o by the
 odd prime o; a window near n sieves every integer, in blocks of at most
 SIEVE_SEGMENT.  The blocks are those of ``primes._tiled_blocks`` over a
@@ -57,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError, RangeError
-from .primes import QuotientPiTable, _primes, _sieve_blocks, isqrt
+from .primes import QuotientPiTable, _primes, _scratch, _sieve_blocks, isqrt
 
 #: eq3_naive enumerates every prime <= n/2; refuse beyond this.
 NAIVE_MAX_N = 10**7
@@ -139,18 +140,20 @@ def _naive_sum(n: int, qpi: QuotientPiTable) -> int:
     NAIVE_MAX_N since the term count alone is pi(n/2).  The primes come
     from qpi.dense (the sieve the table was read from) if set, else from
     a sieve of n // 2.  Each prime p reads larges[p] where n // p >
-    isqrt(n) and smalls[n // p] elsewhere, so the tail reads smalls.
+    isqrt(n), that is p <= n // (isqrt(n) + 1), the first k primes by one
+    searchsorted, and smalls[n // p] elsewhere, so the tail reads smalls.
+    The tail's quotients are divided into the sieve's own result and read
+    by smalls.take into the same slice; a dense table's primes are a
+    read-only view, so there they go into a copy.
     """
     if n > NAIVE_MAX_N:
         raise RangeError(f"n={n} exceeds the naive-form cap {NAIVE_MAX_N}; use eq3_grouped")
-    half = n // 2
-    if qpi.dense is None:
-        ps = _primes(half)
-    else:
-        ps = qpi.dense.primes[: qpi.dense.pi(half)]
-    quot = n // ps
-    k = int(np.count_nonzero(quot > qpi.root))  # quot descends: the first k read larges
-    return int(qpi.larges[ps[:k]].sum()) + int(qpi.smalls[quot[k:]].sum())
+    ps = _primes(n // 2) if qpi.dense is None else qpi.dense.primes[: qpi.dense.pi(n // 2)]
+    k = int(np.searchsorted(ps, n // (qpi.root + 1), side="right"))  # the p with n // p > root
+    head = int(qpi.larges[ps[:k]].sum())
+    quot = ps[k:] if qpi.dense is None else ps[k:].copy()  # _primes' result is ours to overwrite
+    np.floor_divide(n, quot, out=quot)
+    return head + int(qpi.smalls.take(quot, out=quot, mode="wrap").sum())
 
 
 def formula_counts(n: int, qpi: QuotientPiTable, methods: tuple[str, ...]) -> list[int]:
@@ -304,10 +307,12 @@ def oracle_counts(lo: int, ns: range) -> np.ndarray:
     semiprimes, the even ones too, by the first rules alone.
 
     Either pass reads h from the blocks of _sieve_blocks, which adds 1 at
-    the multiples of every power of a base prime, holds one block and
-    len(ns) counts, adds the products p * q of each block from
-    _base_pairs, and reads each n's count from a running count plus the
-    block's flags (_tally).  Reads no quotient table and applies no cap.
+    the multiples of every power of a base prime, and holds len(ns)
+    counts.  Each block's flags are written by np.equal into one bool row
+    that _scratch lends: the semiprimes, with the products p * q of the
+    block from _base_pairs, then the primes, once the semiprimes are
+    tallied.  Each n's count is a running count plus the block's flags
+    (_tally).  Reads no quotient table and applies no cap.
     """
     if lo < 1 or len(ns) == 0 or ns.step < 1 or ns[0] < lo:
         raise RangeError(f"need an ascending range of n >= lo >= 1, got lo={lo}, ns={ns}")
@@ -329,14 +334,15 @@ def oracle_counts(lo: int, ns: range) -> np.ndarray:
         # Entries below `small` hold the m <= R, and below `cut` the m <= R or m < lo.
         small = max((root - start) // step + 1, 0)
         cut = max(small, -(-(lo - start) // step))
-        semiprime = h == 1
-        semiprime[:cut] = False
-        semiprime[(_base_pairs(base, max(start, lo), end) - start) // step] = True
-        semiprime_count = _tally(out, ns, 1, semiprime, start, step, semiprime_count)
-        if step == 2 and start <= last // 2:
-            prime = h == 0
-            prime[:small] = h[:small] == 1
-            prime_count = _tally(out, ns, 2, prime, start, step, prime_count)
+        with _scratch(bool, len(h)) as flags:
+            semiprime = np.equal(h, 1, out=flags)
+            semiprime[:cut] = False
+            semiprime[(_base_pairs(base, max(start, lo), end) - start) // step] = True
+            semiprime_count = _tally(out, ns, 1, semiprime, start, step, semiprime_count)
+            if step == 2 and start <= last // 2:
+                prime = np.equal(h, 0, out=flags)
+                np.equal(h[:small], 1, out=prime[:small])
+                prime_count = _tally(out, ns, 2, prime, start, step, prime_count)
     return out
 
 

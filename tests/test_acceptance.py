@@ -205,7 +205,7 @@ def test_criterion_8_step_property(sweep):
         r = isqrt(SWEEP_LIMIT)
         base = _primes(r)
         ones = np.ones(len(base), dtype=np.uint8)
-        h = np.concatenate([h for _, h in _sieve_blocks(0, SWEEP_LIMIT, base, ones, np.add)])
+        h = np.concatenate([h.copy() for _, h in _sieve_blocks(0, SWEEP_LIMIT, base, ones, np.add)])
         semiprime = h == 1
         semiprime[: r + 1] = False
         semiprime[np.outer(base, base)] = True  # every product is <= r^2

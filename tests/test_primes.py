@@ -1,5 +1,6 @@
 import bisect
 import dataclasses
+import itertools
 import math
 import pickle
 import random
@@ -155,20 +156,98 @@ SIEVE_EDGES = sorted({
 @pytest.mark.parametrize("count", [1, 63, 64, 65, 131])
 def test_tiled_blocks(monkeypatch, period, periods, extra, count):
     # Blocks of at most 64 entries of the tiling from entry `first` on,
-    # each a copy but the last, which is a view: both sieves write into
-    # their blocks, and no write may reach a later block.
+    # every one a view of one row: both sieves write into their blocks,
+    # and no write may reach a later block's values.
     monkeypatch.setattr(primes_module, "SIEVE_SEGMENT", 64)
     first = periods * period + extra
     pattern = np.arange(period)
-    got, copied = [], []
+    got, rows = [], []
     for block in primes_module._tiled_blocks(pattern, first, count):
         assert len(block) <= 64
         got.append(block.copy())
-        copied.append(block.base is None)
+        rows.append(block.base)
         block[:] = -1
     assert np.array_equal(np.concatenate(got), np.resize(pattern, first + count)[first:])
-    assert copied == [True] * (len(got) - 1) + [False]
+    assert rows[0] is not None and all(row is rows[0] for row in rows)
     assert np.array_equal(pattern, np.arange(period))
+
+
+def test_scratch_lends_each_holder_its_own_row():
+    # Two holders at once get two rows; a row comes back on exit and is
+    # lent again, and a longer need takes a new row in its place.
+    with primes_module._scratch(np.int16, 10) as a, primes_module._scratch(np.int16, 5) as b:
+        assert len(a) == 10 and len(b) == 5 and not np.shares_memory(a.base, b.base)
+    with primes_module._scratch(np.int16, 8) as c:
+        assert len(c) == 8 and c.base is a.base
+    with primes_module._scratch(np.int16, 12) as d:
+        assert len(d) == 12 and d.base is not a.base
+
+
+def test_warm_one_block_primes_allocate_only_their_result():
+    # The block row outlives the call, so a warm one-block sieve allocates
+    # its result and a few small rows: the wheel pattern (29 KiB) and the
+    # base primes' offsets.
+    for limit in ((3 * 10**6 + 17) // 2, 2 * primes_module.SIEVE_SEGMENT - 1):
+        primes_module._primes(limit)
+        tracemalloc.start()
+        try:
+            got = primes_module._primes(limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < got.nbytes + 64 * 2**10, limit
+
+
+@pytest.mark.parametrize(
+    "lo",
+    [
+        1, 3, 9, 13, 15,
+        2 * 12345 + 1,  # inside the first block
+        2 * primes_module._ODD_WHEEL - 1,
+        2 * primes_module._ODD_WHEEL + 1,  # the first entry of a pattern period
+        2 * primes_module.SIEVE_SEGMENT - 1,
+        2 * primes_module.SIEVE_SEGMENT + 1,  # the first entry of _primes' second block
+    ],
+)
+def test_prime_blocks_from_any_odd_lo(lo):
+    hi = 6 * primes_module.SIEVE_SEGMENT + 11
+    blocks = list(primes_module._prime_blocks(lo, hi))
+    assert len(blocks) == -(-((hi + 1) // 2 - lo // 2) // primes_module.SIEVE_SEGMENT)
+    assert all(b.dtype == np.int64 for b in blocks)
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(blocks, 2))
+    want = primes_module._primes(hi)
+    assert np.array_equal(np.concatenate(blocks), want[want >= lo])
+
+
+def test_prime_blocks_over_small_ranges():
+    want = trial_primes(400)
+    for lo in range(1, 200, 2):
+        for hi in range(max(lo, 2), lo + 200, 3):
+            got = np.concatenate([np.zeros(0, np.int64), *primes_module._prime_blocks(lo, hi)])
+            assert got.tolist() == [p for p in want if lo <= p <= hi], (lo, hi)
+
+
+def test_two_live_sieve_walks_of_one_dtype(monkeypatch):
+    # Two uint8 walks in lockstep hold a row each, and yield what each
+    # yields alone.
+    monkeypatch.setattr(primes_module, "SIEVE_SEGMENT", 1000)
+    base = primes_module._primes(isqrt(30000))
+    ones = np.ones(len(base), dtype=np.uint8)
+
+    def walk(lo, hi, step):
+        b = base[step - 1 :]
+        return primes_module._sieve_blocks(lo, hi, b, ones[step - 1 :], np.add, step)
+
+    cases = [(1, 20001, 2), (5000, 30000, 1)]
+    alone = [[(start, h.copy()) for start, h in walk(*case)] for case in cases]
+    together = [[], []]
+    for pair in itertools.zip_longest(*(walk(*case) for case in cases)):
+        for got, item in zip(together, pair):
+            if item is not None:
+                got.append((item[0], item[1].copy()))
+    for a, b in zip(alone, together):
+        assert [s for s, _ in a] == [s for s, _ in b] and len(a) > 5
+        assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(a, b))
 
 
 def test_primes_match_trial_division_up_to_3000():
@@ -651,6 +730,23 @@ def test_quotient_tables_one_n_and_a_strided_pair():
     check_range(range(10**6 - 1, 10**6 + 10**5, 10**5), build_quotient_pi)
     check_range(range(1, 3), build_quotient_pi)
 
+
+
+def test_two_quotient_table_walks_zipped(monkeypatch):
+    # Each walk's smooth parts come in blocks of its own int32 row, so two
+    # walks in lockstep yield the tables that each yields alone.
+    monkeypatch.setattr(primes_module, "SIEVE_SEGMENT", 64)
+    ranges = [range(10**7 + 1, 10**7 + 501), range(2 * 10**7 + 1, 2 * 10**7 + 801, 2)]
+    alone = [list(quotient_tables(ns)) for ns in ranges]
+    together = [[], []]
+    for pair in itertools.zip_longest(*(quotient_tables(ns) for ns in ranges)):
+        for got, table in zip(together, pair):
+            if table is not None:
+                got.append(table)
+    for a, b in zip(alone, together):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same_table(y, x)
 
 INT32_EDGE_WALKS = [
     ("ns0-int32", range(2**31 - 8, 2**31), np.int32),

@@ -1,7 +1,9 @@
 import collections
 import dataclasses
+import hashlib
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,9 +40,10 @@ from semipi.semiprimes import _head_sum, _naive_sum, _tail_sum, formula_counts
 
 
 def smooth_omega_blocks(lo: int, hi: int) -> list:
-    """The h blocks of _sieve_blocks over [lo, hi], base primes <= isqrt(hi)."""
+    """Copies of the h blocks of _sieve_blocks over [lo, hi], base primes <= isqrt(hi)."""
     base = _primes(isqrt(hi))
-    return list(_sieve_blocks(lo, hi, base, np.ones(len(base), dtype=np.uint8), np.add))
+    ones = np.ones(len(base), dtype=np.uint8)
+    return [(start, h.copy()) for start, h in _sieve_blocks(lo, hi, base, ones, np.add)]
 
 
 def oracle_window(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -586,6 +589,36 @@ def test_shared_table_concurrent_reads():
         )
     assert results == [expected] * 32
 
+
+
+def test_oracle_and_prime_sieve_on_two_threads_at_once():
+    # Each thread lends block rows from its own free list, so two threads
+    # that sieve at once get the serial results.
+    from concurrent.futures import ThreadPoolExecutor
+
+    def work(n):
+        primes = _primes(n // 2)
+        return int(oracle_counts(1, range(n, n + 1))[0]), hashlib.sha256(primes).hexdigest()
+
+    ns = [3 * 10**6 + 17, 2**21 + 5, 4 * 10**6 + 1, 10**6 + 3, 7 * 10**6 + 9, 2 * 10**6 + 11]
+    want = [work(n) for n in ns]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        assert list(pool.map(work, ns + ns[::-1])) == want + want[::-1]
+
+
+def test_warm_oracle_count_allocates_no_block():
+    # The odd pass's uint8 count row and its bool flag row outlive the
+    # call, so a warm count from 1 over its two blocks allocates no
+    # block-sized array: with fresh rows it peaked at 4.2 MiB.
+    n = 3 * 10**6 + 17
+    oracle_counts(1, range(n, n + 1))
+    tracemalloc.start()
+    try:
+        oracle_counts(1, range(n, n + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
 
 FORMULAS = ("eq1", "eq3_grouped", "eq3_naive")
 
