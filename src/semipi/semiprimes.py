@@ -41,13 +41,13 @@ sieve ``_primes`` with the recurrence; its block sieve
 oracle column and the window check all read, holds one count per n and
 no smooth part, and two block rows that ``primes._scratch`` lends and
 the thread keeps for its next call: one uint8 count of small prime
-factors per entry and one bool flag per entry.  A count from 1 sieves only the odd numbers, in
-blocks of SIEVE_SEGMENT of them, and counts an even semiprime 2o by the
-odd prime o; a window near n sieves every integer, in blocks of at most
-SIEVE_SEGMENT.  The blocks are those of ``primes._tiled_blocks`` over a
-27720-entry pattern of the share of 2, 4, 8, 3, 9, 5, 7 and 11 (only the
-odd ones over odd numbers), and each walks only the other prime powers
-with a multiple in it.
+factors per entry and one bool flag per entry.  A count from 1 sieves
+only the odd numbers, in blocks of SIEVE_SEGMENT of them, and counts an
+even semiprime 2o by the odd prime o; a window near n sieves every
+integer, in blocks of at most SIEVE_SEGMENT.  The blocks are those of
+``primes._tiled_blocks`` over a 27720-entry pattern of the share of 2,
+4, 8, 3, 9, 5, 7 and 11 (only the odd ones over odd numbers), and each
+walks only the other prime powers with a multiple in it.
 """
 
 from __future__ import annotations
@@ -149,9 +149,9 @@ def _naive_sum(n: int, qpi: QuotientPiTable) -> int:
     if n > NAIVE_MAX_N:
         raise RangeError(f"n={n} exceeds the naive-form cap {NAIVE_MAX_N}; use eq3_grouped")
     ps = _primes(n // 2) if qpi.dense is None else qpi.dense.primes[: qpi.dense.pi(n // 2)]
-    k = int(np.searchsorted(ps, n // (qpi.root + 1), side="right"))  # the p with n // p > root
+    k = int(np.searchsorted(ps, n // (qpi.root + 1), side="right"))
     head = int(qpi.larges[ps[:k]].sum())
-    quot = ps[k:] if qpi.dense is None else ps[k:].copy()  # _primes' result is ours to overwrite
+    quot = ps[k:] if qpi.dense is None else ps[k:].copy()
     np.floor_divide(n, quot, out=quot)
     return head + int(qpi.smalls.take(quot, out=quot, mode="wrap").sum())
 

@@ -731,7 +731,6 @@ def test_quotient_tables_one_n_and_a_strided_pair():
     check_range(range(1, 3), build_quotient_pi)
 
 
-
 def test_two_quotient_table_walks_zipped(monkeypatch):
     # Each walk's smooth parts come in blocks of its own int32 row, so two
     # walks in lockstep yield the tables that each yields alone.

@@ -48,7 +48,6 @@ def test_table_digest_pins_the_default_tables():
     )
 
 
-
 def test_block_digest_pins_the_sieve_blocks():
     # One sha256 over every block of _sieve_blocks, as yielded, on the
     # oracle's passes and windows, two walks' smooth parts and a grid of
@@ -58,6 +57,7 @@ def test_block_digest_pins_the_sieve_blocks():
     assert proc.stdout == (
         "sha256 779aa0935238b55e6d3bd955730bb2e20c739f7c917cafa86222dcd250d88dbb\n"
     )
+
 
 def test_code_lines_counts_code_outside_docstrings(tmp_path):
     # Code lines: import, the four lines of the expression, def f, its

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -590,7 +591,6 @@ def test_shared_table_concurrent_reads():
     assert results == [expected] * 32
 
 
-
 def test_oracle_and_prime_sieve_on_two_threads_at_once():
     # Each thread lends block rows from its own free list, so two threads
     # that sieve at once get the serial results.
@@ -602,8 +602,14 @@ def test_oracle_and_prime_sieve_on_two_threads_at_once():
 
     ns = [3 * 10**6 + 17, 2**21 + 5, 4 * 10**6 + 1, 10**6 + 3, 7 * 10**6 + 9, 2 * 10**6 + 11]
     want = [work(n) for n in ns]
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        assert list(pool.map(work, ns + ns[::-1])) == want + want[::-1]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, between numpy calls too
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(work, ns + ns[::-1], timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want + want[::-1]
 
 
 def test_warm_oracle_count_allocates_no_block():
