@@ -402,7 +402,9 @@ def _run_chunked(row, columns: tuple[str, ...], ns: range, max_n: int, workers: 
     through the same row loop (_rows) that each pool worker runs, so the
     output is the same at any worker count; only pool workers set module
     state.  Each chunk comes back as one int64 array, filled as its rows
-    come, and the chunks are joined in order.
+    come, and is written into one int64 array of every row as pool.map
+    yields it, so a pooled range holds its rows once, plus the chunks
+    not yet written, never every chunk and their join.
     """
     _check_workers(workers)
     workers = min(workers, os.cpu_count() or 1)
@@ -416,13 +418,15 @@ def _run_chunked(row, columns: tuple[str, ...], ns: range, max_n: int, workers: 
     if chunk_size >= len(ns):  # one chunk, as at one worker
         return dict(zip(columns, _rows(row, len(columns), tables, ns).T))
     chunks = [ns[i : i + chunk_size] for i in range(0, len(ns), chunk_size)]
+    rows = np.empty((len(ns), len(columns)), dtype=np.int64)
     with ProcessPoolExecutor(
         max_workers=min(workers, len(chunks)),
         initializer=_range_init,
         initargs=((row, len(columns), tables),),
     ) as pool:
-        parts = list(pool.map(_range_chunk, chunks))
-    return dict(zip(columns, np.concatenate(parts).T))
+        for i, part in zip(range(0, len(ns), chunk_size), pool.map(_range_chunk, chunks)):
+            rows[i : i + len(part)] = part
+    return dict(zip(columns, rows.T))
 
 
 # ---------------------------------------------------------------------------

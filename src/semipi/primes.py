@@ -27,6 +27,7 @@ int64 smooth parts (4 or 8 MiB).
 
 ``quotient_tables`` yields the QuotientPiTable of every n of an ascending
 range from one anchor build: table(m) follows from table(m - 1) by the
+steps that ``_walk_steps`` lists, one ascending list per block of the
 smooth parts of ``_factor_blocks``, and the last table is checked against
 its own build entry by entry.  Its block sieve ``_sieve_blocks`` also
 counts the small prime factors that the oracle in ``semiprimes`` reads,
@@ -42,7 +43,6 @@ workers of any start method.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import math
 import threading
@@ -796,6 +796,38 @@ def _factor_blocks(lo: int, hi: int, base: np.ndarray):
     return _sieve_blocks(lo, hi, base, base.astype(dtype), np.multiply)
 
 
+def _walk_steps(lo: int, hi: int, base: np.ndarray):
+    """Yield (end, ms, ds) for consecutive blocks covering [lo, hi]: a walk's steps.
+
+    A step at m is larges[d] += 1 for a d <= isqrt(m) + 1 that divides m
+    with m / d a prime q.  ms lists, ascending, the m of the block
+    [start, end) once per step, and ds[k] is the d of the step at ms[k],
+    in the dtype of the block's smooth parts.  The caller passes the
+    base primes p <= isqrt(hi), and the blocks are those of
+    _factor_blocks, whose smooth part s of m leaves a cofactor 1 or one
+    prime q > isqrt(hi) >= isqrt(m), which gives d = s <= isqrt(m).  A
+    base prime q gives d = m / q when (d - 1)^2 <= m = q * d, which holds
+    exactly when d <= q + 1: then (d - 1)^2 <= q * (d - 1), and above it
+    (d - 1)^2 >= (q + 1) * (d - 1) > q * d.  Those steps, far fewer, are
+    sorted by m and inserted into the cofactor steps, so m = 6 = 2 * 3,
+    the one m with two steps, appears twice.
+    """
+    for start, part in _factor_blocks(lo, hi, base):
+        end = start + len(part)
+        # part < m: m = part * q, q a prime > isqrt(hi), so d = part.
+        big = np.flatnonzero(part < np.arange(start, end, dtype=part.dtype))
+        # Base primes q with a multiple m = q * d in the block, d <= q + 1.
+        qs = base[np.searchsorted(base, max(isqrt(start) - 1, 0)) :]
+        d0 = -(-start // qs)
+        took = np.maximum(np.minimum((end - 1) // qs, qs + 1) - d0 + 1, 0)
+        q = np.repeat(qs, took)
+        d = np.repeat(d0 - np.cumsum(took) + took, took) + np.arange(len(q))
+        order = np.argsort(q * d)
+        qd, d = (q * d)[order], d[order].astype(part.dtype)
+        at = np.searchsorted(big, qd - start)
+        yield end, np.insert(big + start, at, qd), np.insert(part[big], at, d)
+
+
 def _table_at(n: int, smalls: np.ndarray, larges: np.ndarray, primes: np.ndarray):
     """The QuotientPiTable of n from walk tables sized for some n' >= n.
 
@@ -839,20 +871,14 @@ def quotient_tables(ns: range, *, max_n: int = SUPPORTED_MAX_N):
       larges[r + 2] = pi(m // (r + 2)) = pi(r), and root_primes gains
       r + 1 if it is prime.
 
-    The steps come from the smooth parts that the factoring sieve
-    _factor_blocks finds over the walked m, whose base primes are the
-    check build's root_primes.  Once the smooth part s of m is divided
-    out, the cofactor is 1 or one prime q > isqrt(m), which gives
-    d = s <= isqrt(m).
-    A base prime q gives d = m / q when (d - 1)^2 <= m = q * d, which
-    holds exactly when d <= q + 1: then (d - 1)^2 <= q * (d - 1), and
-    above it (d - 1)^2 >= (q + 1) * (d - 1) > q * d.  The working tables
-    are sized for ns[-1] up front: the entries born at a square hold
-    their birth value from the start, and no step reaches them before
-    then.  So every step commutes with the others, and the steps between
-    two n are applied with np.add.at, one family at a time: the cofactor
-    steps through a mask over the block, which is in ascending m, and the
-    base-prime steps, far fewer, sorted by m.
+    The steps come from _walk_steps over the walked m, whose base primes
+    are the check build's root_primes: one list per block, ascending in
+    m.  The working tables are sized for ns[-1] up front: the entries
+    born at a square hold their birth value from the start, and no step
+    reaches them before then.  So every step commutes with the others,
+    and the steps between two n are one slice of the block's list,
+    applied with one np.add.at; one searchsorted per block finds where
+    each n's slice ends.
 
     Each table is bit-identical to build_quotient_pi(n) in values, dtypes
     and flags; only its larges is fresh, its smalls and root_primes are
@@ -889,33 +915,16 @@ def quotient_tables(ns: range, *, max_n: int = SUPPORTED_MAX_N):
     del anchor  # the caller decides how long the anchor lives
 
     i = 1  # ns[i] is the next table to yield
-    for start, part in _factor_blocks(ns[0] + 1, last, primes):
-        end = start + len(part)
-        # m = start + j = part[j] * q, q a prime > isqrt(ns[-1]): d = part[j].
-        big = part < np.arange(start, end, dtype=part.dtype)
-        # Base primes q with a multiple m = q * d in the block, d <= q + 1.
-        qs = primes[np.searchsorted(primes, max(isqrt(start) - 1, 0)) :]
-        d0 = -(-start // qs)
-        took = np.maximum(np.minimum((end - 1) // qs, qs + 1) - d0 + 1, 0)
-        q = np.repeat(qs, took)
-        d = np.repeat(d0 - np.cumsum(took) + took, took) + np.arange(len(q))
-        qd = q * d
-        order = np.argsort(qd)
-        base_m, base_d = qd[order].tolist(), d[order]
-        # One cursor per family: the steps applied are those at the first
-        # `done` m of the block and the first `base_done` base-prime steps.
-        done = base_done = 0
-        while i < len(ns) and ns[i] < end:
-            upto = ns[i] - start + 1
-            np.add.at(larges, part[done:upto][big[done:upto]], 1)
-            base_upto = bisect.bisect_right(base_m, ns[i])
-            if base_upto > base_done:  # seldom; np.add.at costs as much when empty
-                np.add.at(larges, base_d[base_done:base_upto], 1)
-            done, base_done = upto, base_upto
-            table = _table_at(ns[i], smalls, larges, primes)
-            if ns[i] == last:
+    for end, ms, ds in _walk_steps(ns[0] + 1, last, primes):
+        j = len(range(ns.start, min(end, ns.stop), ns.step))  # ns[i:j] lie below end
+        # ds[:upto] are the block's steps at m <= n, upto from one search.
+        done = 0
+        for n, upto in zip(ns[i:j], np.searchsorted(ms, ns[i:j], side="right").tolist()):
+            np.add.at(larges, ds[done:upto], 1)
+            done = upto
+            table = _table_at(n, smalls, larges, primes)
+            if n == last:
                 _require_equal(want, table)
             yield table
-            i += 1
-        np.add.at(larges, part[done:][big[done:]], 1)
-        np.add.at(larges, base_d[base_done:], 1)
+        np.add.at(larges, ds[done:], 1)
+        i = j

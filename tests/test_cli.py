@@ -809,6 +809,37 @@ def test_pooled_sweep_builds_the_dense_sieve_once(capsys, monkeypatch, fake_pool
     assert out_two == out_one
 
 
+def test_pooled_range_holds_its_rows_once(monkeypatch, fake_pool):
+    # Each chunk is written into one array of every row as the pool
+    # yields it.  Keeping every chunk and then their join would hold the
+    # rows twice; 40 columns make the rows dwarf the range's dense sieve.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    ns, columns = range(1, 20001), tuple(f"c{k}" for k in range(40))
+
+    def row(n, qpi):
+        return [qpi.n + k for k in range(len(columns))]
+
+    tracemalloc.start()
+    try:
+        cols = cli._run_chunked(row, columns, ns, 10**11, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fake_pool == [2]
+    assert cols["c0"].tolist() == list(ns) and cols["c39"][-1] == ns[-1] + 39
+    assert peak < 1.5 * len(ns) * len(columns) * 8
+
+
+def test_in_process_range_returns_the_row_loop_array(monkeypatch):
+    # One worker takes the row loop's own array, without a copy.
+    made = []
+    real = cli._rows
+    monkeypatch.setattr(cli, "_rows", lambda *a: made.append(real(*a)) or made[-1])
+    cols = cli._run_chunked(lambda n, qpi: [n, n], ("a", "b"), range(1, 50), 10**11, 1)
+    (rows,) = made
+    assert np.shares_memory(cols["a"], rows) and np.shares_memory(cols["b"], rows)
+
+
 def test_in_process_sweep_frees_its_dense_sieve(monkeypatch):
     # Once a range ends, nothing holds its dense sieve, so the next range
     # does not build its own table while the old one is still held.

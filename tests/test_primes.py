@@ -731,6 +731,53 @@ def test_quotient_tables_one_n_and_a_strided_pair():
     check_range(range(1, 3), build_quotient_pi)
 
 
+@pytest.mark.parametrize("width", [2, 7, 50])
+def test_quotient_tables_tiny_walks(width):
+    # From every ns[0] in 1..40: across m = 6, the one m with two steps,
+    # and the squares up to 89, where smalls and larges grow.
+    for a in range(1, 41):
+        check_range(range(a, a + width), build_quotient_pi)
+
+
+def brute_steps(lo: int, hi: int) -> list[tuple[int, int]]:
+    """The (m, d) of every walk step in [lo, hi] by trial division:
+    d <= isqrt(m) + 1 with m / d a prime factor q of m."""
+    steps = []
+    for m in range(lo, hi + 1):
+        rest, qs = m, []
+        for p in range(2, math.isqrt(m) + 1):
+            if p * p > rest:
+                break
+            if rest % p == 0:
+                qs.append(p)
+                while rest % p == 0:
+                    rest //= p
+        qs += [rest] * (rest > 1)
+        steps += sorted((m, m // q) for q in qs if m // q <= math.isqrt(m) + 1)
+    return steps
+
+
+@pytest.mark.parametrize(
+    "lo,hi",
+    [(1, 3000), (10**8 - 1000, 10**8 + 1000), (3163 * 3164 - 3, 3163 * 3164 + 3)],
+)
+def test_walk_steps_are_every_prime_quotient_step(lo, hi):
+    # 3163 is prime, so m = 3163 * 3164 takes the base-prime step d = q + 1.
+    base = primes_module._primes(isqrt(hi))
+    got, start = [], lo
+    for end, ms, ds in primes_module._walk_steps(lo, hi, base):
+        assert ms.dtype == np.int64 and ds.dtype == np.int32  # hi < 2**31
+        assert np.all(np.diff(ms) >= 0) and np.all((start <= ms) & (ms < end))
+        got += sorted(zip(ms.tolist(), ds.tolist()))
+        start = end
+    assert start == hi + 1
+    assert got == brute_steps(lo, hi)
+    if lo <= 6:
+        assert [d for m, d in got if m == 6] == [2, 3]
+    if lo < 3163 * 3164 <= hi:
+        assert (3163 * 3164, 3164) in got
+
+
 def test_two_quotient_table_walks_zipped(monkeypatch):
     # Each walk's smooth parts come in blocks of its own int32 row, so two
     # walks in lockstep yield the tables that each yields alone.

@@ -48,6 +48,19 @@ def test_table_digest_pins_the_default_tables():
     )
 
 
+def test_walk_digest_pins_the_walked_tables():
+    # One sha256 over every table that quotient_tables yields on tiny
+    # walks from 1..40, high_sweep's 6-n walks, 200 n from 10**10, a
+    # stride-7 walk and selftest's window pair.  A change to the walk
+    # must keep it.
+    proc = run_script("walk_digest.py")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "sha256 4d1b8428aaa4cbc4b01c90ff9c5bc0bc762cbfe0a9ed81202901cb7e988d870d"
+        " over 2886 tables\n"
+    )
+
+
 def test_block_digest_pins_the_sieve_blocks():
     # One sha256 over every block of _sieve_blocks, as yielded, on the
     # oracle's passes and windows, two walks' smooth parts and a grid of
