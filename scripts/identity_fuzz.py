@@ -4,6 +4,9 @@
 Draws `--per-decade` random n uniformly from each decade [10^k, 10^(k+1))
 up to --max-exp, checks lhs == rhs at every draw, and prints a one-line
 summary per decade.  Any nonzero residual is a bug and aborts loudly.
+--per-decade below 1, or --max-exp outside 0..10 (the 10^10 decade's
+draws are the last below SUPPORTED_MAX_N = 10^11), is refused as a
+usage error before the first draw.
 
     python3 scripts/identity_fuzz.py --seed 7 --per-decade 50 --max-exp 9
 """
@@ -13,7 +16,7 @@ import random
 import sys
 import time
 
-from semipi import build_quotient_pi, check_identity
+from semipi import SUPPORTED_MAX_N, build_quotient_pi, check_identity
 
 
 def main() -> int:
@@ -22,6 +25,12 @@ def main() -> int:
     ap.add_argument("--per-decade", type=int, default=50, help="draws per decade")
     ap.add_argument("--max-exp", type=int, default=9, help="largest decade 10^k")
     args = ap.parse_args()
+    # The 10^k decade draws n < 10^(k + 1), which must not pass SUPPORTED_MAX_N.
+    top = len(str(SUPPORTED_MAX_N)) - 2
+    if args.per_decade < 1:
+        ap.error("--per-decade must be at least 1")
+    if not 0 <= args.max_exp <= top:
+        ap.error(f"--max-exp must lie in 0..{top}: the 10^{top + 1} decade passes SUPPORTED_MAX_N")
 
     rng = random.Random(args.seed)
     worst = 0

@@ -4,10 +4,13 @@ README's library and CLI examples."""
 import ast
 import os
 import re
+import runpy
 import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from semipi import cli
 
@@ -37,39 +40,50 @@ def test_identity_fuzz_holds():
     assert "identity held at every draw" in proc.stdout
 
 
-def test_table_digest_pins_the_default_tables():
-    # One sha256 over the values, dtypes, shapes and read-only flags of
-    # build_quotient_pi at ten n from 10**8 + 7 to 10**11, across the
-    # int32 edges of larges.  A change to the recurrence must keep it.
-    proc = run_script("table_digest.py")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (
-        "sha256 5048b319434ec3a9a031c1b8d7285ca04d1451921714232767932bf891d939ec over 10 n\n"
-    )
+@pytest.mark.parametrize(
+    "args",
+    [("--max-exp", "11"), ("--max-exp", "-1"), ("--per-decade", "0"), ("--per-decade", "-1")],
+)
+def test_identity_fuzz_refuses_what_it_cannot_honour(args):
+    # The 10^11 decade draws past SUPPORTED_MAX_N, and no decade or no
+    # draw would claim that the identity held.  Each is refused before
+    # the first draw, as a usage error.
+    proc = run_script("identity_fuzz.py", "--seed", "1", *args)
+    assert proc.returncode == 2
+    assert "decade" not in proc.stdout
+    assert "Traceback" not in proc.stderr
+    assert args[0] in proc.stderr
 
 
-def test_walk_digest_pins_the_walked_tables():
-    # One sha256 over every table that quotient_tables yields on tiny
-    # walks from 1..40, high_sweep's 6-n walks, 200 n from 10**10, a
-    # stride-7 walk and selftest's window pair.  A change to the walk
-    # must keep it.
-    proc = run_script("walk_digest.py")
+def test_digest_pins_the_blocks_tables_and_walks():
+    # blocks: every block of _sieve_blocks, as yielded, on the oracle's
+    # passes and windows, two walks' smooth parts and a grid of small
+    # ranges; a change to the block sieve must keep it.  tables: the
+    # values, dtypes, shapes and read-only flags of build_quotient_pi at
+    # ten n from 10**8 + 7 to 10**11, across the int32 edges of larges;
+    # a change to the recurrence must keep it.  walks: every table that
+    # quotient_tables yields on tiny walks from 1..40, high_sweep's 6-n
+    # walks, 200 n from 10**10, a stride-7 walk and selftest's window
+    # pair; a change to the walk must keep it.
+    proc = run_script("digest.py")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
-        "sha256 4d1b8428aaa4cbc4b01c90ff9c5bc0bc762cbfe0a9ed81202901cb7e988d870d"
+        "blocks sha256 779aa0935238b55e6d3bd955730bb2e20c739f7c917cafa86222dcd250d88dbb\n"
+        "tables sha256 5048b319434ec3a9a031c1b8d7285ca04d1451921714232767932bf891d939ec"
+        " over 10 n\n"
+        "walks sha256 4d1b8428aaa4cbc4b01c90ff9c5bc0bc762cbfe0a9ed81202901cb7e988d870d"
         " over 2886 tables\n"
     )
 
 
-def test_block_digest_pins_the_sieve_blocks():
-    # One sha256 over every block of _sieve_blocks, as yielded, on the
-    # oracle's passes and windows, two walks' smooth parts and a grid of
-    # small ranges.  A change to the block sieve must keep it.
-    proc = run_script("block_digest.py")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (
-        "sha256 779aa0935238b55e6d3bd955730bb2e20c739f7c917cafa86222dcd250d88dbb\n"
-    )
+def test_digest_full_list_holds_the_promised_n():
+    # README promises --full's n list; build none of its tables.
+    script = runpy.run_path(str(ROOT / "scripts" / "digest.py"), run_name="digest")
+    ns = script["full_ns"](2)
+    assert len(ns) == 3375
+    extra = [2**32 - 1, 2**32, 3 * 2**31 - 1, 10**12 - 1, 10**12, 2**40 + 3]
+    assert set(script["DEFAULT_NS"] + extra) <= set(ns)
+    assert script["full_ns"](2) == ns
 
 
 def test_code_lines_counts_code_outside_docstrings(tmp_path):
