@@ -129,17 +129,28 @@ def table_digest(tables) -> tuple[str, int]:
     return h.hexdigest(), count
 
 
+def blocks_line() -> str:
+    return f"blocks sha256 {block_digest()}"
+
+
+def tables_line(ns) -> str:
+    sha, count = table_digest(build_quotient_pi(n, max_n=n) for n in ns)
+    return f"tables sha256 {sha} over {count} n"
+
+
+def walks_line() -> str:
+    sha, count = table_digest(q for walk in walks() for q in quotient_tables(walk))
+    return f"walks sha256 {sha} over {count} tables"
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--full", action="store_true", help="3375 table n, not the ten default n")
     ap.add_argument("--seed", type=int, default=1, help="seed of --full's random n (default 1)")
     args = ap.parse_args()
-    ns = full_ns(args.seed) if args.full else DEFAULT_NS
-    print(f"blocks sha256 {block_digest()}")
-    sha, count = table_digest(build_quotient_pi(n, max_n=n) for n in ns)
-    print(f"tables sha256 {sha} over {count} n")
-    sha, count = table_digest(q for walk in walks() for q in quotient_tables(walk))
-    print(f"walks sha256 {sha} over {count} tables")
+    print(blocks_line())
+    print(tables_line(full_ns(args.seed) if args.full else DEFAULT_NS))
+    print(walks_line())
     return 0
 
 

@@ -55,35 +55,62 @@ def test_identity_fuzz_refuses_what_it_cannot_honour(args):
     assert args[0] in proc.stderr
 
 
-def test_digest_pins_the_blocks_tables_and_walks():
-    # blocks: every block of _sieve_blocks, as yielded, on the oracle's
-    # passes and windows, two walks' smooth parts and a grid of small
-    # ranges; a change to the block sieve must keep it.  tables: the
-    # values, dtypes, shapes and read-only flags of build_quotient_pi at
-    # ten n from 10**8 + 7 to 10**11, across the int32 edges of larges;
-    # a change to the recurrence must keep it.  walks: every table that
-    # quotient_tables yields on tiny walks from 1..40, high_sweep's 6-n
-    # walks, 200 n from 10**10, a stride-7 walk and selftest's window
-    # pair; a change to the walk must keep it.
-    proc = run_script("digest.py")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (
-        "blocks sha256 779aa0935238b55e6d3bd955730bb2e20c739f7c917cafa86222dcd250d88dbb\n"
-        "tables sha256 5048b319434ec3a9a031c1b8d7285ca04d1451921714232767932bf891d939ec"
-        " over 10 n\n"
-        "walks sha256 4d1b8428aaa4cbc4b01c90ff9c5bc0bc762cbfe0a9ed81202901cb7e988d870d"
-        " over 2886 tables\n"
+@pytest.fixture(scope="module")
+def digest():
+    """scripts/digest.py's functions, loaded once; its lines are built in-process."""
+    return runpy.run_path(str(ROOT / "scripts" / "digest.py"), run_name="digest")
+
+
+def test_block_digest_pins_the_sieve_blocks(digest):
+    # One sha256 over every block of _sieve_blocks, as yielded, on the
+    # oracle's passes and windows, two walks' smooth parts and a grid of
+    # small ranges.  A change to the block sieve must keep it.
+    assert digest["blocks_line"]() == (
+        "blocks sha256 779aa0935238b55e6d3bd955730bb2e20c739f7c917cafa86222dcd250d88dbb"
     )
 
 
-def test_digest_full_list_holds_the_promised_n():
+def test_table_digest_pins_the_default_tables(digest):
+    # One sha256 over the values, dtypes, shapes and read-only flags of
+    # build_quotient_pi at ten n from 10**8 + 7 to 10**11, across the
+    # int32 edges of larges.  A change to the recurrence must keep it.
+    assert digest["tables_line"](digest["DEFAULT_NS"]) == (
+        "tables sha256 5048b319434ec3a9a031c1b8d7285ca04d1451921714232767932bf891d939ec"
+        " over 10 n"
+    )
+
+
+def test_walk_digest_pins_the_walked_tables(digest):
+    # One sha256 over every table that quotient_tables yields on tiny
+    # walks from 1..40, high_sweep's 6-n walks, 200 n from 10**10, a
+    # stride-7 walk and selftest's window pair.  A change to the walk
+    # must keep it.
+    assert digest["walks_line"]() == (
+        "walks sha256 4d1b8428aaa4cbc4b01c90ff9c5bc0bc762cbfe0a9ed81202901cb7e988d870d"
+        " over 2886 tables"
+    )
+
+
+def test_digest_prints_its_three_lines(digest, monkeypatch, capsys):
+    # main prints the blocks, tables and walks lines in that order, the
+    # tables line over --full's n; the pins above hold their values.
+    # Stubbed line builders keep this run from hashing anything.
+    scope = digest["main"].__globals__
+    monkeypatch.setitem(scope, "blocks_line", lambda: "B")
+    monkeypatch.setitem(scope, "tables_line", lambda ns: f"T {len(ns)}")
+    monkeypatch.setitem(scope, "walks_line", lambda: "W")
+    monkeypatch.setattr(sys, "argv", ["digest.py", "--full", "--seed", "3"])
+    assert digest["main"]() == 0
+    assert capsys.readouterr().out == "B\nT 3375\nW\n"
+
+
+def test_digest_full_list_holds_the_promised_n(digest):
     # README promises --full's n list; build none of its tables.
-    script = runpy.run_path(str(ROOT / "scripts" / "digest.py"), run_name="digest")
-    ns = script["full_ns"](2)
+    ns = digest["full_ns"](2)
     assert len(ns) == 3375
     extra = [2**32 - 1, 2**32, 3 * 2**31 - 1, 10**12 - 1, 10**12, 2**40 + 3]
-    assert set(script["DEFAULT_NS"] + extra) <= set(ns)
-    assert script["full_ns"](2) == ns
+    assert set(digest["DEFAULT_NS"] + extra) <= set(ns)
+    assert digest["full_ns"](2) == ns
 
 
 def test_code_lines_counts_code_outside_docstrings(tmp_path):
