@@ -11,14 +11,14 @@ Methods are chosen in one place: `semiprimes.METHOD_CAPS` holds their caps
 and `method_count` maps a name to its function, for `count`, which times
 each method alone, and for `selftest`.  A `sweep` row reads all of its
 formula methods through one `semiprimes.formula_counts`: one head sum
-per n, and a tail sum only for eq3_grouped.  Its oracle column is one
-pass over the range.  `sweep` and `identity` share one range path (one
-n is the range n:n), run in-process or on a pool capped at the CPU
-count, which gives one int64 array per column: no object is kept per
-row, and agree and the identity's residual test are vector operations.
-Every command writes its rows through `emit_rows`, which reads columns
-and formats them a chunk of rows at a time.  Each setting is checked by
-one `_check_*`.
+per n, a tail sum only for eq3_grouped, and for eq3_naive the primes of
+one sieve per range.  Its oracle column is one pass over the range.
+`sweep` and `identity` share one range path (one n is the range n:n),
+run in-process or on a pool capped at the CPU count, which gives one
+int64 array per column: no object is kept per row, and agree and the
+identity's residual test are vector operations.  Every command writes
+its rows through `emit_rows`, which reads columns and formats them a
+chunk of rows at a time.  Each setting is checked by one `_check_*`.
 
 Exit codes: 0 success (and all methods agree), 1 usage or range error,
 2 mathematical disagreement between methods (a differential-test hit).
@@ -49,6 +49,7 @@ from .primes import (
     PrimeTable,
     QuotientPiTable,
     SUPPORTED_MAX_N,
+    _primes,
     _quotient_root,
     build_prime_table,
     build_quotient_pi,
@@ -499,6 +500,10 @@ def run_sweep(config: SweepConfig, out=None) -> int:
 
     The oracle column is counted once over the range after the formula
     rows; an oracle-only sweep reads no table and starts no pool.
+    eq3_naive's primes come from one sieve of ns[-1] // 2, made here
+    only when eq3_naive is asked and bound into the row, so every row
+    of the range reads it, whatever its table source, and pool workers
+    receive it with the row.
 
     Every column, one int64 array each and agree one vector comparison,
     is computed before emit_rows writes the first line: a failed end
@@ -509,7 +514,8 @@ def run_sweep(config: SweepConfig, out=None) -> int:
     methods = config.methods
     ns = _range_ns(config.start, config.end, config.stride, methods, config.max_n)
     formulas = tuple(m for m in methods if m != "oracle")
-    row = partial(formula_counts, methods=formulas)
+    primes = _primes(ns[-1] // 2) if "eq3_naive" in methods else None
+    row = partial(formula_counts, methods=formulas, primes=primes)
     cols = _run_chunked(row, formulas, ns, config.max_n, config.parallelism) if formulas else {}
     # Made after the tables: made before them, it outlived a walk's builds,
     # and a run of 6-n walks near 5 * 10^9 peaked 0.4 MiB higher in RSS,

@@ -237,8 +237,9 @@ class PrimeTable:
       n / divisors floors to n // d exactly while n < 2**53, and
       MAX_DENSE_LIMIT = 2**31 keeps every covered n far below that.
 
-    Both are left out of __init__, repr and ==, and are pickled with the
-    table.
+    Both are left out of __init__, repr and ==.  They are pickled with
+    the table and made again when it is unpickled, since __setstate__
+    runs __post_init__, which also makes every array read-only.
     """
 
     limit: int
@@ -251,15 +252,12 @@ class PrimeTable:
         root = math.isqrt(self.limit)
         object.__setattr__(self, "pi_prefix", self.pi_dense[: root + 1].astype(np.int64))
         object.__setattr__(self, "divisors", np.arange(1, root + 2, dtype=np.float64))
-        self._set_read_only()
+        for a in (self.primes, self.pi_dense, self.pi_prefix, self.divisors):
+            a.setflags(write=False)
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)  # unpickling skips __post_init__
-        self._set_read_only()
-
-    def _set_read_only(self) -> None:
-        for a in (self.primes, self.pi_dense, self.pi_prefix, self.divisors):
-            a.setflags(write=False)
+        self.__post_init__()
 
     def pi(self, x: int) -> int:
         """pi(x) for 0 <= x <= limit."""
@@ -311,9 +309,8 @@ class QuotientPiTable:
     where root = isqrt(n).  Every floor(n/d) falls in one half or the
     other, so pi() is total on quotient points.  ``root_primes`` caches
     the primes <= root (the p_k over which the counting formulas sum).
-    ``dense`` is the PrimeTable that from_dense read, kept so that
-    eq3_naive takes its primes <= n/2 from it; build_quotient_pi leaves
-    it None.  It is left out of repr and ==.
+    A table holds pi values only, whichever source made it: eq3_naive
+    takes its primes <= n/2 from its caller or its own sieve.
     """
 
     n: int
@@ -321,7 +318,6 @@ class QuotientPiTable:
     smalls: np.ndarray = field(repr=False)
     larges: np.ndarray = field(repr=False)
     root_primes: np.ndarray = field(repr=False)
-    dense: PrimeTable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Read-only by type: every constructor, dataclasses.replace included.
@@ -349,9 +345,10 @@ class QuotientPiTable:
     def from_dense(cls, n: int, table: PrimeTable) -> "QuotientPiTable":
         """Fast-path construction by direct lookup in a covering dense table.
 
-        Requires table.limit >= n.  Bit-identical to build_quotient_pi(n)
-        and keeps table as ``dense``; used by sweeps where thousands of
-        tables are needed, so it does only the work that depends on n.
+        Requires table.limit >= n.  Bit-identical to build_quotient_pi(n),
+        and keeps no reference to table beyond the views below; used by
+        sweeps where thousands of tables are needed, so it does only the
+        work that depends on n.
         smalls views the table's read-only int64 pi_prefix and root_primes
         its primes.  larges is the one fresh array: pi_dense read at the
         quotients n // d, d = 1..isqrt(n) + 1, which _dense_quotients
@@ -369,9 +366,7 @@ class QuotientPiTable:
         larges[0] = 0
         larges[1:] = table.pi_dense[_dense_quotients(n, table.divisors[: r + 1])]
         root_primes = table.primes[: int(smalls[r])]
-        return cls(
-            n=n, root=r, smalls=smalls, larges=larges, root_primes=root_primes, dense=table
-        )
+        return cls(n=n, root=r, smalls=smalls, larges=larges, root_primes=root_primes)
 
 
 def _dense_quotients(n: int, divisors: np.ndarray) -> np.ndarray:

@@ -133,30 +133,34 @@ def _tail_sum(qpi: QuotientPiTable) -> int:
     return int(np.dot(qpi.smalls[2 : last + 1], primes_at))
 
 
-def _naive_sum(n: int, qpi: QuotientPiTable) -> int:
+def _naive_sum(n: int, qpi: QuotientPiTable, primes: np.ndarray | None = None) -> int:
     """Sum of pi(n // p) over ALL primes p <= n/2, visiting every prime.
 
     The test-oracle counterpart of _head_sum + _tail_sum; refuses n beyond
-    NAIVE_MAX_N since the term count alone is pi(n/2).  The primes come
-    from qpi.dense (the sieve the table was read from) if set, else from
-    a sieve of n // 2.  Each prime p reads larges[p] where n // p >
-    isqrt(n), that is p <= n // (isqrt(n) + 1), the first k primes by one
-    searchsorted, and smalls[n // p] elsewhere, so the tail reads smalls.
-    The tail's quotients are divided into the sieve's own result and read
-    by smalls.take into the same slice; a dense table's primes are a
-    read-only view, so there they go into a copy.
+    NAIVE_MAX_N since the term count alone is pi(n/2).  primes, if given,
+    is an ascending int64 array of every prime <= n // 2, and may hold
+    more: a range passes one sieve for all its n.  Without it the primes
+    come from a sieve of n // 2.  Each prime p reads larges[p] where
+    n // p > isqrt(n), that is p <= n // (isqrt(n) + 1), and
+    smalls[n // p] up to n // 2, so the tail reads smalls; one
+    searchsorted finds both cut points.  The tail's quotients are divided
+    into the sieve's own result and read by smalls.take into the same
+    slice; a caller's primes are left as they are, so there the tail
+    goes into a copy.
     """
     if n > NAIVE_MAX_N:
         raise RangeError(f"n={n} exceeds the naive-form cap {NAIVE_MAX_N}; use eq3_grouped")
-    ps = _primes(n // 2) if qpi.dense is None else qpi.dense.primes[: qpi.dense.pi(n // 2)]
-    k = int(np.searchsorted(ps, n // (qpi.root + 1), side="right"))
+    ps = _primes(n // 2) if primes is None else primes
+    k, end = np.searchsorted(ps, (n // (qpi.root + 1), n // 2), side="right").tolist()
     head = int(qpi.larges[ps[:k]].sum())
-    quot = ps[k:] if qpi.dense is None else ps[k:].copy()
+    quot = ps[k:end] if primes is None else ps[k:end].copy()
     np.floor_divide(n, quot, out=quot)
     return head + int(qpi.smalls.take(quot, out=quot, mode="wrap").sum())
 
 
-def formula_counts(n: int, qpi: QuotientPiTable, methods: tuple[str, ...]) -> list[int]:
+def formula_counts(
+    n: int, qpi: QuotientPiTable, methods: tuple[str, ...], primes: np.ndarray | None = None
+) -> list[int]:
     """The count of each formula method at n, in the order of methods.
 
     The one place each formula is written.  With k = pi(isqrt(n)):
@@ -170,8 +174,10 @@ def formula_counts(n: int, qpi: QuotientPiTable, methods: tuple[str, ...]) -> li
 
     qpi is checked once; its head sum is read once and only for eq1 or
     eq3_grouped, the grouped tail only for eq3_grouped and the naive
-    pair sum only for eq3_naive.  Raises ValueError for the oracle and
-    for unknown names.
+    pair sum only for eq3_naive, which takes its primes from primes as
+    _naive_sum does: every prime <= n // 2 in ascending int64 order,
+    more allowed, or None to sieve n // 2.  Raises ValueError for the
+    oracle and for unknown names.
     """
     if not set(methods) <= {"eq1", "eq3_grouped", "eq3_naive"}:
         raise ValueError(f"formula methods are eq1, eq3_grouped and eq3_naive, got {methods}")
@@ -184,7 +190,7 @@ def formula_counts(n: int, qpi: QuotientPiTable, methods: tuple[str, ...]) -> li
     sq = int(qpi.smalls[qpi.root])  # pi(isqrt(n))
     for method in ("eq3_grouped", "eq3_naive"):
         if method in methods:
-            pair = head + _tail_sum(qpi) if method == "eq3_grouped" else _naive_sum(n, qpi)
+            pair = head + _tail_sum(qpi) if method == "eq3_grouped" else _naive_sum(n, qpi, primes)
             if (pair + sq) % 2 != 0:
                 raise InternalConsistencyError(
                     f"pair_sum({n}) + pi(isqrt({n})) = {pair} + {sq} is odd; "
@@ -209,8 +215,8 @@ def count_semiprimes_eq3(n: int, qpi: QuotientPiTable, mode: str = "grouped") ->
 
     The pair sum, of pi(n // p) over the primes p <= n/2, is the head sum
     plus the grouped tail in grouped mode, and visits every prime in
-    naive mode (capped at NAIVE_MAX_N; its primes come from qpi.dense
-    when set).  term_count counts the halving as one term, and the root
+    naive mode (capped at NAIVE_MAX_N; its primes come from a sieve of
+    n // 2).  term_count counts the halving as one term, and the root
     primes and tail blocks, or the primes <= n/2, as one each.
     """
     method = f"eq3_{mode}"

@@ -346,7 +346,8 @@ def test_identity_requires_n_xor_range(capsys):
 
 def test_dense_sweep_naive_column_reads_the_shared_sieve(capsys, monkeypatch):
     # Below DENSE_SWEEP_LIMIT each table comes from the sweep's one dense
-    # sieve, and eq3_naive takes its primes <= n/2 from it: no sieve of its own.
+    # sieve, and eq3_naive takes its primes <= n/2 from the range's one
+    # sieve of ns[-1] // 2, made by run_sweep: no row sieves its own.
     calls, real = [], semiprimes._primes
     monkeypatch.setattr(
         semiprimes, "_primes", lambda limit: calls.append(limit) or real(limit)
@@ -354,6 +355,25 @@ def test_dense_sweep_naive_column_reads_the_shared_sieve(capsys, monkeypatch):
     argv = ("sweep", "1:3000", "--methods", "eq1,eq3_naive", "--format", "csv")
     assert run(capsys, *argv)[0] == EXIT_OK
     assert calls == []
+
+
+def test_walked_sweep_naive_column_sieves_once_per_range(capsys, monkeypatch):
+    # A walked range reads its tables from no dense sieve, so eq3_naive
+    # takes its primes from the range's one sieve of ns[-1] // 2 as a
+    # dense range does, and prints the dense range's bytes.
+    argv = ("sweep", "1:3000", "--methods", "eq1,eq3_naive", "--format", "csv")
+    code, dense_out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    row_sieves, range_sieves, real = [], [], semiprimes._primes
+    monkeypatch.setattr(
+        semiprimes, "_primes", lambda limit: row_sieves.append(limit) or real(limit)
+    )
+    monkeypatch.setattr(cli, "_primes", lambda limit: range_sieves.append(limit) or real(limit))
+    monkeypatch.setattr(cli, "DENSE_SWEEP_LIMIT", 0)
+    code, walked_out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert (row_sieves, range_sieves) == ([], [1500])
+    assert walked_out == dense_out
 
 
 def test_identity_one_n_builds_no_dense_sieve(capsys, monkeypatch):

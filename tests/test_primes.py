@@ -432,10 +432,9 @@ def test_from_dense_is_bit_identical_to_recurrence(dense_10m):
         a = build_quotient_pi(n)
         b = QuotientPiTable.from_dense(n, dense_10m)
         assert_same_table(b, a)
-        assert b.dense is dense_10m and a.dense is None
-    # dense is kept out of repr and ==.
-    assert "dense" not in repr(b)
-    assert dataclasses.replace(b, dense=None) == b
+    # A table holds pi values only: no reference to the sieve it was read from.
+    fields = [f.name for f in dataclasses.fields(b)]
+    assert fields == ["n", "root", "smalls", "larges", "root_primes"]
 
 
 def test_from_dense_views_the_shared_prefix_on_both_sides_of_squares(dense_10m):

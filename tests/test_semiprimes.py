@@ -643,10 +643,12 @@ def test_formula_counts_equal_the_per_method_counts(source, dense_10m):
     squares = [p * p for p in _primes(1000).tolist()]
     ns = [*range(1, 3001), *(s + d for s in squares for d in (-1, 0, 1))]
     oracle = oracle_counts(1, range(1, max(ns) + 1)).tolist()
+    primes = None  # eq3_naive sieves n // 2 itself, except on dense tables
     if source == "build_quotient_pi":
         tables = ((n, build_quotient_pi(n)) for n in ns)
     elif source == "from_dense":
         tables = ((n, QuotientPiTable.from_dense(n, dense_10m)) for n in ns)
+        primes = dense_10m.primes
     else:
         walks = [range(1, 3001), *(range(s - 1, s + 2) for s in squares)]
         tables = ((n, q) for w in walks for n, q in zip(w, quotient_tables(w)))
@@ -655,11 +657,34 @@ def test_formula_counts_equal_the_per_method_counts(source, dense_10m):
     seen = 0
     for n, qpi in tables:
         for subset in subsets:
-            got = formula_counts(n, qpi, subset)
+            got = formula_counts(n, qpi, subset, primes)
             assert got == [oracle[n - 1]] * len(subset), (n, subset)
             assert all(type(c) is int for c in got), (n, subset)
         seen += 1
     assert seen == len(ns)
+
+
+def test_naive_sum_reads_given_primes_as_its_own_sieve(dense_10m):
+    # A caller's primes may be exactly those <= n // 2, more of them, or a
+    # read-only array; each gives the sum of the naive sum's own sieve, at
+    # n = 1..3000, around every p^2 for p <= 1000 and at the cap, and
+    # leaves a writable array's bytes as they were.
+    squares = [p * p for p in _primes(1000).tolist()]
+    ns = [*range(1, 3001), *(s + d for s in squares for d in (-1, 0, 1)), 10**7 - 1, 10**7]
+    supersets = {limit: _primes(limit) for limit in (10**6, 10**7)}
+    pristine = {limit: ps.copy() for limit, ps in supersets.items()}
+    assert not dense_10m.primes.flags.writeable
+    for n in ns:
+        qpi = build_quotient_pi(n)
+        want = _naive_sum(n, qpi)
+        exact = _primes(n // 2)
+        kept = exact.tobytes()
+        limit = 10**6 if n // 2 <= 10**6 else 10**7
+        for given in (exact, supersets[limit], dense_10m.primes):
+            assert _naive_sum(n, qpi, given) == want, (n, len(given))
+        # int64 in place: equal values are equal bytes.
+        assert exact.tobytes() == kept, n
+        assert np.array_equal(supersets[limit], pristine[limit]), n
 
 
 def test_formula_counts_read_each_sum_only_for_the_methods_that_need_it(monkeypatch):
