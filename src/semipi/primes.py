@@ -35,10 +35,12 @@ of every integer or of the odd numbers only.
 
 All values are exact integers.  The one floating-point operation is
 ``from_dense``'s quotient row, n / d rounded and truncated, which equals
-n // d for every n < 2**53, so for every n a dense table covers.  Both
-table types make their arrays read-only in ``__post_init__``, and
-again when unpickled, so tables are safe to share between threads or
-workers of any start method.
+n // d for every n < 2**53, so for every n a dense table covers.  Every
+QuotientPiTable, built, dense or walked, is assembled by ``_table_at``,
+whose docstring says which of its arrays are fresh and which are views.
+Both table types make their arrays read-only in ``__post_init__``, and
+again when unpickled (``_Frozen``), so tables are safe to share between
+threads or workers of any start method.
 """
 
 from __future__ import annotations
@@ -221,8 +223,18 @@ def _primes(limit: int) -> np.ndarray:
     return found[0] if len(found) == 1 else np.concatenate(found)
 
 
+class _Frozen:
+    """Base of the two frozen table types, whose __post_init__ makes
+    their arrays read-only: unpickling sets the fields without it, and
+    numpy unpickles arrays writable, so __setstate__ runs it again."""
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
+
+
 @dataclass(frozen=True)
-class PrimeTable:
+class PrimeTable(_Frozen):
     """Dense prime table: all primes <= limit plus an O(1) pi lookup.
 
     pi_dense[x] = number of primes <= x, for 0 <= x <= limit.
@@ -238,8 +250,9 @@ class PrimeTable:
       MAX_DENSE_LIMIT = 2**31 keeps every covered n far below that.
 
     Both are left out of __init__, repr and ==.  They are pickled with
-    the table and made again when it is unpickled, since __setstate__
-    runs __post_init__, which also makes every array read-only.
+    the table and made again when it is unpickled, since _Frozen's
+    __setstate__ runs __post_init__, which also makes every array
+    read-only.
     """
 
     limit: int
@@ -254,10 +267,6 @@ class PrimeTable:
         object.__setattr__(self, "divisors", np.arange(1, root + 2, dtype=np.float64))
         for a in (self.primes, self.pi_dense, self.pi_prefix, self.divisors):
             a.setflags(write=False)
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)  # unpickling skips __post_init__
-        self.__post_init__()
 
     def pi(self, x: int) -> int:
         """pi(x) for 0 <= x <= limit."""
@@ -298,7 +307,7 @@ def build_prime_table(limit: int) -> PrimeTable:
 
 
 @dataclass(frozen=True)
-class QuotientPiTable:
+class QuotientPiTable(_Frozen):
     """Exact pi at every distinct quotient floor(n/d), d = 1..n.
 
     Storage is two arrays indexed by the two halves of the quotient set:
@@ -310,7 +319,9 @@ class QuotientPiTable:
     other, so pi() is total on quotient points.  ``root_primes`` caches
     the primes <= root (the p_k over which the counting formulas sum).
     A table holds pi values only, whichever source made it: eq3_naive
-    takes its primes <= n/2 from its caller or its own sieve.
+    takes its primes <= n/2 from its caller or its own sieve.  Every
+    source returns its tables through _table_at, which says which arrays
+    a table owns and which it views.
     """
 
     n: int
@@ -323,10 +334,6 @@ class QuotientPiTable:
         # Read-only by type: every constructor, dataclasses.replace included.
         for a in (self.smalls, self.larges, self.root_primes):
             a.setflags(write=False)
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)  # unpickling skips __post_init__
-        self.__post_init__()
 
     def pi(self, v: int) -> int:
         """pi(v) for any v in the quotient set of n (plus any v <= root)."""
@@ -346,13 +353,13 @@ class QuotientPiTable:
         """Fast-path construction by direct lookup in a covering dense table.
 
         Requires table.limit >= n.  Bit-identical to build_quotient_pi(n),
-        and keeps no reference to table beyond the views below; used by
+        and keeps no reference to table beyond the views that _table_at
+        takes of its read-only int64 pi_prefix and its primes; used by
         sweeps where thousands of tables are needed, so it does only the
-        work that depends on n.
-        smalls views the table's read-only int64 pi_prefix and root_primes
-        its primes.  larges is the one fresh array: pi_dense read at the
-        quotients n // d, d = 1..isqrt(n) + 1, which _dense_quotients
-        divides in float64, exact since n <= MAX_DENSE_LIMIT < 2**53.
+        work that depends on n.  larges is the one fresh array: pi_dense
+        read at the quotients n // d, d = 1..isqrt(n) + 1, which
+        _dense_quotients divides in float64, exact since n <=
+        MAX_DENSE_LIMIT < 2**53.
         """
         if n < 1:
             raise RangeError(f"n must be >= 1, got {n}")
@@ -361,12 +368,10 @@ class QuotientPiTable:
                 f"dense table limit {table.limit} does not cover n={n}"
             )
         r = math.isqrt(n)
-        smalls = table.pi_prefix[: r + 1]
         larges = np.empty(r + 2, dtype=np.int64)
         larges[0] = 0
         larges[1:] = table.pi_dense[_dense_quotients(n, table.divisors[: r + 1])]
-        root_primes = table.primes[: int(smalls[r])]
-        return cls(n=n, root=r, smalls=smalls, larges=larges, root_primes=root_primes)
+        return _table_at(n, table.pi_prefix, larges, table.primes)
 
 
 def _dense_quotients(n: int, divisors: np.ndarray) -> np.ndarray:
@@ -686,9 +691,7 @@ def build_quotient_pi(n: int, *, max_n: int = SUPPORTED_MAX_N) -> QuotientPiTabl
 
     smalls[0] = 0
     larges[r + 1] = smalls[n // (r + 1)]
-    return QuotientPiTable(
-        n=n, root=r, smalls=smalls, larges=larges, root_primes=root_primes
-    )
+    return _table_at(n, smalls, larges, root_primes)
 
 
 #: The factoring sieve's wheel: the prime powers 2, 4, 8, 3, 9, 5, 7 and
@@ -810,28 +813,39 @@ def _walk_steps(lo: int, hi: int, base: np.ndarray):
     for start, part in _factor_blocks(lo, hi, base):
         end = start + len(part)
         # part < m: m = part * q, q a prime > isqrt(hi), so d = part.
-        big = np.flatnonzero(part < np.arange(start, end, dtype=part.dtype))
+        ms = np.flatnonzero(part < np.arange(start, end, dtype=part.dtype))
+        ds = part[ms]
+        ms += start
         # Base primes q with a multiple m = q * d in the block, d <= q + 1.
         qs = base[np.searchsorted(base, max(isqrt(start) - 1, 0)) :]
         d0 = -(-start // qs)
         took = np.maximum(np.minimum((end - 1) // qs, qs + 1) - d0 + 1, 0)
         q = np.repeat(qs, took)
-        d = np.repeat(d0 - np.cumsum(took) + took, took) + np.arange(len(q))
-        order = np.argsort(q * d)
-        qd, d = (q * d)[order], d[order].astype(part.dtype)
-        at = np.searchsorted(big, qd - start)
-        yield end, np.insert(big + start, at, qd), np.insert(part[big], at, d)
+        if len(q):  # an empty np.insert would still copy both lists
+            d = np.repeat(d0 - np.cumsum(took) + took, took) + np.arange(len(q))
+            order = np.argsort(q * d)
+            qd, d = (q * d)[order], d[order].astype(part.dtype)
+            at = np.searchsorted(ms, qd)
+            ms = np.insert(ms, at, qd)  # the old ms is freed before ds is copied
+            ds = np.insert(ds, at, d)
+        yield end, ms, ds
 
 
 def _table_at(n: int, smalls: np.ndarray, larges: np.ndarray, primes: np.ndarray):
-    """The QuotientPiTable of n from walk tables sized for some n' >= n.
+    """The QuotientPiTable of n: the one place a table is assembled.
 
-    It copies larges and views smalls and primes, which no step changes."""
-    r = math.isqrt(n)
-    larges, root_primes = larges[: r + 2].copy(), primes[: int(smalls[r])]
-    return QuotientPiTable(
-        n=n, root=r, smalls=smalls[: r + 1], larges=larges, root_primes=root_primes
-    )
+    larges is the table's own array, larges[d] = pi(n // d) for d =
+    0..isqrt(n) + 1, and fixes r = len(larges) - 2 = isqrt(n): the caller
+    owns it and hands it over, fresh from a build or a dense lookup, or a
+    walk's copy of its working row.  smalls, pi(v) for v = 0..r at least,
+    and primes, ascending and holding every prime <= r, may be longer and
+    are shared: the table views smalls[: r + 1] and primes[: pi(r)], so
+    the caller must never write them again.  The table then freezes all
+    three (__post_init__), and the views stay valid however long it lives.
+    """
+    r = len(larges) - 2
+    smalls, root_primes = smalls[: r + 1], primes[: int(smalls[r])]
+    return QuotientPiTable(n=n, root=r, smalls=smalls, larges=larges, root_primes=root_primes)
 
 
 def _require_equal(want: QuotientPiTable, got: QuotientPiTable) -> None:
@@ -876,8 +890,8 @@ def quotient_tables(ns: range, *, max_n: int = SUPPORTED_MAX_N):
     each n's slice ends.
 
     Each table is bit-identical to build_quotient_pi(n) in values, dtypes
-    and flags; only its larges is fresh, its smalls and root_primes are
-    views of the walk's read-only smalls and primes.  The last one is
+    and flags; _table_at assembles it from a copy of the working larges
+    and views of the walk's read-only smalls and primes.  The last one is
     compared entry by entry with build_quotient_pi(ns[-1]), built before
     the working tables exist so that the two builds are the peak; the
     first entry that differs raises InternalConsistencyError naming it
@@ -917,7 +931,7 @@ def quotient_tables(ns: range, *, max_n: int = SUPPORTED_MAX_N):
         for n, upto in zip(ns[i:j], np.searchsorted(ms, ns[i:j], side="right").tolist()):
             np.add.at(larges, ds[done:upto], 1)
             done = upto
-            table = _table_at(n, smalls, larges, primes)
+            table = _table_at(n, smalls, larges[: math.isqrt(n) + 2].copy(), primes)
             if n == last:
                 _require_equal(want, table)
             yield table

@@ -17,6 +17,7 @@ from semipi import (
     count_semiprimes_eq3,
     identity_lhs,
     identity_rhs,
+    oracle_counts,
 )
 from semipi.semiprimes import _naive_sum
 
@@ -69,6 +70,21 @@ def test_identity_residual_zero_random_large():
     for _ in range(25):
         n = rng.randrange(1, 10**9)
         assert check_identity(n, build_quotient_pi(n)).residual == 0, n
+
+
+def test_window_check_where_the_recurrence_keeps_an_int64_head():
+    # From 2**31 up, _prime_steps steps larges[d] in int64 for every d <
+    # n // 2**31 + 1.  As selftest does at 10^9, 10^10 and 10^11, the
+    # table-free oracle counts the window between two builds.
+    rng = random.Random(0x2_31)
+    for _ in range(3):
+        n = rng.randrange(2**31, 10**10)
+        a = n - 10**4
+        below, qpi = build_quotient_pi(a), build_quotient_pi(n)
+        window = int(oracle_counts(a + 1, range(n, n + 1))[0])
+        gained = count_semiprimes_eq1(n, qpi).count - count_semiprimes_eq1(a, below).count
+        assert gained == window, n
+        assert check_identity(a, below).residual == check_identity(n, qpi).residual == 0, n
 
 
 def test_identity_regression_pin_1e9():
